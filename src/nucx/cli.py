@@ -145,10 +145,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _arity(text: str) -> int:
+    try:
+        arity = int(text)
+    except ValueError:
+        arity = -1
+    if arity < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return arity
+
+
 def _add_input_arguments(parser, second=False):
     parser.add_argument("--expr", help="Boolean expression over x0..")
     parser.add_argument("--tt", help="hex truth table, MSB-first")
-    parser.add_argument("--arity", type=int, required=True)
+    parser.add_argument("--arity", type=_arity, required=True)
     if second:
         parser.add_argument("--expr2", help="second expression")
         parser.add_argument("--tt2", help="second hex truth table")
@@ -357,7 +368,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench",
                        help="random functions, sizes and bound checks")
-    p.add_argument("--arity", type=int, required=True)
+    p.add_argument("--arity", type=_arity, required=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=",".join(PRESETS))

@@ -1,12 +1,18 @@
 """Boolean operations on reduced graphs.
 
-Results stay reduced: recursion bottoms out on constants and recombines
-cofactors through the normalized constructor.  All binary operations are
-memoized on ordered pairs of edge identities inside the operands'
-manager, so repeated subproblems across calls are free.
+Every binary connective runs through one memoized apply core, after
+Brace, Rudell and Bryant (DAC 1990).  An operator is a 4-bit truth
+table whose bit ``2a+b`` is ``op(a, b)``; the terminal cases (an operand
+is a constant, or the operands are equal) are read off that table.
+Every other pair splits both operands on the leading variable and
+recombines the results through the normalized constructor, so results
+stay reduced.  The memo is keyed on the operator and the edge
+identities, with the operands of commutative operators ordered, so
+repeated subproblems across calls are free.
 
 In complement-bearing models negation is a constant-time mark toggle;
-in mark-free models it is a memoized terminal-swapping descent.
+in mark-free models it is the memoized terminal-swapping descent
+``reduction.negate_reduced``.
 """
 
 from __future__ import annotations
@@ -19,28 +25,26 @@ from .graph import (
     intern_diamond,
     prepend_letter,
 )
-from .letters import N, U, X
-from .oracle import ARITY_LIMIT, ArityError, TruthTable
+from .letters import N, U
+from .oracle import ArityError
 from .reduction import (
     ModelSpec,
-    compile_table,
     cons_diamond,
     constant,
+    elim_letter,
     negate_reduced,
     push_neg,
     reduce,
+    require_model,
 )
 
-
-def _require_model(handle: FuncHandle) -> ModelSpec:
-    if handle.model is None:
-        raise ValueError("operation requires a reduced handle "
-                         "(no model recorded)")
-    return handle.model
+#: Operator truth tables: bit ``2a+b`` is ``op(a, b)``.
+_OPERATORS = {"and": 0b1000, "or": 0b1110, "xor": 0b0110, "implies": 0b1011}
+_AND = _OPERATORS["and"]
 
 
-def _require_pair(a: FuncHandle, b: FuncHandle) -> tuple[ModelSpec, Manager]:
-    model = _require_model(a)
+def _require_pair(a: FuncHandle, b: FuncHandle) -> ModelSpec:
+    model = require_model(a)
     if a.manager is not b.manager:
         raise ManagerMismatchError("operands live in different managers")
     if b.model != model:
@@ -49,29 +53,20 @@ def _require_pair(a: FuncHandle, b: FuncHandle) -> tuple[ModelSpec, Manager]:
                          f"{model.name} vs {other}")
     if a.arity != b.arity:
         raise ArityError(f"arity mismatch: {a.arity} vs {b.arity}")
-    return model, a.manager
+    return model
 
 
-def _cofactor_elem(v0: int, edge: Edge, model: ModelSpec) -> Edge:
+def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
+    """Both cofactors of a reduced edge on its first variable, as the
+    two children whose normalized combination is ``edge``."""
     word = edge.word
-    if word:
-        first = word[0]
-        rest = edge.manager.edge(word[1:], edge.node)
-        if first is U:
-            return rest
-        if first is X:
-            return push_neg(rest) if v0 else rest
-        if v0 == first.branch:
-            return constant(model, edge.manager, first.const, edge.arity - 1)
-        return rest
-    node = edge.node
-    return node.hi if v0 else node.lo
-
-
-def _cofactor_edge(v0: int, edge: Edge, model: ModelSpec) -> Edge:
-    if edge.word and edge.word[0] is N:
-        return push_neg(_cofactor_elem(v0, push_neg(edge), model))
-    return _cofactor_elem(v0, edge, model)
+    if not word:
+        return edge.node.lo, edge.node.hi
+    if word[0] is N:
+        lo, hi = cofactors(model, push_neg(edge))
+        return push_neg(lo), push_neg(hi)
+    return elim_letter(model, word[0],
+                       edge.manager.edge(word[1:], edge.node))
 
 
 def cofactor(v0: int, handle: FuncHandle) -> FuncHandle:
@@ -79,111 +74,84 @@ def cofactor(v0: int, handle: FuncHandle) -> FuncHandle:
     reduced graph."""
     if handle.arity < 1:
         raise ArityError("cannot cofactor a constant")
-    model = _require_model(handle)
-    edge = _cofactor_edge(1 if v0 else 0, handle.edge, model)
+    model = require_model(handle)
+    edge = cofactors(model, handle.edge)[1 if v0 else 0]
     return FuncHandle(edge, handle.arity - 1, model)
 
 
-def _neg_edge(model: ModelSpec, edge: Edge) -> Edge:
-    if model.negation:
-        return push_neg(edge)
-    return negate_reduced(model, edge)
+def _unary(model: ModelSpec, table: int, edge: Edge) -> Edge:
+    """The reduced graph of ``v -> bit v of table`` applied to ``edge``:
+    a constant, ``edge`` itself or its complement."""
+    if table == 0b10:
+        return edge
+    if table == 0b01:
+        if model.negation:
+            return push_neg(edge)
+        return negate_reduced(model, edge)
+    return constant(model, edge.manager, table & 1, edge.arity)
 
 
 def negb(handle: FuncHandle) -> FuncHandle:
     """Complement; constant-time in complement-bearing models."""
-    model = _require_model(handle)
-    return FuncHandle(_neg_edge(model, handle.edge), handle.arity, model)
+    model = require_model(handle)
+    return FuncHandle(_unary(model, 0b01, handle.edge), handle.arity, model)
 
 
-def _andb(x: Edge, y: Edge, model: ModelSpec, manager: Manager) -> Edge:
-    if x is y:
-        return x
-    if x is push_neg(y):
-        return constant(model, manager, 0, x.arity)
+def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
+    """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``."""
+    manager = x.manager
     arity = x.arity
     zero = constant(model, manager, 0, arity)
-    if x is zero or y is zero:
-        return zero
     one = constant(model, manager, 1, arity)
-    if x is one:
-        return y
-    if y is one:
-        return x
-    memo = manager.cache("andb")
-    key = (model, x, y)
+    a = 0 if x is zero else 1 if x is one else None
+    b = 0 if y is zero else 1 if y is one else None
+    # each terminal case does the same work for both operand orders of
+    # a commutative operator, so the counters do not depend on ``id``
+    if a is not None and b is not None:
+        return one if op >> (2 * a + b) & 1 else zero
+    if a is not None:
+        return _unary(model, op >> 2 * a & 3, y)
+    if b is not None:
+        return _unary(model, (op >> b & 1) | (op >> 1 >> b & 2), x)
+    if x is y:
+        return _unary(model, (op & 1) | (op >> 2 & 2), x)
+    if (op >> 1 ^ op >> 2) & 1 == 0 and id(y) < id(x):   # commutative
+        x, y = y, x
+    memo = manager.cache("apply")
+    key = (model, op, x, y)
     found = memo.get(key)
     if found is not None:
         return found
-    manager.bump("andb_pairs")
-    lo = _andb(_cofactor_edge(0, x, model), _cofactor_edge(0, y, model),
-               model, manager)
-    hi = _andb(_cofactor_edge(1, x, model), _cofactor_edge(1, y, model),
-               model, manager)
-    found = memo[key] = cons_diamond(model, lo, hi)
-    return found
-
-
-def andb(a: FuncHandle, b: FuncHandle) -> FuncHandle:
-    """Conjunction of two reduced graphs from one manager."""
-    model, manager = _require_pair(a, b)
-    return FuncHandle(_andb(a.edge, b.edge, model, manager), a.arity, model)
-
-
-def _xorb(x: Edge, y: Edge, model: ModelSpec, manager: Manager) -> Edge:
-    if x is y:
-        return constant(model, manager, 0, x.arity)
-    if x is push_neg(y):
-        return constant(model, manager, 1, x.arity)
-    arity = x.arity
-    zero = constant(model, manager, 0, arity)
-    if x is zero:
-        return y
-    if y is zero:
-        return x
-    one = constant(model, manager, 1, arity)
-    if x is one:
-        return _neg_edge(model, y)
-    if y is one:
-        return _neg_edge(model, x)
-    memo = manager.cache("xorb")
-    key = (model, x, y)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    lo = _xorb(_cofactor_edge(0, x, model), _cofactor_edge(0, y, model),
-               model, manager)
-    hi = _xorb(_cofactor_edge(1, x, model), _cofactor_edge(1, y, model),
-               model, manager)
-    found = memo[key] = cons_diamond(model, lo, hi)
+    if op == _AND:
+        manager.bump("andb_pairs")
+    x0, x1 = cofactors(model, x)
+    y0, y1 = cofactors(model, y)
+    found = memo[key] = cons_diamond(model, _apply(model, op, x0, y0),
+                                     _apply(model, op, x1, y1))
     return found
 
 
 def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:
     """Binary connective: ``and``, ``or``, ``xor`` or ``implies``."""
-    if op == "and":
-        return andb(a, b)
-    if op == "or":
-        return negb(andb(negb(a), negb(b)))
-    if op == "implies":
-        return negb(andb(a, negb(b)))
-    if op == "xor":
-        model, manager = _require_pair(a, b)
-        return FuncHandle(_xorb(a.edge, b.edge, model, manager),
-                          a.arity, model)
-    raise ValueError(f"unknown operation {op!r}")
+    table = _OPERATORS.get(op)
+    if table is None:
+        raise ValueError(f"unknown operation {op!r}")
+    model = _require_pair(a, b)
+    return FuncHandle(_apply(model, table, a.edge, b.edge), a.arity, model)
+
+
+def andb(a: FuncHandle, b: FuncHandle) -> FuncHandle:
+    """Conjunction of two reduced graphs from one manager."""
+    return apply("and", a, b)
 
 
 def projection(model: ModelSpec, manager: Manager, index: int,
                arity: int) -> FuncHandle:
-    """Canonical graph of the variable ``x<index>`` at the given arity."""
+    """Canonical graph of the variable ``x<index>`` at the given arity,
+    normalized from the raw branch graph."""
     if not 0 <= index < arity:
         raise ValueError(f"variable index {index} out of range for "
                          f"arity {arity}")
-    if arity <= ARITY_LIMIT:
-        return compile_table(model, TruthTable.projection(arity, index),
-                             manager)
-    # beyond the dense-oracle cap: normalize the raw branch graph instead
     lo, hi = manager.zero, manager.one
     for _ in range(arity - index - 1):
         lo = prepend_letter(U, lo)

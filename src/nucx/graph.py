@@ -106,10 +106,11 @@ class FuncHandle:
 class Manager:
     """Interning and memoization authority for one diagram universe.
 
-    A manager is a single-owner mutable object: interning and memo
-    access must be serialized by the caller.  Nodes and edges are
-    immutable once interned and may be read concurrently.  Graphs from
-    different managers must never be mixed.
+    A manager is a single-owner mutable object: all access to it and to
+    its graphs, reads included, must be serialized by the caller, since
+    complementing an edge caches its partner in ``Edge.neg`` and every
+    query fills memo tables.  Graphs from different managers must never
+    be mixed.
 
     ``memo_cap`` bounds each named memo table: a table exceeding the cap
     is flushed whole (results are recomputed identically, so only speed

@@ -13,18 +13,12 @@ from typing import Iterator, Optional
 
 from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
 from .letters import N, U, X
-from .reduction import ModelSpec, constant
-
-
-def _require_model(handle: FuncHandle) -> ModelSpec:
-    if handle.model is None:
-        raise ValueError("query requires a reduced handle")
-    return handle.model
+from .reduction import ModelSpec, constant, require_model
 
 
 def is_sat(handle: FuncHandle) -> bool:
     """False iff the graph is the canonical all-zeros constant."""
-    model = _require_model(handle)
+    model = require_model(handle)
     manager = handle.manager
     before = manager.counters.get("const_steps", 0)
     zero = constant(model, manager, 0, handle.arity)
@@ -35,7 +29,7 @@ def is_sat(handle: FuncHandle) -> bool:
 
 def is_taut(handle: FuncHandle) -> bool:
     """True iff the graph is the canonical all-ones constant."""
-    model = _require_model(handle)
+    model = require_model(handle)
     one = constant(model, handle.manager, 1, handle.arity)
     return handle.edge is one
 
@@ -45,7 +39,7 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
     if a.manager is not b.manager:
         raise ManagerMismatchError(
             "cannot compare graphs from different managers")
-    if _require_model(a) != _require_model(b):
+    if require_model(a) != require_model(b):
         raise ValueError("cannot compare graphs reduced under "
                          "different models")
     return a.edge is b.edge and a.arity == b.arity
@@ -53,7 +47,7 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
 
 def count_sat(handle: FuncHandle) -> int:
     """Number of satisfying valuations (exact, arbitrary precision)."""
-    _require_model(handle)
+    require_model(handle)
     return _count(handle.edge, handle.manager)
 
 
@@ -99,7 +93,7 @@ def _const_value(edge: Edge, model: ModelSpec,
 def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:
     """One satisfying valuation, found by a single root-to-terminal
     descent, or ``None`` for the zero constant."""
-    model = _require_model(handle)
+    model = require_model(handle)
     manager = handle.manager
     if handle.edge is constant(model, manager, 0, handle.arity):
         return None
@@ -147,7 +141,7 @@ def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:
 def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
     """Lazily yield every satisfying valuation exactly once, in
     lexicographic order; total work O(n * count)."""
-    model = _require_model(handle)
+    model = require_model(handle)
     manager = handle.manager
 
     def gen(edge: Edge, parity: int) -> Iterator[tuple[int, ...]]:

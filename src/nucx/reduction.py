@@ -87,6 +87,14 @@ class ModelSpec:
         return f"ModelSpec({self.name!r})"
 
 
+def require_model(handle: FuncHandle) -> ModelSpec:
+    """The model a handle is reduced under; raw handles are rejected."""
+    if handle.model is None:
+        raise ValueError("operation requires a reduced handle "
+                         "(no model recorded)")
+    return handle.model
+
+
 def is_stable(model: ModelSpec) -> bool:
     """True iff every letter's conjugate is also in the alphabet."""
     return _letters_stable(model.letters)
@@ -187,6 +195,8 @@ def constant(model: ModelSpec, manager: Manager, value: int,
     found = cache.get(key)
     if found is not None:
         return found
+    if arity < 0:
+        raise ArityError(f"negative arity {arity}")
     manager.bump("const_steps")
     if arity == 0:
         if not value:

@@ -78,6 +78,14 @@ class TestCompile:
             "letters": 2, "neg_letters": 1, "s_size": 2,
         }
 
+    def test_wide_parity_stats(self):
+        import json
+        parity = "^".join(f"x{i}" for i in range(20))
+        code, out = invoke("compile", "--model", "o-u", "--expr", parity,
+                           "--arity", "20", "--stats", "--json")
+        assert code == 0
+        assert json.loads(out)["diamonds"] == 39
+
     def test_truth_table_input(self):
         # MSB-first: only the (1,1) valuation satisfies the conjunction
         code, out = invoke("compile", "--tt", "1", "--arity", "2", "--sig")
@@ -227,6 +235,10 @@ class TestExitCodes:
         assert invoke("compile", "--expr", "x0", "--tt", "1",
                       "--arity", "1")[0] == 1                     # both
         assert invoke("no-such-command")[0] == 1
+        assert invoke("compile", "--arity", "-1", "--expr", "1")[0] == 1
+        assert invoke("query", "sat", "--arity", "-1", "--tt", "1")[0] == 1
+        assert invoke("bench", "--arity", "-1")[0] == 1
+        assert invoke("compile", "--arity", "two", "--expr", "1")[0] == 1
 
     def test_parse_error(self):
         assert invoke("compile", "--expr", "x9", "--arity", "2")[0] == 1

@@ -14,10 +14,18 @@ from nucx.oracle import (
     classify_top,
     tt_apply,
 )
-from nucx.reduction import NUCX, PRESETS, compile_table, cons_diamond, constant
+from nucx.reduction import (
+    NUCX,
+    PRESETS,
+    compile_table,
+    cons_diamond,
+    constant,
+    parse_model,
+)
 from nucx.cli import parse_expr
 
 ALL_MODELS = list(PRESETS.items())
+MARK_FREE_MODELS = [(n, m) for n, m in ALL_MODELS if not m.negation]
 
 
 def compile_bits(model, bits, manager):
@@ -186,6 +194,40 @@ class TestApply:
             implies = tt_apply("or", tt_apply("not", fa), fb)
             assert to_truth_table(apply("implies", ha, hb)) == implies
             assert to_truth_table(negb(ha)) == tt_apply("not", fa)
+            for result, expected in (
+                    (andb(ha, hb), tt_apply("and", fa, fb)),
+                    (apply("or", ha, hb), tt_apply("or", fa, fb)),
+                    (apply("xor", ha, hb), tt_apply("xor", fa, fb)),
+                    (apply("implies", ha, hb), implies),
+                    (negb(ha), tt_apply("not", fa))):
+                assert result.edge is compile_table(model, expected,
+                                                    manager).edge
+
+    @pytest.mark.parametrize("name,model", MARK_FREE_MODELS)
+    def test_mark_free_negations_only_of_operands(self, name, model):
+        # or and implies are not built by De Morgan: the only negations
+        # left are the terminal cases xor(f, 1) = xor(1, f) = ~f and
+        # implies(f, 0) = ~f, on subfunctions of the operand f
+        def negations(table):
+            solo = Manager()
+            negb(compile_table(model, table, solo))
+            return solo.counters.get("negb_recursions", 0)
+
+        rng = random.Random(17)
+        for _ in range(40):
+            arity = rng.randint(1, 5)
+            fa = TruthTable(arity, rng.getrandbits(1 << arity))
+            fb = TruthTable(arity, rng.getrandbits(1 << arity))
+            bounds = {"and": 0, "or": 0, "implies": negations(fa),
+                      "xor": negations(fa) + negations(fb)}
+            for op, bound in bounds.items():
+                manager = Manager()
+                ha = compile_table(model, fa, manager)
+                hb = compile_table(model, fb, manager)
+                manager.reset_counters()
+                apply(op, ha, hb)
+                assert manager.counters.get("negb_recursions", 0) <= bound
+                assert not any(N in word for word, _ in manager._edges)
 
     def test_memoized_pair_count_within_size_product(self):
         rng = random.Random(5)
@@ -228,6 +270,19 @@ class TestBuildExpr:
     def test_out_of_range_variable(self, mgr):
         with pytest.raises(ValueError):
             build_expr(NUCX, ("var", 5), 4, mgr)
+
+    @pytest.mark.parametrize("model", [m for _, m in ALL_MODELS] + [
+        parse_model(name) for name in ("custom:x", "custom:c00,c11",
+                                       "custom:u,x+neg", "custom:c00,c01+neg")],
+        ids=repr)
+    def test_projection_matches_compiled_table(self, model):
+        manager = Manager()
+        for arity in range(1, 11):
+            for index in range(arity):
+                expected = compile_table(
+                    model, TruthTable.projection(arity, index), manager)
+                assert projection(model, manager, index, arity).edge is \
+                    expected.edge
 
     def test_projection_beyond_oracle_limit(self):
         manager = Manager()

@@ -162,6 +162,12 @@ class TestConsDiamond:
             cons_diamond(NUCX, mgr.zero, constant(NUCX, mgr, 0, 1))
 
 
+class TestConstant:
+    def test_negative_arity_rejected(self, mgr):
+        with pytest.raises(ArityError):
+            constant(NUCX, mgr, 0, -1)
+
+
 class TestElim:
     def test_canalizing(self, mgr):
         e = compile_table(NUCX, TruthTable.from_bits([0, 1]), mgr).edge
