@@ -25,13 +25,13 @@ from .graph import (
     intern_diamond,
     prepend_letter,
 )
-from .letters import N, U
+from .letters import U
 from .oracle import ArityError
 from .reduction import (
     ModelSpec,
+    cofactors,
     cons_diamond,
     constant,
-    elim_letter,
     negate_reduced,
     push_neg,
     reduce,
@@ -54,19 +54,6 @@ def _require_pair(a: FuncHandle, b: FuncHandle) -> ModelSpec:
     if a.arity != b.arity:
         raise ArityError(f"arity mismatch: {a.arity} vs {b.arity}")
     return model
-
-
-def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
-    """Both cofactors of a reduced edge on its first variable, as the
-    two children whose normalized combination is ``edge``."""
-    word = edge.word
-    if not word:
-        return edge.node.lo, edge.node.hi
-    if word[0] is N:
-        lo, hi = cofactors(model, push_neg(edge))
-        return push_neg(lo), push_neg(hi)
-    return elim_letter(model, word[0],
-                       edge.manager.edge(word[1:], edge.node))
 
 
 def cofactor(v0: int, handle: FuncHandle) -> FuncHandle:

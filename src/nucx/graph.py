@@ -309,19 +309,22 @@ def dot_export(handle: FuncHandle) -> str:
     tokens.  Node numbering follows a deterministic preorder walk.
     """
     ids: dict[Node, str] = {}
+    diamonds = 0
     lines = [
         "digraph dd {",
         '  root [shape=invtriangle, label="", height=0.2, width=0.3];',
     ]
 
     def node_id(node: Node) -> str:
+        nonlocal diamonds
         found = ids.get(node)
         if found is None:
             if node.lo is None:
                 found = f"t{node.value}"
                 lines.append(f'  {found} [shape=box, label="{node.value}"];')
             else:
-                found = f"n{sum(1 for k in ids.values() if k[0] == 'n')}"
+                found = f"n{diamonds}"
+                diamonds += 1
                 lines.append(f'  {found} [shape=diamond, label=""];')
             ids[node] = found
         return found

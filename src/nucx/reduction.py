@@ -263,6 +263,24 @@ def elim_letter(model: ModelSpec, letter: Letter,
     return edge, const
 
 
+def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
+    """Both cofactors of an edge on its first variable, as the two
+    children whose normalized combination is ``edge``.
+
+    The one place that reads a letter's meaning: every diagram-side
+    descent (reduction, negation, the connectives and the queries) goes
+    through it.  Constants come out in ``model``'s canonical form.
+    """
+    word = edge.word
+    if not word:
+        return edge.node.lo, edge.node.hi
+    if word[0] is N:
+        lo, hi = cofactors(model, push_neg(edge))
+        return push_neg(lo), push_neg(hi)
+    return elim_letter(model, word[0],
+                       edge.manager.edge(word[1:], edge.node))
+
+
 def negate_reduced(model: ModelSpec, edge: Edge) -> Edge:
     """Complement of a reduced graph in a mark-free model: swap the
     terminals and rebuild through the normalized constructor."""
@@ -274,21 +292,14 @@ def negate_reduced(model: ModelSpec, edge: Edge) -> Edge:
         return found
     manager.bump("negb_recursions")
     word = edge.word
-    if word:
-        first = word[0]
-        if first is N:
-            raise ValueError("complement mark in a mark-free reduced graph")
-        rest = manager.edge(word[1:], edge.node)
-        lo, hi = elim_letter(model, first, rest)
+    if word and word[0] is N:
+        raise ValueError("complement mark in a mark-free reduced graph")
+    if not word and edge.node.lo is None:
+        found = manager.zero if edge.node.value else manager.one
+    else:
+        lo, hi = cofactors(model, edge)
         found = cons_diamond(model, negate_reduced(model, lo),
                              negate_reduced(model, hi))
-    else:
-        node = edge.node
-        if node.lo is None:
-            found = manager.zero if node.value else manager.one
-        else:
-            found = cons_diamond(model, negate_reduced(model, node.lo),
-                                 negate_reduced(model, node.hi))
     cache[key] = found
     return found
 
@@ -306,35 +317,28 @@ def reduce(model: ModelSpec, handle: FuncHandle) -> FuncHandle:
 
 
 def _reduce_edge(model: ModelSpec, edge: Edge) -> Edge:
-    cache = edge.manager.cache("reduce")
+    manager = edge.manager
+    cache = manager.cache("reduce")
     key = (model, edge)
     found = cache.get(key)
     if found is not None:
         return found
     word = edge.word
-    if word:
-        first = word[0]
-        rest = edge.manager.edge(word[1:], edge.node)
-        if first is N:
-            child = _reduce_edge(model, rest)
-            if model.negation:
-                found = push_neg(child)
-            else:
-                found = negate_reduced(model, child)
+    if word and word[0] is N:
+        child = _reduce_edge(model, manager.edge(word[1:], edge.node))
+        if model.negation:
+            found = push_neg(child)
         else:
-            lo, hi = elim_letter(model, first, rest)
-            found = cons_diamond(model, _reduce_edge(model, lo),
-                                 _reduce_edge(model, hi))
+            found = negate_reduced(model, child)
+    elif not word and edge.node.lo is None:
+        if edge.node.value and model.negation:
+            found = push_neg(manager.zero)
+        else:
+            found = edge
     else:
-        node = edge.node
-        if node.lo is None:
-            if node.value and model.negation:
-                found = push_neg(edge.manager.zero)
-            else:
-                found = edge
-        else:
-            found = cons_diamond(model, _reduce_edge(model, node.lo),
-                                 _reduce_edge(model, node.hi))
+        lo, hi = cofactors(model, edge)
+        found = cons_diamond(model, _reduce_edge(model, lo),
+                             _reduce_edge(model, hi))
     cache[key] = found
     return found
 

@@ -20,6 +20,7 @@ from nucx.graph import (
 )
 from nucx.letters import N, U, X
 from nucx.oracle import ArityError, OracleLimitError, TruthTable, tt_eval
+from nucx.reduction import PRESETS, compile_table
 
 
 def chain(manager, letters, terminal=0):
@@ -179,6 +180,30 @@ class TestDotExport:
         text = dot_export(FuncHandle(example1_edge(mgr), 4))
         assert_valid_dot(text)
         assert text.count("shape=diamond") == 1
+
+    def test_running_example_text_is_pinned(self, mgr):
+        assert dot_export(FuncHandle(example1_edge(mgr), 4)) == (
+            'digraph dd {\n'
+            '  root [shape=invtriangle, label="", height=0.2, width=0.3];\n'
+            '  n0 [shape=diamond, label=""];\n'
+            '  root -> n0 [style=solid];\n'
+            '  t0 [shape=box, label="0"];\n'
+            '  n0 -> t0 [style=dashed, label="X.X.X"];\n'
+            '  n0 -> t0 [style=solid, label="X.X.U"];\n'
+            '}\n')
+
+    def test_diamonds_numbered_in_preorder(self, mgr):
+        # nine diamonds, two of them shared: ids follow first visits
+        h = compile_table(PRESETS["o-u"], example1_table(), mgr)
+        text = dot_export(h)
+        declared = re.findall(r"^  (\w+) \[shape", text, re.M)
+        assert declared == ["root", "n0", "n1", "n2", "n3", "t0", "t1",
+                            "n4", "n5", "n6", "n7", "n8"]
+        arrows = " ".join(a + ">" + b for a, b in
+                          re.findall(r"(\w+) -> (\w+)", text))
+        assert arrows == (
+            "root>n0 n0>n1 n1>n2 n2>n3 n3>t0 n3>t1 n2>n4 n4>t1 n4>t0 "
+            "n1>n5 n5>n4 n5>n3 n0>n6 n6>n7 n7>t0 n7>t1 n6>n8 n8>t1 n8>t0")
 
     def test_styles_and_labels(self, mgr):
         text = dot_export(FuncHandle(example1_edge(mgr), 4))

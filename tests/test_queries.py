@@ -6,11 +6,23 @@ import pytest
 from conftest import example1_table
 from nucx.connectives import negb
 from nucx.graph import Manager, eval_handle
-from nucx.oracle import TruthTable
+from nucx.oracle import TruthTable, tt_eval
 from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
-from nucx.reduction import NUCX, PRESETS, compile_table
+from nucx.reduction import NUCX, PRESETS, compile_table, parse_model
 
 ALL_MODELS = list(PRESETS.items())
+WITNESS_MODELS = [m for _, m in ALL_MODELS] + [
+    parse_model(name) for name in ("custom:x", "custom:c00,c11",
+                                   "custom:u,x+neg", "custom:c00,c01+neg")]
+#: every non-zero function of arity <= 3, as (arity, mask)
+NONZERO = [(arity, mask) for arity in range(4)
+           for mask in range(1, 1 << (1 << arity))]
+
+
+def least_witness(table):
+    """The lexicographically least satisfying valuation, x0 first."""
+    return next(v for v in itertools.product((0, 1), repeat=table.arity)
+                if tt_eval(table, v))
 
 
 def compiled(model, table, manager):
@@ -149,6 +161,24 @@ class TestAnySat:
                 assert witness is None
             else:
                 assert eval_handle(h, witness) == 1
+
+
+class TestLeastWitness:
+    @pytest.mark.parametrize("model", WITNESS_MODELS, ids=repr)
+    def test_any_sat_is_first_of_all_sat(self, model):
+        manager = Manager()
+        for arity, mask in NONZERO:
+            table = TruthTable(arity, mask)
+            h = compiled(model, table, manager)
+            assert any_sat(h) == next(all_sat(h)) == least_witness(table)
+
+    def test_witness_is_model_independent(self):
+        manager = Manager()
+        for arity, mask in NONZERO:
+            table = TruthTable(arity, mask)
+            witnesses = {any_sat(compiled(model, table, manager))
+                         for model in WITNESS_MODELS}
+            assert len(witnesses) == 1, (arity, mask, witnesses)
 
 
 class TestAllSat:

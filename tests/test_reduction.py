@@ -29,6 +29,7 @@ from nucx.reduction import (
     is_stable,
     lattice_leq,
     neg_conjugate,
+    negate_reduced,
     parse_model,
     push_neg,
     reduce,
@@ -200,6 +201,16 @@ class TestElim:
             rest = mgr.edge(word[1:], handle.edge.node)
             lo, hi = elim_letter(model, first, rest)
             assert cons_diamond(model, lo, hi) is handle.edge
+
+
+class TestNegateReduced:
+    def test_complement_mark_rejected(self, mgr):
+        model = PRESETS["o-u"]
+        marked = push_neg(mgr.zero)
+        with pytest.raises(ValueError):
+            negate_reduced(model, marked)
+        with pytest.raises(ValueError):    # a mark below a letter
+            negate_reduced(model, prepend_letter(U, marked))
 
 
 class TestReduce:
