@@ -17,15 +17,7 @@ in mark-free models it is the memoized terminal-swapping descent
 
 from __future__ import annotations
 
-from .graph import (
-    Edge,
-    FuncHandle,
-    Manager,
-    ManagerMismatchError,
-    intern_diamond,
-    prepend_letter,
-)
-from .letters import U
+from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
 from .oracle import ArityError
 from .reduction import (
     ModelSpec,
@@ -34,7 +26,6 @@ from .reduction import (
     constant,
     negate_reduced,
     push_neg,
-    reduce,
     require_model,
 )
 
@@ -135,18 +126,16 @@ def andb(a: FuncHandle, b: FuncHandle) -> FuncHandle:
 def projection(model: ModelSpec, manager: Manager, index: int,
                arity: int) -> FuncHandle:
     """Canonical graph of the variable ``x<index>`` at the given arity,
-    normalized from the raw branch graph."""
+    built bottom-up through the normalized constructor."""
     if not 0 <= index < arity:
         raise ValueError(f"variable index {index} out of range for "
                          f"arity {arity}")
-    lo, hi = manager.zero, manager.one
-    for _ in range(arity - index - 1):
-        lo = prepend_letter(U, lo)
-        hi = prepend_letter(U, hi)
-    edge = intern_diamond(manager, lo, hi)
+    rest = arity - index - 1
+    edge = cons_diamond(model, constant(model, manager, 0, rest),
+                        constant(model, manager, 1, rest))
     for _ in range(index):
-        edge = prepend_letter(U, edge)
-    return reduce(model, FuncHandle(edge, arity))
+        edge = cons_diamond(model, edge, edge)
+    return FuncHandle(edge, arity, model)
 
 
 def build_expr(model: ModelSpec, ast, arity: int,

@@ -10,8 +10,10 @@ Structure of a graph:
 * terminals ``0`` and ``1`` (arity 0);
 * diamond nodes branching on one variable: the ``lo`` edge is the
   ``x0 = 0`` branch (drawn dashed), ``hi`` is ``x0 = 1`` (drawn solid);
-* edges carrying a word of letters applied outermost-first to the
-  function denoted by their target.
+* edges, each either one letter over a child edge or a bare pointer to
+  a node.  The word ``l1.l2...lk`` over a node is the chain
+  ``l1(l2(...lk(node)))``: every suffix of a word is itself an interned
+  edge, so each word is stored once and a descent is a pointer step.
 
 Arity bookkeeping: each elementary letter and each diamond consumes one
 variable; the complement mark ``N`` consumes none.
@@ -55,21 +57,32 @@ class Node:
 
 
 class Edge:
-    """An interned (word, target) pair.
+    """An interned letter chain: ``letter`` over the ``child`` edge, or,
+    with ``letter`` ``None``, a bare pointer to a node.
 
-    ``neg`` caches the complement partner (the edge with a leading ``N``
-    toggled) once it has been computed, making repeated complement
-    lookups O(1).
+    ``node`` is the node at the end of the chain; ``word`` reads the
+    letters from here down to it.
     """
 
-    __slots__ = ("word", "node", "arity", "manager", "neg")
+    __slots__ = ("letter", "child", "node", "arity", "manager")
 
-    def __init__(self, word: Word, node: Node, arity: int, manager: Manager):
-        self.word = word
+    def __init__(self, letter: Letter | None, child: Edge | None,
+                 node: Node, arity: int, manager: Manager):
+        self.letter = letter
+        self.child = child
         self.node = node
         self.arity = arity
         self.manager = manager
-        self.neg: Edge | None = None
+
+    @property
+    def word(self) -> Word:
+        """The letters of the chain, outermost first."""
+        letters = []
+        edge = self
+        while edge.letter is not None:
+            letters.append(edge.letter)
+            edge = edge.child
+        return tuple(letters)
 
     def __repr__(self):
         return f"<edge {signature_of_edge(self)}>"
@@ -106,11 +119,12 @@ class FuncHandle:
 class Manager:
     """Interning and memoization authority for one diagram universe.
 
-    A manager is a single-owner mutable object: all access to it and to
-    its graphs, reads included, must be serialized by the caller, since
-    complementing an edge caches its partner in ``Edge.neg`` and every
-    query fills memo tables.  Graphs from different managers must never
-    be mixed.
+    Each diamond and each link of a letter chain is stored once, so words
+    share their suffixes.  A manager is a single-owner mutable object:
+    all access to it and to its graphs, reads included, must be
+    serialized by the caller, since complementing an edge may intern a
+    new one and every query fills memo tables.  Graphs from different
+    managers must never be mixed.
 
     ``memo_cap`` bounds each named memo table: a table exceeding the cap
     is flushed whole (results are recomputed identically, so only speed
@@ -123,20 +137,25 @@ class Manager:
         self.memo_cap = memo_cap
         # (lo edge, hi edge) -> diamond node; keys hash by identity
         self._diamonds: dict[tuple[Edge, Edge], Node] = {}
-        # (word, node) -> edge
-        self._edges: dict[tuple[Word, Node], Edge] = {}
+        # (letter, child edge) or (None, node) -> edge
+        self._edges: dict[tuple[Letter | None, Edge | Node], Edge] = {}
         self._caches: dict[str, dict] = {}
         self.counters: dict[str, int] = {}
-        self.zero = self.edge((), self.term0)
-        self.one = self.edge((), self.term1)
+        self.zero = self.edge(None, self.term0)
+        self.one = self.edge(None, self.term1)
 
-    def edge(self, word: Word, node: Node) -> Edge:
-        """Intern the edge labeled ``word`` pointing at ``node``."""
-        key = (word, node)
+    def edge(self, letter: Letter | None, target: Edge | Node) -> Edge:
+        """Intern ``letter`` over the edge ``target``, or, with
+        ``letter`` ``None``, the bare edge to the node ``target``."""
+        key = (letter, target)
         found = self._edges.get(key)
         if found is None:
-            arity = node.arity + sum(1 for l in word if l is not N)
-            found = self._edges[key] = Edge(word, node, arity, self)
+            if letter is None:
+                found = Edge(None, None, target, target.arity, self)
+            else:
+                found = Edge(letter, target, target.node,
+                             target.arity + (letter is not N), self)
+            self._edges[key] = found
         return found
 
     def diamond(self, lo: Edge, hi: Edge) -> Node:
@@ -178,19 +197,18 @@ class Manager:
 
 def intern_diamond(manager: Manager, lo: Edge, hi: Edge) -> Edge:
     """Raw diamond constructor: no reduction, empty root word."""
-    return manager.edge((), manager.diamond(lo, hi))
+    return manager.edge(None, manager.diamond(lo, hi))
 
 
 def prepend(word: Word | Sequence[Letter], edge: Edge) -> Edge:
     """Concatenate ``word`` in front of an edge's label (no normalization)."""
-    word = tuple(word)
-    if not word:
-        return edge
-    return edge.manager.edge(word + edge.word, edge.node)
+    for letter in reversed(tuple(word)):
+        edge = edge.manager.edge(letter, edge)
+    return edge
 
 
 def prepend_letter(letter: Letter, edge: Edge) -> Edge:
-    return edge.manager.edge((letter,) + edge.word, edge.node)
+    return edge.manager.edge(letter, edge)
 
 
 def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
@@ -202,24 +220,25 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
     parity = 0
     i = 0
     while True:
-        for letter in edge.word:
-            if letter is N:
+        letter = edge.letter
+        if letter is N:
+            parity ^= 1
+        elif letter is None:
+            node = edge.node
+            if node.lo is None:
+                return node.value ^ parity
+            edge = node.hi if valuation[i] else node.lo
+            i += 1
+            continue
+        elif letter is X:
+            if valuation[i]:
                 parity ^= 1
-            elif letter is U:
-                i += 1
-            elif letter is X:
-                if valuation[i]:
-                    parity ^= 1
-                i += 1
-            else:
-                if valuation[i] == letter.branch:
-                    return letter.const ^ parity
-                i += 1
-        node = edge.node
-        if node.lo is None:
-            return node.value ^ parity
-        edge = node.hi if valuation[i] else node.lo
-        i += 1
+            i += 1
+        elif letter is not U and valuation[i] == letter.branch:
+            return letter.const ^ parity
+        else:
+            i += 1
+        edge = edge.child
 
 
 def edge_mask(edge: Edge) -> int:
@@ -264,6 +283,15 @@ def to_truth_table(handle: FuncHandle) -> TruthTable:
     return TruthTable(handle.arity, edge_mask(handle.edge))
 
 
+def _label(edge: Edge) -> str:
+    """The tokens of an edge's word, joined by dots."""
+    tokens = []
+    while edge.letter is not None:
+        tokens.append(edge.letter.token)
+        edge = edge.child
+    return ".".join(tokens)
+
+
 def signature_of_edge(edge: Edge) -> str:
     """Deterministic text form: ``[tokens]target`` with ``e`` for the
     empty word, ``0``/``1`` terminals, ``(lo,hi)`` diamonds."""
@@ -271,7 +299,7 @@ def signature_of_edge(edge: Edge) -> str:
     found = cache.get(edge)
     if found is not None:
         return found
-    word = ".".join(l.token for l in edge.word) if edge.word else "e"
+    word = _label(edge) or "e"
     node = edge.node
     if node.lo is None:
         target = "01"[node.value]
@@ -330,7 +358,7 @@ def dot_export(handle: FuncHandle) -> str:
         return found
 
     def emit(source: str, edge: Edge, style: str) -> None:
-        label = ".".join(l.token for l in edge.word)
+        label = _label(edge)
         attrs = f'style={style}'
         if label:
             attrs += f', label="{label}"'

@@ -52,13 +52,14 @@ def measure(handle: FuncHandle) -> SizeReport:
     letters = 0
     neg_letters = 0
     for edge in iter_edges(handle.edge):
-        for letter in edge.word:
-            if letter is N:
+        if edge.node.lo is not None:
+            diamonds.add(edge.node)
+        while edge.letter is not None:
+            if edge.letter is N:
                 neg_letters += 1
             else:
                 letters += 1
-        if edge.node.lo is not None:
-            diamonds.add(edge.node)
+            edge = edge.child
     name = handle.model.name if handle.model is not None else "raw"
     return SizeReport(name, handle.arity, len(diamonds), letters,
                       neg_letters)

@@ -18,17 +18,13 @@ from typing import Iterator, Optional
 
 from .graph import Edge, FuncHandle, ManagerMismatchError
 from .letters import N
-from .reduction import ModelSpec, cofactors, constant, push_neg, require_model
+from .reduction import ModelSpec, cofactors, constant, require_model
 
 
 def is_sat(handle: FuncHandle) -> bool:
     """False iff the graph is the canonical all-zeros constant."""
     model = require_model(handle)
-    manager = handle.manager
-    before = manager.counters.get("const_steps", 0)
-    zero = constant(model, manager, 0, handle.arity)
-    steps = manager.counters.get("const_steps", 0) - before + 1
-    manager.bump("is_sat_steps", steps)
+    zero = constant(model, handle.manager, 0, handle.arity)
     return handle.edge is not zero
 
 
@@ -60,10 +56,9 @@ def _count(model: ModelSpec, edge: Edge) -> int:
     found = cache.get(edge)
     if found is not None:
         return found
-    word = edge.word
-    if word and word[0] is N:
-        result = (1 << edge.arity) - _count(model, push_neg(edge))
-    elif not word and edge.node.lo is None:
+    if edge.letter is N:
+        result = (1 << edge.arity) - _count(model, edge.child)
+    elif edge.letter is None and edge.node.lo is None:
         result = edge.node.value
     else:
         lo, hi = cofactors(model, edge)

@@ -163,22 +163,9 @@ def lattice_leq(a: ModelSpec, b: ModelSpec) -> bool:
 def push_neg(edge: Edge) -> Edge:
     """Toggle a leading complement mark: strip it if present, else
     prepend one.  Involutive on mark-normalized words."""
-    result = edge.neg
-    if result is not None:
-        return result
-    word = edge.word
-    manager = edge.manager
-    if word and word[0] is N:
-        result = manager.edge(word[1:], edge.node)
-        rword = result.word
-        if result.neg is None and not (rword and rword[0] is N):
-            result.neg = edge
-    else:
-        result = manager.edge((N,) + word, edge.node)
-        if result.neg is None:
-            result.neg = edge
-    edge.neg = result
-    return result
+    if edge.letter is N:
+        return edge.child
+    return edge.manager.edge(N, edge)
 
 
 def constant(model: ModelSpec, manager: Manager, value: int,
@@ -191,24 +178,27 @@ def constant(model: ModelSpec, manager: Manager, value: int,
     against this edge.
     """
     cache = manager.cache("const")
-    key = (model, value, arity)
-    found = cache.get(key)
+    found = cache.get((model, value, arity))
     if found is not None:
         return found
     if arity < 0:
         raise ArityError(f"negative arity {arity}")
-    manager.bump("const_steps")
-    if arity == 0:
-        if not value:
+    # build upward from the highest arity already cached
+    level = arity
+    while level and (model, value, level - 1) not in cache:
+        level -= 1
+    found = cache.get((model, value, level - 1))
+    for level in range(level, arity + 1):
+        manager.bump("const_steps")
+        if level:
+            found = cons_diamond(model, found, found)
+        elif not value:
             found = manager.zero
         elif model.negation:
             found = push_neg(manager.zero)
         else:
             found = manager.one
-    else:
-        child = constant(model, manager, value, arity - 1)
-        found = cons_diamond(model, child, child)
-    cache[key] = found
+        cache[model, value, level] = found
     return found
 
 
@@ -222,7 +212,7 @@ def cons_diamond(model: ModelSpec, e0: Edge, e1: Edge) -> Edge:
         raise ArityError(
             f"operands must agree on arity: {e0.arity} vs {e1.arity}")
     manager = e0.manager
-    if model.negation and e0.word and e0.word[0] is N:
+    if model.negation and e0.letter is N:
         # pull the mark above the node, toggling the other branch
         return push_neg(cons_diamond(model, push_neg(e0), push_neg(e1)))
     letters = model.letters
@@ -237,8 +227,7 @@ def cons_diamond(model: ModelSpec, e0: Edge, e1: Edge) -> Edge:
         return prepend_letter(C10, e0)
     if C01 in letters:
         if model.negation:
-            if (e0 is constant(model, manager, 0, arity)
-                    and e1.word and e1.word[0] is N):
+            if e0 is constant(model, manager, 0, arity) and e1.letter is N:
                 return push_neg(prepend_letter(C01, push_neg(e1)))
         elif e0 is constant(model, manager, 1, arity):
             return prepend_letter(C01, e1)
@@ -271,14 +260,13 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     descent (reduction, negation, the connectives and the queries) goes
     through it.  Constants come out in ``model``'s canonical form.
     """
-    word = edge.word
-    if not word:
+    letter = edge.letter
+    if letter is None:
         return edge.node.lo, edge.node.hi
-    if word[0] is N:
-        lo, hi = cofactors(model, push_neg(edge))
+    if letter is N:
+        lo, hi = cofactors(model, edge.child)
         return push_neg(lo), push_neg(hi)
-    return elim_letter(model, word[0],
-                       edge.manager.edge(word[1:], edge.node))
+    return elim_letter(model, letter, edge.child)
 
 
 def negate_reduced(model: ModelSpec, edge: Edge) -> Edge:
@@ -291,10 +279,9 @@ def negate_reduced(model: ModelSpec, edge: Edge) -> Edge:
     if found is not None:
         return found
     manager.bump("negb_recursions")
-    word = edge.word
-    if word and word[0] is N:
+    if edge.letter is N:
         raise ValueError("complement mark in a mark-free reduced graph")
-    if not word and edge.node.lo is None:
+    if edge.letter is None and edge.node.lo is None:
         found = manager.zero if edge.node.value else manager.one
     else:
         lo, hi = cofactors(model, edge)
@@ -323,14 +310,13 @@ def _reduce_edge(model: ModelSpec, edge: Edge) -> Edge:
     found = cache.get(key)
     if found is not None:
         return found
-    word = edge.word
-    if word and word[0] is N:
-        child = _reduce_edge(model, manager.edge(word[1:], edge.node))
+    if edge.letter is N:
+        child = _reduce_edge(model, edge.child)
         if model.negation:
             found = push_neg(child)
         else:
             found = negate_reduced(model, child)
-    elif not word and edge.node.lo is None:
+    elif edge.letter is None and edge.node.lo is None:
         if edge.node.value and model.negation:
             found = push_neg(manager.zero)
         else:

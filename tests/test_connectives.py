@@ -5,8 +5,15 @@ import pytest
 
 from conftest import EXAMPLE1_EXPR, example1_table
 from nucx.connectives import andb, apply, build_expr, cofactor, negb, projection
-from nucx.graph import Manager, iter_edges, signature, to_truth_table
+from nucx.graph import (
+    Manager,
+    eval_handle,
+    iter_edges,
+    signature,
+    to_truth_table,
+)
 from nucx.letters import N, U
+from nucx.metrics import measure
 from nucx.oracle import (
     ArityError,
     TruthTable,
@@ -227,7 +234,8 @@ class TestApply:
                 manager.reset_counters()
                 apply(op, ha, hb)
                 assert manager.counters.get("negb_recursions", 0) <= bound
-                assert not any(N in word for word, _ in manager._edges)
+                assert not any(N in e.word
+                               for e in manager._edges.values())
 
     def test_memoized_pair_count_within_size_product(self):
         rng = random.Random(5)
@@ -290,6 +298,25 @@ class TestBuildExpr:
         assert wide.arity == 30
         # canonical shape: useless prefix, one xor letter, useless tail
         assert signature(wide) == "[" + "U." * 3 + "X" + ".U" * 26 + "]0"
+
+    @pytest.mark.parametrize("name,index,diamonds,letters", [
+        ("o-nucx", 1199, 0, 1200),
+        ("o-nucx", 3, 0, 1200),
+        ("o-u", 1199, 1, 1199),
+        ("o-u", 3, 1, 3 + 2 * 1196),
+    ])
+    def test_projection_deeper_than_recursion_limit(self, name, index,
+                                                    diamonds, letters):
+        manager = Manager()
+        h = projection(PRESETS[name], manager, index, 1200)
+        assert h.arity == h.edge.arity == 1200
+        report = measure(h)
+        assert (report.diamonds, report.letters, report.neg_letters) == \
+            (diamonds, letters, 0)
+        rng = random.Random(index)
+        for _ in range(20):
+            valuation = [rng.getrandbits(1) for _ in range(1200)]
+            assert eval_handle(h, valuation) == valuation[index]
 
     @pytest.mark.parametrize("name,model", ALL_MODELS)
     def test_matches_oracle_semantics(self, name, model):

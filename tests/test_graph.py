@@ -81,6 +81,15 @@ class TestPrepend:
         e = prepend((U, N), chain(mgr, [X]))
         assert e.word == (U, N, X)
 
+    def test_chains_share_suffixes(self, mgr):
+        e = intern_diamond(mgr, chain(mgr, [U]), chain(mgr, [X]))
+        e_ux = prepend((U, X), e)
+        assert e_ux.letter is U
+        assert e_ux.child is prepend_letter(X, e)
+        assert e_ux.child.child is e
+        assert e_ux.node is e.node
+        assert e.letter is None and e.child is None
+
 
 class TestEval:
     def test_constant_chain(self, mgr):

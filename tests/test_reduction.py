@@ -130,6 +130,13 @@ class TestPushNeg:
         plain = prepend_letter(U, mgr.zero)
         assert push_neg(plain).word == (N, U)
 
+    def test_mark_is_one_link_over_the_edge(self, mgr):
+        plain = prepend_letter(X, prepend_letter(U, mgr.zero))
+        diamond = intern_diamond(mgr, plain, mgr.edge(U, plain.child))
+        for edge in (plain, diamond):
+            assert push_neg(edge).child is edge
+            assert push_neg(push_neg(edge)) is edge
+
     @given(st.integers(0, 2**32))
     def test_involution(self, seed):
         manager = Manager()
@@ -198,7 +205,7 @@ class TestElim:
             if not word or word[0] is N:
                 continue
             first = word[0]
-            rest = mgr.edge(word[1:], handle.edge.node)
+            rest = handle.edge.child
             lo, hi = elim_letter(model, first, rest)
             assert cons_diamond(model, lo, hi) is handle.edge
 
