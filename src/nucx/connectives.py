@@ -6,16 +6,18 @@ table whose bit ``2a+b`` is ``op(a, b)``; the terminal cases (an operand
 is a constant, or the operands are equal) are read off that table.
 Every other pair splits both operands on the leading variable and
 recombines the results through the normalized constructor, so results
-stay reduced.  The memo is keyed on the operator and the edge
-identities, with the operands of commutative operators ordered, so
-repeated subproblems across calls are free.
+stay reduced.  The walk is ``reduction.descend``, which does not
+recurse; its memo is keyed on the operator and the edge identities,
+with the operands of commutative operators ordered, so repeated
+subproblems across calls are free.
 
 In complement-bearing models negation is a constant-time mark toggle;
-in mark-free models it is the memoized terminal-swapping descent
-``reduction.negate_reduced``.
+in mark-free models it is ``reduction.rebuild`` with parity 1.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
 from .oracle import ArityError
@@ -24,8 +26,9 @@ from .reduction import (
     cofactors,
     cons_diamond,
     constant,
-    negate_reduced,
+    descend,
     push_neg,
+    rebuild,
     require_model,
 )
 
@@ -65,7 +68,7 @@ def _unary(model: ModelSpec, table: int, edge: Edge) -> Edge:
     if table == 0b01:
         if model.negation:
             return push_neg(edge)
-        return negate_reduced(model, edge)
+        return rebuild(model, edge, 1)
     return constant(model, edge.manager, table & 1, edge.arity)
 
 
@@ -78,35 +81,37 @@ def negb(handle: FuncHandle) -> FuncHandle:
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``."""
     manager = x.manager
-    arity = x.arity
-    zero = constant(model, manager, 0, arity)
-    one = constant(model, manager, 1, arity)
-    a = 0 if x is zero else 1 if x is one else None
-    b = 0 if y is zero else 1 if y is one else None
-    # each terminal case does the same work for both operand orders of
-    # a commutative operator, so the counters do not depend on ``id``
-    if a is not None and b is not None:
-        return one if op >> (2 * a + b) & 1 else zero
-    if a is not None:
-        return _unary(model, op >> 2 * a & 3, y)
-    if b is not None:
-        return _unary(model, (op >> b & 1) | (op >> 1 >> b & 2), x)
-    if x is y:
-        return _unary(model, (op & 1) | (op >> 2 & 2), x)
-    if (op >> 1 ^ op >> 2) & 1 == 0 and id(y) < id(x):   # commutative
-        x, y = y, x
-    memo = manager.cache("apply")
-    key = (model, op, x, y)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    if op == _AND:
-        manager.bump("andb_pairs")
-    x0, x1 = cofactors(model, x)
-    y0, y1 = cofactors(model, y)
-    found = memo[key] = cons_diamond(model, _apply(model, op, x0, y0),
-                                     _apply(model, op, x1, y1))
-    return found
+
+    def pair(x: Edge, y: Edge) -> tuple:
+        if (op >> 1 ^ op >> 2) & 1 == 0 and id(y) < id(x):   # commutative
+            x, y = y, x
+        return model, op, x, y
+
+    def split(key):
+        _, _, x, y = key
+        arity = x.arity
+        zero = constant(model, manager, 0, arity)
+        one = constant(model, manager, 1, arity)
+        a = 0 if x is zero else 1 if x is one else None
+        b = 0 if y is zero else 1 if y is one else None
+        # each terminal case does the same work for both operand orders
+        # of a commutative operator, so the counters do not depend on id
+        if a is not None and b is not None:
+            return one if op >> (2 * a + b) & 1 else zero
+        if a is not None:
+            return _unary(model, op >> 2 * a & 3, y)
+        if b is not None:
+            return _unary(model, (op >> b & 1) | (op >> 1 >> b & 2), x)
+        if x is y:
+            return _unary(model, (op & 1) | (op >> 2 & 2), x)
+        if op == _AND:
+            manager.bump("andb_pairs")
+        x0, x1 = cofactors(model, x)
+        y0, y1 = cofactors(model, y)
+        return pair(x0, y0), pair(x1, y1)
+
+    return descend(manager.cache("apply"), pair(x, y), split,
+                   partial(cons_diamond, model))
 
 
 def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:

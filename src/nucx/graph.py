@@ -127,8 +127,9 @@ class Manager:
     managers must never be mixed.
 
     ``memo_cap`` bounds each named memo table: a table exceeding the cap
-    is flushed whole (results are recomputed identically, so only speed
-    is affected).  Unique tables are never flushed.
+    is flushed whole when an operation that uses it starts (results are
+    recomputed identically, so only speed is affected).  Unique tables
+    are never flushed.
     """
 
     def __init__(self, memo_cap: int | None = None):

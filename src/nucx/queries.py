@@ -5,20 +5,22 @@ constant of matching arity (O(n), amortized O(1) once the constant
 chain exists); equivalence is an identity check thanks to hash-consing.
 
 Counting, witness search and enumeration read letters only through
-``reduction.cofactors``: counting is memoized per edge (a complement
-mark counts the complement, a terminal its value, anything else the sum
-over both cofactors), ``any_sat`` descends to the least witness and
-``all_sat`` enumerates in lexicographic order.
+``reduction.cofactors`` and none recurses: counting runs on
+``reduction.descend`` (a complement mark counts the complement, a
+terminal its value, anything else the sum over both cofactors),
+``any_sat`` descends to the least witness and ``all_sat`` enumerates
+in lexicographic order from an explicit stack.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, Optional
 
 from .graph import Edge, FuncHandle, ManagerMismatchError
 from .letters import N
-from .reduction import ModelSpec, cofactors, constant, require_model
+from .reduction import cofactors, constant, descend, require_model
 
 
 def is_sat(handle: FuncHandle) -> bool:
@@ -48,23 +50,17 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
 
 def count_sat(handle: FuncHandle) -> int:
     """Number of satisfying valuations (exact, arbitrary precision)."""
-    return _count(require_model(handle), handle.edge)
+    model = require_model(handle)
 
+    def split(edge: Edge):
+        if edge.letter is N:
+            return None, edge.child
+        if edge.letter is None and edge.node.lo is None:
+            return edge.node.value
+        return cofactors(model, edge)
 
-def _count(model: ModelSpec, edge: Edge) -> int:
-    cache = edge.manager.cache("count")
-    found = cache.get(edge)
-    if found is not None:
-        return found
-    if edge.letter is N:
-        result = (1 << edge.arity) - _count(model, edge.child)
-    elif edge.letter is None and edge.node.lo is None:
-        result = edge.node.value
-    else:
-        lo, hi = cofactors(model, edge)
-        result = _count(model, lo) + _count(model, hi)
-    cache[edge] = result
-    return result
+    return descend(handle.manager.cache("count"), handle.edge, split,
+                   operator.add, lambda edge, v: (1 << edge.arity) - v)
 
 
 def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:
@@ -98,16 +94,19 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
     model = require_model(handle)
     manager = handle.manager
 
-    def gen(edge: Edge) -> Iterator[tuple[int, ...]]:
-        arity = edge.arity
-        if edge is constant(model, manager, 0, arity):
-            return
-        if edge is constant(model, manager, 1, arity):
-            yield from itertools.product((0, 1), repeat=arity)
-            return
-        lo, hi = cofactors(model, edge)
-        for x, child in ((0, lo), (1, hi)):
-            for suffix in gen(child):
-                yield (x,) + suffix
+    def walk() -> Iterator[tuple[int, ...]]:
+        stack = [((), handle.edge)]
+        while stack:
+            prefix, edge = stack.pop()
+            arity = edge.arity
+            if edge is constant(model, manager, 0, arity):
+                continue
+            if edge is constant(model, manager, 1, arity):
+                yield from (prefix + suffix for suffix in
+                            itertools.product((0, 1), repeat=arity))
+                continue
+            lo, hi = cofactors(model, edge)
+            stack.append((prefix + (1,), hi))
+            stack.append((prefix + (0,), lo))
 
-    return gen(handle.edge)
+    return walk()

@@ -7,6 +7,9 @@ the model whose pattern matches, so graphs built bottom-up through it
 are reduced by construction.  ``reduce`` re-normalizes arbitrary raw
 graphs (including graphs reduced under another model) by eliminating
 every letter back to its diamond pattern and rebuilding.
+Every memoized descent, here and in the connectives and queries, runs
+on ``descend``, a walk on an explicit stack, so none can hit the
+interpreter's recursion limit.
 
 Letter introduction priority is fixed globally:
 
@@ -25,6 +28,7 @@ of a word and never twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .graph import (
     Edge,
@@ -269,26 +273,61 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     return elim_letter(model, letter, edge.child)
 
 
-def negate_reduced(model: ModelSpec, edge: Edge) -> Edge:
-    """Complement of a reduced graph in a mark-free model: swap the
-    terminals and rebuild through the normalized constructor."""
+def descend(memo: dict, root, split, join, flip=None):
+    """Memoized post-order walk on an explicit stack.
+
+    ``split(key)`` returns the key's value (a leaf, not memoized), a pair
+    of keys ``(k0, k1)`` whose value is ``join(v0, v1)``, or ``(None,
+    k)`` whose value is ``flip(key, v)``.  Values still being computed
+    live on the stack, so a walk is only bounded by memory, and only
+    finished non-leaf values are written to ``memo``.
+    """
+    values = []
+    stack = [(root, None)]       # (key, parts); parts None: not split yet
+    while stack:
+        key, parts = stack.pop()
+        if parts is None:
+            found = memo.get(key)
+            if found is None:
+                found = split(key)
+                if type(found) is tuple:
+                    stack.append((key, found))
+                    stack.extend((part, None) for part in reversed(found)
+                                 if part is not None)
+                    continue
+        elif parts[0] is None:
+            found = memo[key] = flip(key, values.pop())
+        else:
+            hi = values.pop()
+            found = memo[key] = join(values.pop(), hi)
+        values.append(found)
+    return values[0]
+
+
+def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
+    """The ``model``-canonical graph of ``edge``'s function, complemented
+    when ``parity`` is 1, rebuilt through :func:`cons_diamond`.  A
+    complement mark toggles the result's root mark in a complement-bearing
+    model and flips the parity in a mark-free one."""
     manager = edge.manager
-    cache = manager.cache("negate")
-    key = (model, edge)
-    found = cache.get(key)
-    if found is not None:
-        return found
-    manager.bump("negb_recursions")
-    if edge.letter is N:
-        raise ValueError("complement mark in a mark-free reduced graph")
-    if edge.letter is None and edge.node.lo is None:
-        found = manager.zero if edge.node.value else manager.one
-    else:
+
+    def split(key):
+        _, edge, parity = key
+        if not model.negation:
+            while edge.letter is N:
+                edge = edge.child
+                parity ^= 1
+        if parity:
+            manager.bump("negb_recursions")
+        if edge.letter is N:
+            return None, (model, edge.child, parity)
+        if edge.letter is None and edge.node.lo is None:
+            return constant(model, manager, edge.node.value ^ parity, 0)
         lo, hi = cofactors(model, edge)
-        found = cons_diamond(model, negate_reduced(model, lo),
-                             negate_reduced(model, hi))
-    cache[key] = found
-    return found
+        return (model, lo, parity), (model, hi, parity)
+
+    return descend(manager.cache("reduce"), (model, edge, parity), split,
+                   partial(cons_diamond, model), lambda _, v: push_neg(v))
 
 
 def reduce(model: ModelSpec, handle: FuncHandle) -> FuncHandle:
@@ -299,60 +338,26 @@ def reduce(model: ModelSpec, handle: FuncHandle) -> FuncHandle:
     eliminated to its diamond pattern and reintroduced only as the model
     allows.  Idempotent: reducing a reduced graph returns it unchanged.
     """
-    edge = _reduce_edge(model, handle.edge)
+    edge = rebuild(model, handle.edge)
     return FuncHandle(edge, edge.arity, model)
-
-
-def _reduce_edge(model: ModelSpec, edge: Edge) -> Edge:
-    manager = edge.manager
-    cache = manager.cache("reduce")
-    key = (model, edge)
-    found = cache.get(key)
-    if found is not None:
-        return found
-    if edge.letter is N:
-        child = _reduce_edge(model, edge.child)
-        if model.negation:
-            found = push_neg(child)
-        else:
-            found = negate_reduced(model, child)
-    elif edge.letter is None and edge.node.lo is None:
-        if edge.node.value and model.negation:
-            found = push_neg(manager.zero)
-        else:
-            found = edge
-    else:
-        lo, hi = cofactors(model, edge)
-        found = cons_diamond(model, _reduce_edge(model, lo),
-                             _reduce_edge(model, hi))
-    cache[key] = found
-    return found
 
 
 def compile_table(model: ModelSpec, table: TruthTable,
                   manager: Manager) -> FuncHandle:
-    """The model-canonical graph of a truth table (recursive split on
-    the leading variable, memoized on subtable identity)."""
-    edge = _compile_mask(model, manager, table.mask, table.arity)
-    return FuncHandle(edge, table.arity, model)
+    """The model-canonical graph of a truth table (split on the leading
+    variable, memoized on subtable identity)."""
 
-
-def _compile_mask(model: ModelSpec, manager: Manager, mask: int,
-                  arity: int) -> Edge:
-    cache = manager.cache("compile")
-    key = (model, mask, arity)
-    found = cache.get(key)
-    if found is not None:
-        return found
-    if arity == 0:
-        found = constant(model, manager, mask, 0)
-    else:
+    def split(key):
+        _, mask, arity = key
+        if arity == 0:
+            return constant(model, manager, mask, 0)
         half = 1 << (arity - 1)
-        lo = _compile_mask(model, manager, mask & ((1 << half) - 1), arity - 1)
-        hi = _compile_mask(model, manager, mask >> half, arity - 1)
-        found = cons_diamond(model, lo, hi)
-    cache[key] = found
-    return found
+        return ((model, mask & ((1 << half) - 1), arity - 1),
+                (model, mask >> half, arity - 1))
+
+    edge = descend(manager.cache("compile"), (model, table.mask, table.arity),
+                   split, partial(cons_diamond, model))
+    return FuncHandle(edge, table.arity, model)
 
 
 _S_TO_DPOS = {U: C10, X: C11, C00: C00, C01: C01, C10: U, C11: X}

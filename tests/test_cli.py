@@ -254,6 +254,14 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert invoke("--help")[0] == 0
 
+    @pytest.mark.parametrize("expr", ["(" * 200 + "x0" + ")" * 200,
+                                      "~" * 2000 + "x0"],
+                             ids=["parentheses", "negations"])
+    def test_deep_nesting_is_an_error(self, expr, capsys):
+        assert invoke("compile", "--expr", expr, "--arity", "1")[0] == 1
+        err = capsys.readouterr().err
+        assert err == "error: input nested too deeply\n"
+
 
 def test_golden_signatures():
     for line in GOLDEN.read_text().splitlines():

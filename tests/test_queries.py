@@ -4,11 +4,11 @@ import random
 import pytest
 
 from conftest import example1_table
-from nucx.connectives import negb
+from nucx.connectives import apply, negb, projection
 from nucx.graph import Manager, eval_handle
 from nucx.oracle import TruthTable, tt_eval
 from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
-from nucx.reduction import NUCX, PRESETS, compile_table, parse_model
+from nucx.reduction import NUCX, PRESETS, compile_table, parse_model, reduce
 
 ALL_MODELS = list(PRESETS.items())
 WITNESS_MODELS = [m for _, m in ALL_MODELS] + [
@@ -213,3 +213,52 @@ class TestAllSat:
                 assert valuations == sorted(valuations)
                 for v in valuations:
                     assert eval_handle(h, v) == 1
+
+
+class TestDeeperThanRecursionLimit:
+    """Arity 1200: every descent runs on an explicit stack."""
+
+    ARITY = 1200
+
+    def xor_ends(self, model, manager):
+        last = self.ARITY - 1
+        return apply("xor", projection(model, manager, 0, self.ARITY),
+                     projection(model, manager, last, self.ARITY))
+
+    @pytest.mark.parametrize("name", ["o-u", "o-nucx"])
+    def test_count_and_complement(self, name):
+        manager = Manager()
+        h = self.xor_ends(PRESETS[name], manager)
+        assert count_sat(h) == 2 ** 1199
+        g = apply("and", projection(PRESETS[name], manager, 0, self.ARITY),
+                  projection(PRESETS[name], manager, 1, self.ARITY))
+        for f in (h, g):
+            assert count_sat(negb(f)) == 2 ** self.ARITY - count_sat(f)
+        assert count_sat(g) == 2 ** 1198
+
+    @pytest.mark.parametrize("name", ["o-u", "o-nucx"])
+    def test_eval_matches_expression(self, name):
+        h = self.xor_ends(PRESETS[name], Manager())
+        rng = random.Random(1200)
+        for _ in range(20):
+            valuation = [rng.getrandbits(1) for _ in range(self.ARITY)]
+            assert eval_handle(h, valuation) == valuation[0] ^ valuation[-1]
+            assert eval_handle(negb(h), valuation) == \
+                1 - (valuation[0] ^ valuation[-1])
+
+    @pytest.mark.parametrize("target", ["o-u", "o-uc"])
+    def test_reduce_across_models(self, target):
+        manager = Manager()
+        source = self.xor_ends(NUCX, manager)
+        direct = self.xor_ends(PRESETS[target], manager)
+        assert reduce(PRESETS[target], source).edge is direct.edge
+
+    @pytest.mark.parametrize("name", ["o-u", "o-nucx"])
+    def test_all_sat_first_witness(self, name):
+        manager = Manager()
+        model = PRESETS[name]
+        h = apply("and", projection(model, manager, 0, self.ARITY),
+                  projection(model, manager, self.ARITY - 1, self.ARITY))
+        witnesses = all_sat(h)
+        assert next(witnesses) == (1,) + (0,) * 1198 + (1,)
+        assert next(witnesses) == (1,) + (0,) * 1197 + (1, 1)

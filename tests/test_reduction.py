@@ -25,11 +25,11 @@ from nucx.reduction import (
     compile_table,
     cons_diamond,
     constant,
+    descend,
     elim_letter,
     is_stable,
     lattice_leq,
     neg_conjugate,
-    negate_reduced,
     parse_model,
     push_neg,
     reduce,
@@ -210,14 +210,32 @@ class TestElim:
             assert cons_diamond(model, lo, hi) is handle.edge
 
 
-class TestNegateReduced:
-    def test_complement_mark_rejected(self, mgr):
-        model = PRESETS["o-u"]
-        marked = push_neg(mgr.zero)
-        with pytest.raises(ValueError):
-            negate_reduced(model, marked)
-        with pytest.raises(ValueError):    # a mark below a letter
-            negate_reduced(model, prepend_letter(U, marked))
+class TestDescend:
+    def test_chain_deeper_than_recursion_limit(self):
+        # the value of k is its bit length: one flip per halving
+        memo = {}
+        split = lambda k: (None, k // 2) if k else 0
+        depth = descend(memo, 1 << 5000, split, None,
+                        lambda k, v: v + 1)
+        assert depth == 5001
+        assert len(memo) == 5001
+
+    def test_leaves_are_not_memoized(self):
+        memo = {}
+        split = lambda k: (k - 1, k - 2) if k > 1 else k
+        assert descend(memo, 30, split, int.__add__) == 832040
+        assert sorted(memo) == list(range(2, 31))
+
+    def test_memo_hits_are_not_split(self):
+        seen = []
+
+        def split(k):
+            seen.append(k)
+            return (k - 1, k - 1) if k else 1
+
+        memo = {3: 100}
+        assert descend(memo, 5, split, int.__add__) == 400
+        assert seen == [5, 4]
 
 
 class TestReduce:
