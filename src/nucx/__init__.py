@@ -14,8 +14,6 @@ from .graph import (
     Node,
     dot_export,
     eval_handle,
-    intern_diamond,
-    prepend,
     signature,
     to_truth_table,
 )

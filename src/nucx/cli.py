@@ -2,7 +2,8 @@
 
 Inputs are Boolean expressions (``--expr``, grammar below) or hex truth
 tables (``--tt``), always with an explicit ``--arity``.  Exit codes:
-0 success, 1 usage or parse error, 2 internal invariant violation.
+0 success (also when the reader closes stdout early), 1 usage or parse
+error, 2 internal invariant violation.
 
 Expression grammar (loosest to tightest): ``|``, ``^``, ``&``, unary
 ``~``; parentheses, constants ``0``/``1`` and variables ``x0, x1, ...``.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -412,4 +414,12 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; keep the interpreter's final flush
+        # from failing on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

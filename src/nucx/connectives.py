@@ -45,19 +45,20 @@ def _require_pair(a: FuncHandle, b: FuncHandle) -> ModelSpec:
         other = b.model.name if b.model is not None else "raw"
         raise ValueError(f"operands reduced under different models: "
                          f"{model.name} vs {other}")
-    if a.arity != b.arity:
-        raise ArityError(f"arity mismatch: {a.arity} vs {b.arity}")
+    if a.edge.arity != b.edge.arity:
+        raise ArityError(
+            f"arity mismatch: {a.edge.arity} vs {b.edge.arity}")
     return model
 
 
 def cofactor(v0: int, handle: FuncHandle) -> FuncHandle:
     """Restrict the first variable to ``v0``; one O(1) step on a
     reduced graph."""
-    if handle.arity < 1:
+    if handle.edge.arity < 1:
         raise ArityError("cannot cofactor a constant")
     model = require_model(handle)
-    edge = cofactors(model, handle.edge)[1 if v0 else 0]
-    return FuncHandle(edge, handle.arity - 1, model)
+    return FuncHandle(cofactors(model, handle.edge)[1 if v0 else 0],
+                      model=model)
 
 
 def _unary(model: ModelSpec, table: int, edge: Edge) -> Edge:
@@ -75,7 +76,7 @@ def _unary(model: ModelSpec, table: int, edge: Edge) -> Edge:
 def negb(handle: FuncHandle) -> FuncHandle:
     """Complement; constant-time in complement-bearing models."""
     model = require_model(handle)
-    return FuncHandle(_unary(model, 0b01, handle.edge), handle.arity, model)
+    return FuncHandle(_unary(model, 0b01, handle.edge), model=model)
 
 
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
@@ -120,7 +121,7 @@ def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:
     if table is None:
         raise ValueError(f"unknown operation {op!r}")
     model = _require_pair(a, b)
-    return FuncHandle(_apply(model, table, a.edge, b.edge), a.arity, model)
+    return FuncHandle(_apply(model, table, a.edge, b.edge), model=model)
 
 
 def andb(a: FuncHandle, b: FuncHandle) -> FuncHandle:
@@ -140,7 +141,7 @@ def projection(model: ModelSpec, manager: Manager, index: int,
                         constant(model, manager, 1, rest))
     for _ in range(index):
         edge = cons_diamond(model, edge, edge)
-    return FuncHandle(edge, arity, model)
+    return FuncHandle(edge, model=model)
 
 
 def build_expr(model: ModelSpec, ast, arity: int,
@@ -152,8 +153,8 @@ def build_expr(model: ModelSpec, ast, arity: int,
     """
     kind = ast[0]
     if kind == "const":
-        edge = constant(model, manager, ast[1], arity)
-        return FuncHandle(edge, arity, model)
+        return FuncHandle(constant(model, manager, ast[1], arity),
+                          model=model)
     if kind == "var":
         return projection(model, manager, ast[1], arity)
     if kind == "not":

@@ -4,6 +4,10 @@ Every node and edge lives inside exactly one :class:`Manager`, which
 interns structurally equal objects to a single identity.  After
 interning, equality of subgraphs *is* identity (``is``), which is what
 the reduction engine, the memo tables and the equivalence query rely on.
+The two term constructors are the manager's: ``Manager.edge(letter,
+target)`` puts a letter over an edge, and ``Manager.diamond(lo, hi)``
+returns the bare edge to a Shannon diamond.  Neither normalizes; the
+reduced constructor is ``reduction.cons_diamond``.
 
 Structure of a graph:
 
@@ -21,11 +25,12 @@ variable; the complement mark ``N`` consumes none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .letters import Letter, N, U, X
-from .oracle import ARITY_LIMIT, ArityError, OracleLimitError, TruthTable
+from .oracle import (ARITY_LIMIT, ArityError, OracleLimitError, TruthTable,
+                     letter_mask)
 
 Word = tuple[Letter, ...]
 
@@ -45,10 +50,6 @@ class Node:
         self.hi = hi
         self.value = value
         self.arity = arity
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.lo is None
 
     def __repr__(self):
         if self.lo is None:
@@ -90,21 +91,19 @@ class Edge:
 
 @dataclass(frozen=True)
 class FuncHandle:
-    """A rooted function: an edge plus its arity.
+    """A rooted function: ``FuncHandle(edge, model=...)``.
 
     ``model`` records the model the graph is reduced under (``None`` for
     raw, unreduced graphs); operations that require reduced inputs read
-    it from here.
+    it from here.  The arity is the edge's.
     """
 
     edge: Edge
-    arity: int
-    model: object = None
+    model: object = field(default=None, kw_only=True)
 
-    def __post_init__(self):
-        if self.arity != self.edge.arity:
-            raise ArityError(
-                f"handle arity {self.arity} != edge arity {self.edge.arity}")
+    @property
+    def arity(self) -> int:
+        return self.edge.arity
 
     @property
     def manager(self) -> Manager:
@@ -119,6 +118,7 @@ class FuncHandle:
 class Manager:
     """Interning and memoization authority for one diagram universe.
 
+    :meth:`edge` and :meth:`diamond` are the only graph constructors.
     Each diamond and each link of a letter chain is stored once, so words
     share their suffixes.  A manager is a single-owner mutable object:
     all access to it and to its graphs, reads included, must be
@@ -154,13 +154,19 @@ class Manager:
             if letter is None:
                 found = Edge(None, None, target, target.arity, self)
             else:
+                # a foreign child is never a key here, so checking on a
+                # miss catches every one
+                if target.manager is not self:
+                    raise ManagerMismatchError(
+                        "child belongs to another manager")
                 found = Edge(letter, target, target.node,
                              target.arity + (letter is not N), self)
             self._edges[key] = found
         return found
 
-    def diamond(self, lo: Edge, hi: Edge) -> Node:
-        """Intern the diamond with children ``lo``/``hi``."""
+    def diamond(self, lo: Edge, hi: Edge) -> Edge:
+        """The bare edge to the interned diamond with children
+        ``lo``/``hi`` (no reduction)."""
         if lo.manager is not self or hi.manager is not self:
             raise ManagerMismatchError("children belong to another manager")
         if lo.arity != hi.arity:
@@ -168,10 +174,10 @@ class Manager:
                 f"diamond children must agree on arity: "
                 f"{lo.arity} vs {hi.arity}")
         key = (lo, hi)
-        found = self._diamonds.get(key)
-        if found is None:
-            found = self._diamonds[key] = Node(lo, hi, None, lo.arity + 1)
-        return found
+        node = self._diamonds.get(key)
+        if node is None:
+            node = self._diamonds[key] = Node(lo, hi, None, lo.arity + 1)
+        return self.edge(None, node)
 
     def cache(self, name: str) -> dict:
         """A named memo table, created on first use."""
@@ -196,28 +202,12 @@ class Manager:
                 f"edges={len(self._edges)}>")
 
 
-def intern_diamond(manager: Manager, lo: Edge, hi: Edge) -> Edge:
-    """Raw diamond constructor: no reduction, empty root word."""
-    return manager.edge(None, manager.diamond(lo, hi))
-
-
-def prepend(word: Word | Sequence[Letter], edge: Edge) -> Edge:
-    """Concatenate ``word`` in front of an edge's label (no normalization)."""
-    for letter in reversed(tuple(word)):
-        edge = edge.manager.edge(letter, edge)
-    return edge
-
-
-def prepend_letter(letter: Letter, edge: Edge) -> Edge:
-    return edge.manager.edge(letter, edge)
-
-
 def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
     """Evaluate the function at ``(x0, ..., x_{n-1})`` by one descent."""
-    if len(valuation) != handle.arity:
-        raise ArityError(
-            f"valuation length {len(valuation)} != arity {handle.arity}")
     edge = handle.edge
+    if len(valuation) != edge.arity:
+        raise ArityError(
+            f"valuation length {len(valuation)} != arity {edge.arity}")
     parity = 0
     i = 0
     while True:
@@ -256,32 +246,19 @@ def edge_mask(edge: Edge) -> int:
         mask = edge_mask(node.lo) | edge_mask(node.hi) << size
     arity = node.arity
     for letter in reversed(edge.word):
-        size = 1 << arity
-        ones = (1 << size) - 1
-        if letter is N:
-            mask ^= ones
-            continue
-        if letter is U:
-            mask |= mask << size
-        elif letter is X:
-            mask |= (mask ^ ones) << size
-        elif letter.branch == 0:
-            low = ones if letter.const else 0
-            mask = low | mask << size
-        elif letter.const:
-            mask |= ones << size
-        arity += 1
+        mask = letter_mask(letter, mask, arity)
+        arity += letter is not N
     cache[edge] = mask
     return mask
 
 
 def to_truth_table(handle: FuncHandle) -> TruthTable:
     """Tabulate the function; arity must fit the dense-oracle cap."""
-    if handle.arity > ARITY_LIMIT:
+    arity = handle.edge.arity
+    if arity > ARITY_LIMIT:
         raise OracleLimitError(
-            f"arity {handle.arity} exceeds the truth-table limit "
-            f"of {ARITY_LIMIT}")
-    return TruthTable(handle.arity, edge_mask(handle.edge))
+            f"arity {arity} exceeds the truth-table limit of {ARITY_LIMIT}")
+    return TruthTable(arity, edge_mask(handle.edge))
 
 
 def _label(edge: Edge) -> str:
@@ -343,35 +320,27 @@ def dot_export(handle: FuncHandle) -> str:
         "digraph dd {",
         '  root [shape=invtriangle, label="", height=0.2, width=0.3];',
     ]
-
-    def node_id(node: Node) -> str:
-        nonlocal diamonds
-        found = ids.get(node)
-        if found is None:
+    stack = [("root", handle.edge, "solid")]
+    while stack:
+        source, edge, style = stack.pop()
+        node = edge.node
+        target = ids.get(node)
+        if target is None:
             if node.lo is None:
-                found = f"t{node.value}"
-                lines.append(f'  {found} [shape=box, label="{node.value}"];')
+                target = f"t{node.value}"
+                lines.append(f'  {target} [shape=box, label="{node.value}"];')
             else:
-                found = f"n{diamonds}"
+                target = f"n{diamonds}"
                 diamonds += 1
-                lines.append(f'  {found} [shape=diamond, label=""];')
-            ids[node] = found
-        return found
-
-    def emit(source: str, edge: Edge, style: str) -> None:
+                lines.append(f'  {target} [shape=diamond, label=""];')
+                stack.append((target, node.hi, "solid"))
+                stack.append((target, node.lo, "dashed"))
+            ids[node] = target
         label = _label(edge)
         attrs = f'style={style}'
         if label:
             attrs += f', label="{label}"'
-        target_known = edge.node in ids
-        target = node_id(edge.node)
         lines.append(f"  {source} -> {target} [{attrs}];")
-        if target_known or edge.node.lo is None:
-            return
-        emit(target, edge.node.lo, "dashed")
-        emit(target, edge.node.hi, "solid")
-
-    emit("root", handle.edge, "solid")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

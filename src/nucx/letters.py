@@ -28,10 +28,6 @@ class Letter:
         self.elementary = token != "N"
         self.conjugate: Letter | None = None
 
-    @property
-    def canalizing(self) -> bool:
-        return self.branch is not None
-
     def __repr__(self):
         return self.token
 

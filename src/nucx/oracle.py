@@ -7,6 +7,9 @@ is ``i`` when ``x0`` is read as the *most significant* bit of the index
 
 Tables are deliberately capped at arity 24: this module is a desk-scale
 oracle, not a representation meant to compete with the diagrams.
+
+``letter_mask`` is the one definition of what each edge letter does to a
+function; ``apply_functor`` and ``graph.edge_mask`` both call it.
 """
 
 from __future__ import annotations
@@ -185,32 +188,36 @@ def combine(comb: str, f: TruthTable, g: TruthTable) -> TruthTable:
     return TruthTable(f.arity + 1, mask)
 
 
-def apply_functor(letter: Letter, f: TruthTable) -> TruthTable:
-    """Apply one edge letter to a function.
+def letter_mask(letter: Letter, mask: int, arity: int) -> int:
+    """The mask of ``letter`` applied to the arity-``arity`` function
+    ``mask``: the one definition of every letter's functor.
 
     Elementary letters prepend a typed variable (arity grows by one);
     the complement mark ``N`` negates the output in place.
     """
-    size = f.size
-    ones = _ones(size)
+    size = 1 << arity
+    ones = (1 << size) - 1
     if letter is N:
-        return TruthTable(f.arity, f.mask ^ ones)
-    _check_arity(f.arity + 1)
+        return mask ^ ones
     if letter is U:
-        mask = f.mask | f.mask << size
-    elif letter is X:
-        mask = f.mask | (f.mask ^ ones) << size
-    elif letter is C00:
-        mask = f.mask << size
-    elif letter is C01:
-        mask = ones | f.mask << size
-    elif letter is C10:
-        mask = f.mask
-    elif letter is C11:
-        mask = f.mask | ones << size
-    else:
-        raise ValueError(f"unknown letter {letter!r}")
-    return TruthTable(f.arity + 1, mask)
+        return mask | mask << size
+    if letter is X:
+        return mask | (mask ^ ones) << size
+    if letter is C00:
+        return mask << size
+    if letter is C01:
+        return ones | mask << size
+    if letter is C10:
+        return mask
+    if letter is C11:
+        return mask | ones << size
+    raise ValueError(f"unknown letter {letter!r}")
+
+
+def apply_functor(letter: Letter, f: TruthTable) -> TruthTable:
+    """Apply one edge letter to a table (see :func:`letter_mask`)."""
+    arity = f.arity if letter is N else _check_arity(f.arity + 1)
+    return TruthTable(arity, letter_mask(letter, f.mask, f.arity))
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,14 @@ from .reduction import cofactors, constant, descend, require_model
 def is_sat(handle: FuncHandle) -> bool:
     """False iff the graph is the canonical all-zeros constant."""
     model = require_model(handle)
-    zero = constant(model, handle.manager, 0, handle.arity)
+    zero = constant(model, handle.manager, 0, handle.edge.arity)
     return handle.edge is not zero
 
 
 def is_taut(handle: FuncHandle) -> bool:
     """True iff the graph is the canonical all-ones constant."""
     model = require_model(handle)
-    one = constant(model, handle.manager, 1, handle.arity)
+    one = constant(model, handle.manager, 1, handle.edge.arity)
     return handle.edge is one
 
 
@@ -45,7 +45,7 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
     if require_model(a) != require_model(b):
         raise ValueError("cannot compare graphs reduced under "
                          "different models")
-    return a.edge is b.edge and a.arity == b.arity
+    return a.edge is b.edge
 
 
 def count_sat(handle: FuncHandle) -> int:

@@ -30,15 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .graph import (
-    Edge,
-    FuncHandle,
-    Manager,
-    intern_diamond,
-    prepend_letter,
-    signature,
-    to_truth_table,
-)
+from .graph import Edge, FuncHandle, Manager, to_truth_table
 from .letters import C00, C01, C10, C11, ELEMENTARY, N, U, X, Letter, from_token
 from .oracle import ArityError, TruthTable
 
@@ -221,23 +213,23 @@ def cons_diamond(model: ModelSpec, e0: Edge, e1: Edge) -> Edge:
         return push_neg(cons_diamond(model, push_neg(e0), push_neg(e1)))
     letters = model.letters
     if U in letters and e1 is e0:
-        return prepend_letter(U, e0)
+        return manager.edge(U, e0)
     if X in letters and e1 is push_neg(e0):
-        return prepend_letter(X, e0)
+        return manager.edge(X, e0)
     arity = e0.arity
     if C11 in letters and e1 is constant(model, manager, 1, arity):
-        return prepend_letter(C11, e0)
+        return manager.edge(C11, e0)
     if C10 in letters and e1 is constant(model, manager, 0, arity):
-        return prepend_letter(C10, e0)
+        return manager.edge(C10, e0)
     if C01 in letters:
         if model.negation:
             if e0 is constant(model, manager, 0, arity) and e1.letter is N:
-                return push_neg(prepend_letter(C01, push_neg(e1)))
+                return push_neg(manager.edge(C01, push_neg(e1)))
         elif e0 is constant(model, manager, 1, arity):
-            return prepend_letter(C01, e1)
+            return manager.edge(C01, e1)
     if C00 in letters and e0 is constant(model, manager, 0, arity):
-        return prepend_letter(C00, e1)
-    return intern_diamond(manager, e0, e1)
+        return manager.edge(C00, e1)
+    return manager.diamond(e0, e1)
 
 
 def elim_letter(model: ModelSpec, letter: Letter,
@@ -338,8 +330,7 @@ def reduce(model: ModelSpec, handle: FuncHandle) -> FuncHandle:
     eliminated to its diamond pattern and reintroduced only as the model
     allows.  Idempotent: reducing a reduced graph returns it unchanged.
     """
-    edge = rebuild(model, handle.edge)
-    return FuncHandle(edge, edge.arity, model)
+    return FuncHandle(rebuild(model, handle.edge), model=model)
 
 
 def compile_table(model: ModelSpec, table: TruthTable,
@@ -357,7 +348,7 @@ def compile_table(model: ModelSpec, table: TruthTable,
 
     edge = descend(manager.cache("compile"), (model, table.mask, table.arity),
                    split, partial(cons_diamond, model))
-    return FuncHandle(edge, table.arity, model)
+    return FuncHandle(edge, model=model)
 
 
 _S_TO_DPOS = {U: C10, X: C11, C00: C00, C01: C01, C10: U, C11: X}
@@ -388,26 +379,32 @@ def translate_letter(source: str, target: str, letter: Letter) -> Letter:
 
 
 def certify_canonicity(model: ModelSpec, max_arity: int = 3) -> None:
-    """Exhaustively check injectivity and semantic round-tripping of
-    compilation for every function of arity <= ``max_arity``.
+    """Exhaustively check injectivity, semantic round-tripping and the
+    normal-form fixpoint of compilation for every function of arity <=
+    ``max_arity``.
 
-    Presets are covered by the acceptance suite; this is the opt-in
-    certification for custom alphabets, which are otherwise only
+    Injectivity is edge identity in one manager (distinct masks must
+    give distinct edges), and ``reduce`` must return each compiled edge
+    itself.  Presets are covered by the acceptance suite; this is the
+    opt-in certification for custom alphabets, which are otherwise only
     guaranteed reduction idempotence and semantic preservation.
     """
     manager = Manager()
+    seen: dict[Edge, int] = {}
     for arity in range(max_arity + 1):
-        seen: dict[str, int] = {}
         for mask in range(1 << (1 << arity)):
             table = TruthTable(arity, mask)
             handle = compile_table(model, table, manager)
+            other = seen.setdefault(handle.edge, mask)
+            if other != mask:
+                raise ValueError(
+                    f"{model.name}: masks {other:#x} and {mask:#x} "
+                    f"(arity {arity}) share one edge")
             if to_truth_table(handle) != table:
                 raise ValueError(
                     f"{model.name}: compilation of arity-{arity} mask "
                     f"{mask:#x} does not round-trip")
-            text = signature(handle)
-            other = seen.setdefault(text, mask)
-            if other != mask:
+            if reduce(model, handle).edge is not handle.edge:
                 raise ValueError(
-                    f"{model.name}: masks {other:#x} and {mask:#x} "
-                    f"(arity {arity}) share the form {text}")
+                    f"{model.name}: arity-{arity} mask {mask:#x} is not "
+                    f"a fixpoint of reduce")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nucx.graph import Manager, intern_diamond, prepend_letter
+from nucx.graph import Manager
 from nucx.letters import C00, C01, C10, C11, N, U, X
 from nucx.oracle import TruthTable
 
@@ -36,11 +36,10 @@ def random_raw_edge(rng: random.Random, manager: Manager, arity: int):
         edge = manager.one if rng.random() < 0.5 else manager.zero
     elif rng.random() < 0.55:
         letter = rng.choice(ELEMENTARY_LETTERS)
-        edge = prepend_letter(letter, random_raw_edge(rng, manager, arity - 1))
+        edge = manager.edge(letter, random_raw_edge(rng, manager, arity - 1))
     else:
-        edge = intern_diamond(manager,
-                              random_raw_edge(rng, manager, arity - 1),
-                              random_raw_edge(rng, manager, arity - 1))
+        edge = manager.diamond(random_raw_edge(rng, manager, arity - 1),
+                               random_raw_edge(rng, manager, arity - 1))
     while rng.random() < 0.25:
-        edge = prepend_letter(N, edge)
+        edge = manager.edge(N, edge)
     return edge

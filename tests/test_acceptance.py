@@ -152,7 +152,7 @@ def test_criterion_2_idempotence():
         rng = random.Random(1000 + index)
         for _ in range(per_model):
             edge = random_raw_edge(rng, manager, rng.randint(0, 5))
-            once = reduce(model, FuncHandle(edge, edge.arity))
+            once = reduce(model, FuncHandle(edge))
             if reduce(model, once).edge is not once.edge:
                 failures += 1
     assert failures == 0

@@ -1,11 +1,16 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nucx
 from nucx.cli import ParseError, parse_expr, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sigs.txt"
+SRC = str(Path(nucx.__file__).resolve().parent.parent)
 
 
 def invoke(*argv):
@@ -261,6 +266,20 @@ class TestExitCodes:
         assert invoke("compile", "--expr", expr, "--arity", "1")[0] == 1
         err = capsys.readouterr().err
         assert err == "error: input nested too deeply\n"
+
+    def test_closed_stdout_exits_quietly(self):
+        # 2**62 valuations: the reader closes the pipe long before the end
+        env = dict(os.environ, PYTHONPATH=SRC)
+        with subprocess.Popen(
+                [sys.executable, "-m", "nucx", "allsat", "--model", "o-u",
+                 "--expr", "x0 & x63", "--arity", "64"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert first.strip() == b"1" + b"0" * 62 + b"1"
+        assert (proc.returncode, err) == (0, b"")
 
 
 def test_golden_signatures():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -6,14 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import example1_table, random_raw_edge
+from nucx.connectives import projection
 from nucx.graph import (
     FuncHandle,
     Manager,
     dot_export,
     eval_handle,
-    intern_diamond,
-    prepend,
-    prepend_letter,
     recompute_arity,
     signature,
     to_truth_table,
@@ -26,7 +25,7 @@ from nucx.reduction import PRESETS, compile_table
 def chain(manager, letters, terminal=0):
     edge = manager.zero if terminal == 0 else manager.one
     for letter in reversed(letters):
-        edge = prepend_letter(letter, edge)
+        edge = manager.edge(letter, edge)
     return edge
 
 
@@ -34,23 +33,24 @@ def example1_edge(manager):
     # reduced shape of the running example: one diamond, X/U words
     lo = chain(manager, [X, X, X])
     hi = chain(manager, [X, X, U])
-    return intern_diamond(manager, lo, hi)
+    return manager.diamond(lo, hi)
 
 
 class TestInterning:
     def test_same_children_same_node(self, mgr):
         e = chain(mgr, [U])
-        d1 = intern_diamond(mgr, e, e)
-        d2 = intern_diamond(mgr, e, e)
+        d1 = mgr.diamond(e, e)
+        d2 = mgr.diamond(e, e)
         assert d1 is d2
         assert d1.node is d2.node
+        assert d1.letter is None and d1.child is None
 
     def test_terminal_diamond_arity(self, mgr):
-        assert intern_diamond(mgr, mgr.zero, mgr.zero).arity == 1
+        assert mgr.diamond(mgr.zero, mgr.zero).arity == 1
 
     def test_child_arity_mismatch(self, mgr):
         with pytest.raises(ArityError):
-            intern_diamond(mgr, chain(mgr, [U, U]), chain(mgr, [U]))
+            mgr.diamond(chain(mgr, [U, U]), chain(mgr, [U]))
 
     def test_edges_interned_by_word_and_target(self, mgr):
         assert chain(mgr, [U, X]) is chain(mgr, [U, X])
@@ -59,33 +59,36 @@ class TestInterning:
     def test_no_cross_manager_mixing(self, mgr):
         other = Manager()
         with pytest.raises(ValueError):
-            intern_diamond(mgr, mgr.zero, other.zero)
+            mgr.diamond(mgr.zero, other.zero)
+        with pytest.raises(ValueError):
+            mgr.edge(U, other.zero)
 
 
 class TestPrepend:
     def test_empty_word_is_identity(self, mgr):
-        e = chain(mgr, [U])
-        assert prepend((), e) is e
+        # the bare edge to a node is interned once, like every link
+        assert chain(mgr, []) is mgr.edge(None, mgr.term0) is mgr.zero
+        assert mgr.zero.word == ()
 
     def test_useless_chain(self, mgr):
-        e = prepend_letter(U, prepend_letter(U, mgr.zero))
+        e = mgr.edge(U, mgr.edge(U, mgr.zero))
         assert e.word == (U, U)
         assert e.arity == 2
 
     def test_no_normalization(self, mgr):
-        e = prepend_letter(N, prepend_letter(N, mgr.zero))
+        e = mgr.edge(N, mgr.edge(N, mgr.zero))
         assert e.word == (N, N)
         assert e.arity == 0
 
     def test_concatenation(self, mgr):
-        e = prepend((U, N), chain(mgr, [X]))
+        e = mgr.edge(U, mgr.edge(N, chain(mgr, [X])))
         assert e.word == (U, N, X)
 
     def test_chains_share_suffixes(self, mgr):
-        e = intern_diamond(mgr, chain(mgr, [U]), chain(mgr, [X]))
-        e_ux = prepend((U, X), e)
+        e = mgr.diamond(chain(mgr, [U]), chain(mgr, [X]))
+        e_ux = mgr.edge(U, mgr.edge(X, e))
         assert e_ux.letter is U
-        assert e_ux.child is prepend_letter(X, e)
+        assert e_ux.child is mgr.edge(X, e)
         assert e_ux.child.child is e
         assert e_ux.node is e.node
         assert e.letter is None and e.child is None
@@ -93,16 +96,16 @@ class TestPrepend:
 
 class TestEval:
     def test_constant_chain(self, mgr):
-        h = FuncHandle(chain(mgr, [U, U]), 2)
+        h = FuncHandle(chain(mgr, [U, U]))
         assert eval_handle(h, (1, 0)) == 0
 
     def test_xor_letter(self, mgr):
-        h = FuncHandle(chain(mgr, [X]), 1)
+        h = FuncHandle(chain(mgr, [X]))
         assert eval_handle(h, (1,)) == 1
         assert eval_handle(h, (0,)) == 0
 
     def test_running_example(self, mgr):
-        h = FuncHandle(example1_edge(mgr), 4)
+        h = FuncHandle(example1_edge(mgr))
         assert eval_handle(h, (0, 1, 0, 1)) == 0
         table = example1_table()
         for v in itertools.product((0, 1), repeat=4):
@@ -110,14 +113,14 @@ class TestEval:
 
     def test_valuation_length_checked(self, mgr):
         with pytest.raises(ArityError):
-            eval_handle(FuncHandle(mgr.zero, 0), (0,))
+            eval_handle(FuncHandle(mgr.zero), (0,))
 
     @given(st.integers(0, 2**32), st.integers(0, 5))
     def test_agrees_with_truth_table(self, seed, arity):
         rng = random.Random(seed)
         manager = Manager()
         edge = random_raw_edge(rng, manager, arity)
-        h = FuncHandle(edge, arity)
+        h = FuncHandle(edge)
         table = to_truth_table(h)
         for v in itertools.product((0, 1), repeat=min(arity, 4)):
             full = v + (0,) * (arity - len(v))
@@ -126,15 +129,15 @@ class TestEval:
 
 class TestToTruthTable:
     def test_useless_constant(self, mgr):
-        assert to_truth_table(FuncHandle(chain(mgr, [U]), 1)) == \
+        assert to_truth_table(FuncHandle(chain(mgr, [U]))) == \
             TruthTable.from_bits([0, 0])
 
     def test_complemented_terminal(self, mgr):
-        h = FuncHandle(prepend_letter(N, mgr.zero), 0)
+        h = FuncHandle(mgr.edge(N, mgr.zero))
         assert to_truth_table(h) == TruthTable.constant(0, 1)
 
     def test_running_example_popcount(self, mgr):
-        h = FuncHandle(example1_edge(mgr), 4)
+        h = FuncHandle(example1_edge(mgr))
         table = to_truth_table(h)
         assert table.popcount() == 8
         assert table == example1_table()
@@ -142,24 +145,24 @@ class TestToTruthTable:
     def test_limit_enforced(self, mgr):
         edge = mgr.zero
         for _ in range(30):
-            edge = prepend_letter(U, edge)
+            edge = mgr.edge(U, edge)
         with pytest.raises(OracleLimitError):
-            to_truth_table(FuncHandle(edge, 30))
+            to_truth_table(FuncHandle(edge))
 
 
 class TestSignature:
     def test_constant_chain(self, mgr):
-        assert signature(FuncHandle(chain(mgr, [U, U]), 2)) == "[U.U]0"
+        assert signature(FuncHandle(chain(mgr, [U, U]))) == "[U.U]0"
 
     def test_terminals_and_empty_word(self, mgr):
-        assert signature(FuncHandle(mgr.zero, 0)) == "[e]0"
-        assert signature(FuncHandle(mgr.one, 0)) == "[e]1"
+        assert signature(FuncHandle(mgr.zero)) == "[e]0"
+        assert signature(FuncHandle(mgr.one)) == "[e]1"
 
     def test_complement_prefix(self, mgr):
-        assert signature(FuncHandle(chain(mgr, [N, X]), 1)) == "[N.X]0"
+        assert signature(FuncHandle(chain(mgr, [N, X]))) == "[N.X]0"
 
     def test_diamond_form(self, mgr):
-        assert signature(FuncHandle(example1_edge(mgr), 4)) == \
+        assert signature(FuncHandle(example1_edge(mgr))) == \
             "[e]([X.X.X]0,[X.X.U]0)"
 
 
@@ -180,18 +183,18 @@ def assert_valid_dot(text):
 
 class TestDotExport:
     def test_single_terminal(self, mgr):
-        text = dot_export(FuncHandle(mgr.zero, 0))
+        text = dot_export(FuncHandle(mgr.zero))
         assert_valid_dot(text)
         assert text.count("shape=box") == 1
         assert text.count("shape=diamond") == 0
 
     def test_running_example_has_one_diamond(self, mgr):
-        text = dot_export(FuncHandle(example1_edge(mgr), 4))
+        text = dot_export(FuncHandle(example1_edge(mgr)))
         assert_valid_dot(text)
         assert text.count("shape=diamond") == 1
 
     def test_running_example_text_is_pinned(self, mgr):
-        assert dot_export(FuncHandle(example1_edge(mgr), 4)) == (
+        assert dot_export(FuncHandle(example1_edge(mgr))) == (
             'digraph dd {\n'
             '  root [shape=invtriangle, label="", height=0.2, width=0.3];\n'
             '  n0 [shape=diamond, label=""];\n'
@@ -215,16 +218,23 @@ class TestDotExport:
             "n1>n5 n5>n4 n5>n3 n0>n6 n6>n7 n7>t0 n7>t1 n6>n8 n8>t1 n8>t0")
 
     def test_styles_and_labels(self, mgr):
-        text = dot_export(FuncHandle(example1_edge(mgr), 4))
+        text = dot_export(FuncHandle(example1_edge(mgr)))
         assert "style=dashed" in text and "style=solid" in text
         assert 'label="X.X.X"' in text and 'label="X.X.U"' in text
+
+    def test_deeper_than_the_recursion_limit(self):
+        # one diamond level per variable: 1,200 levels, 2,399 diamonds
+        h = projection(PRESETS["s"], Manager(), 0, 1200)
+        text = dot_export(h)
+        assert_valid_dot(text)
+        assert text.count("shape=diamond") == 2399
 
     @given(st.integers(0, 2**32))
     def test_random_graphs_export_cleanly(self, seed):
         rng = random.Random(seed)
         manager = Manager()
         edge = random_raw_edge(rng, manager, rng.randint(0, 4))
-        assert_valid_dot(dot_export(FuncHandle(edge, edge.arity)))
+        assert_valid_dot(dot_export(FuncHandle(edge)))
 
 
 class TestArityBookkeeping:
@@ -236,6 +246,15 @@ class TestArityBookkeeping:
         assert edge.arity == arity
         assert recompute_arity(edge) == arity
 
-    def test_handle_arity_must_match(self, mgr):
-        with pytest.raises(ArityError):
+    def test_handle_arity_is_the_edge_arity(self, mgr):
+        edge = chain(mgr, [U, N, X])
+        assert FuncHandle(edge).arity == edge.arity == 2
+        edge_field, model_field = dataclasses.fields(FuncHandle)
+        assert (edge_field.name, model_field.name) == ("edge", "model")
+        assert model_field.kw_only
+
+    def test_positional_arity_is_rejected(self, mgr):
+        # the model is keyword-only, so a stale FuncHandle(edge, n)
+        # cannot store n as the model
+        with pytest.raises(TypeError):
             FuncHandle(mgr.zero, 3)

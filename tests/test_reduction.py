@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import example1_table, random_raw_edge
+from nucx import reduction
 from nucx.graph import (
     FuncHandle,
     Manager,
-    intern_diamond,
     iter_edges,
-    prepend_letter,
     signature,
     to_truth_table,
 )
@@ -123,16 +122,16 @@ class TestLattice:
 
 class TestPushNeg:
     def test_strip(self, mgr):
-        marked = prepend_letter(N, prepend_letter(X, mgr.zero))
+        marked = mgr.edge(N, mgr.edge(X, mgr.zero))
         assert push_neg(marked).word == (X,)
 
     def test_prepend(self, mgr):
-        plain = prepend_letter(U, mgr.zero)
+        plain = mgr.edge(U, mgr.zero)
         assert push_neg(plain).word == (N, U)
 
     def test_mark_is_one_link_over_the_edge(self, mgr):
-        plain = prepend_letter(X, prepend_letter(U, mgr.zero))
-        diamond = intern_diamond(mgr, plain, mgr.edge(U, plain.child))
+        plain = mgr.edge(X, mgr.edge(U, mgr.zero))
+        diamond = mgr.diamond(plain, mgr.edge(U, plain.child))
         for edge in (plain, diamond):
             assert push_neg(edge).child is edge
             assert push_neg(push_neg(edge)) is edge
@@ -149,13 +148,13 @@ class TestPushNeg:
 
 class TestConsDiamond:
     def test_useless_first(self, mgr):
-        assert signature(FuncHandle(cons_diamond(NUCX, mgr.zero, mgr.zero),
-                                    1)) == "[U]0"
+        assert signature(FuncHandle(cons_diamond(NUCX, mgr.zero,
+                                                 mgr.zero))) == "[U]0"
 
     def test_xor_beats_canalizing(self, mgr):
         one = push_neg(mgr.zero)
-        assert signature(FuncHandle(cons_diamond(NUCX, mgr.zero, one),
-                                    1)) == "[X]0"
+        assert signature(FuncHandle(cons_diamond(NUCX, mgr.zero,
+                                                 one))) == "[X]0"
 
     def test_chain_model_zero_suppression(self, mgr):
         model = PRESETS["o-uc10"]
@@ -240,19 +239,18 @@ class TestDescend:
 
 class TestReduce:
     def test_chain_to_useless(self, mgr):
-        raw = FuncHandle(prepend_letter(C10, mgr.zero), 1)
+        raw = FuncHandle(mgr.edge(C10, mgr.zero))
         reduced = reduce(PRESETS["o-uc"], raw)
         assert signature(reduced) == "[U]0"
 
     def test_paper_tree_example(self, mgr):
-        top = intern_diamond(mgr,
-                             intern_diamond(mgr, mgr.one, mgr.one),
-                             intern_diamond(mgr, mgr.zero, mgr.zero))
-        reduced = reduce(PRESETS["o-uc"], FuncHandle(top, 2))
+        top = mgr.diamond(mgr.diamond(mgr.one, mgr.one),
+                          mgr.diamond(mgr.zero, mgr.zero))
+        reduced = reduce(PRESETS["o-uc"], FuncHandle(top))
         assert signature(reduced) == "[C10.U]1"
 
     def test_square_terminal_normalized(self, mgr):
-        reduced = reduce(NUCX, FuncHandle(mgr.one, 0))
+        reduced = reduce(NUCX, FuncHandle(mgr.one))
         assert signature(reduced) == "[N]0"
 
     @pytest.mark.parametrize("name,model", ALL_MODELS)
@@ -261,7 +259,7 @@ class TestReduce:
         rng = random.Random(20260809)
         for _ in range(300):
             raw = random_raw_edge(rng, manager, rng.randint(0, 5))
-            once = reduce(model, FuncHandle(raw, raw.arity))
+            once = reduce(model, FuncHandle(raw))
             twice = reduce(model, once)
             assert twice.edge is once.edge
 
@@ -272,8 +270,8 @@ class TestReduce:
         rng = random.Random(42)
         for _ in range(250):
             raw = random_raw_edge(rng, manager, rng.randint(0, 4))
-            table = to_truth_table(FuncHandle(raw, raw.arity))
-            reduced = reduce(model, FuncHandle(raw, raw.arity))
+            table = to_truth_table(FuncHandle(raw))
+            reduced = reduce(model, FuncHandle(raw))
             assert to_truth_table(reduced) == table
             assert reduced.edge is compile_table(model, table, manager).edge
 
@@ -338,6 +336,18 @@ class TestCompile:
 
     def test_certify_custom_model(self):
         certify_canonicity(parse_model("custom:u,x+neg"), max_arity=2)
+
+    def test_certify_rejects_two_masks_on_one_edge(self, monkeypatch):
+        compile_real = reduction.compile_table
+
+        def colliding(model, table, manager):
+            if table == TruthTable(1, 2):
+                table = TruthTable(1, 1)
+            return compile_real(model, table, manager)
+
+        monkeypatch.setattr(reduction, "compile_table", colliding)
+        with pytest.raises(ValueError, match="share one edge"):
+            certify_canonicity(NUCX, max_arity=1)
 
 
 def reduced_edges(model, manager, max_arity):
