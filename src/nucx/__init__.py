@@ -48,6 +48,7 @@ from .reduction import (
     push_neg,
     reduce,
     translate_letter,
+    valid_models,
 )
 
 __version__ = "0.1.0"

@@ -149,18 +149,28 @@ def build_expr(model: ModelSpec, ast, arity: int,
     """Evaluate an expression tree to a reduced graph.
 
     Nodes are tuples: ``("const", 0|1)``, ``("var", i)``, ``("not", e)``
-    and ``("and"|"or"|"xor", e1, e2)``.
+    and ``("and"|"or"|"xor", e1, e2)``.  The walk is post-order, left
+    operand first, on an explicit stack, so a deep tree (a long flat
+    chain parses left-deep) cannot hit the recursion limit.
     """
-    kind = ast[0]
-    if kind == "const":
-        return FuncHandle(constant(model, manager, ast[1], arity),
-                          model=model)
-    if kind == "var":
-        return projection(model, manager, ast[1], arity)
-    if kind == "not":
-        return negb(build_expr(model, ast[1], arity, manager))
-    if kind in ("and", "or", "xor"):
-        left = build_expr(model, ast[1], arity, manager)
-        right = build_expr(model, ast[2], arity, manager)
-        return apply(kind, left, right)
-    raise ValueError(f"unknown expression node {kind!r}")
+    values: list[FuncHandle] = []
+    stack = [(ast, False)]          # (node, operands already evaluated)
+    while stack:
+        node, ready = stack.pop()
+        kind = node[0]
+        if kind == "const":
+            values.append(FuncHandle(constant(model, manager, node[1], arity),
+                                     model=model))
+        elif kind == "var":
+            values.append(projection(model, manager, node[1], arity))
+        elif kind not in ("not", "and", "or", "xor"):
+            raise ValueError(f"unknown expression node {kind!r}")
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((operand, False) for operand in reversed(node[1:]))
+        elif kind == "not":
+            values.append(negb(values.pop()))
+        else:
+            right = values.pop()
+            values.append(apply(kind, values.pop(), right))
+    return values[0]

@@ -120,11 +120,15 @@ class Manager:
 
     :meth:`edge` and :meth:`diamond` are the only graph constructors.
     Each diamond and each link of a letter chain is stored once, so words
-    share their suffixes.  A manager is a single-owner mutable object:
+    share their suffixes.  The diamond table maps a ``(lo, hi)`` pair
+    straight to the bare edge of its node, so a diamond that exists
+    costs one lookup.  A manager is a single-owner mutable object:
     all access to it and to its graphs, reads included, must be
     serialized by the caller, since complementing an edge may intern a
     new one and every query fills memo tables.  Graphs from different
-    managers must never be mixed.
+    managers must never be mixed; both constructors raise
+    :class:`ManagerMismatchError` when asked to intern over a child or
+    node of another manager.
 
     ``memo_cap`` bounds each named memo table: a table exceeding the cap
     is flushed whole when an operation that uses it starts (results are
@@ -136,8 +140,9 @@ class Manager:
         self.term0 = Node(None, None, 0, 0)
         self.term1 = Node(None, None, 1, 0)
         self.memo_cap = memo_cap
-        # (lo edge, hi edge) -> diamond node; keys hash by identity
-        self._diamonds: dict[tuple[Edge, Edge], Node] = {}
+        # (lo edge, hi edge) -> bare edge to the diamond; keys hash by
+        # identity
+        self._diamonds: dict[tuple[Edge, Edge], Edge] = {}
         # (letter, child edge) or (None, node) -> edge
         self._edges: dict[tuple[Letter | None, Edge | Node], Edge] = {}
         self._caches: dict[str, dict] = {}
@@ -151,11 +156,18 @@ class Manager:
         key = (letter, target)
         found = self._edges.get(key)
         if found is None:
+            # a foreign child or node is never a key here, so checking on
+            # a miss catches every one
             if letter is None:
+                if target.lo is None:
+                    owned = target is self.term0 or target is self.term1
+                else:
+                    owned = target.lo.manager is self
+                if not owned:
+                    raise ManagerMismatchError(
+                        "node belongs to another manager")
                 found = Edge(None, None, target, target.arity, self)
             else:
-                # a foreign child is never a key here, so checking on a
-                # miss catches every one
                 if target.manager is not self:
                     raise ManagerMismatchError(
                         "child belongs to another manager")
@@ -167,17 +179,20 @@ class Manager:
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
         """The bare edge to the interned diamond with children
         ``lo``/``hi`` (no reduction)."""
-        if lo.manager is not self or hi.manager is not self:
-            raise ManagerMismatchError("children belong to another manager")
-        if lo.arity != hi.arity:
-            raise ArityError(
-                f"diamond children must agree on arity: "
-                f"{lo.arity} vs {hi.arity}")
         key = (lo, hi)
-        node = self._diamonds.get(key)
-        if node is None:
-            node = self._diamonds[key] = Node(lo, hi, None, lo.arity + 1)
-        return self.edge(None, node)
+        found = self._diamonds.get(key)
+        if found is None:
+            # every key passed these checks, so a hit needs neither
+            if lo.manager is not self or hi.manager is not self:
+                raise ManagerMismatchError(
+                    "children belong to another manager")
+            if lo.arity != hi.arity:
+                raise ArityError(
+                    f"diamond children must agree on arity: "
+                    f"{lo.arity} vs {hi.arity}")
+            found = self._diamonds[key] = self.edge(
+                None, Node(lo, hi, None, lo.arity + 1))
+        return found
 
     def cache(self, name: str) -> dict:
         """A named memo table, created on first use."""

@@ -28,6 +28,10 @@ class Letter:
         self.elementary = token != "N"
         self.conjugate: Letter | None = None
 
+    def __reduce__(self):
+        # unpickle to the singleton, so identity tests keep working
+        return from_token, (self.token,)
+
     def __repr__(self):
         return self.token
 

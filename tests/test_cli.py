@@ -267,6 +267,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: input nested too deeply\n"
 
+    @pytest.mark.parametrize("model", ["o-u", "o-nucx", "s"])
+    def test_flat_chain_deeper_than_recursion_limit(self, model):
+        expr = "^".join(f"x{i}" for i in range(1200))
+        code, out = invoke("compile", "--model", model, "--expr", expr,
+                           "--arity", "1200", "--stats")
+        assert code == 0
+        assert f"model={model}\narity=1200\n" in out
+
     def test_closed_stdout_exits_quietly(self):
         # 2**62 valuations: the reader closes the pipe long before the end
         env = dict(os.environ, PYTHONPATH=SRC)

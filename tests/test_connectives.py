@@ -21,6 +21,7 @@ from nucx.oracle import (
     classify_top,
     tt_apply,
 )
+from nucx.queries import count_sat
 from nucx.reduction import (
     NUCX,
     PRESETS,
@@ -317,6 +318,16 @@ class TestBuildExpr:
         for _ in range(20):
             valuation = [rng.getrandbits(1) for _ in range(1200)]
             assert eval_handle(h, valuation) == valuation[index]
+
+    def test_flat_chain_deeper_than_recursion_limit(self):
+        # parses left-deep, one level per operator
+        ast = parse_expr("^".join(f"x{i}" for i in range(1200)), 1200)
+        h = build_expr(PRESETS["o-u"], ast, 1200, Manager())
+        assert count_sat(h) == 2 ** 1199
+        rng = random.Random(1200)
+        for _ in range(20):
+            valuation = [rng.getrandbits(1) for _ in range(1200)]
+            assert eval_handle(h, valuation) == sum(valuation) & 1
 
     @pytest.mark.parametrize("name,model", ALL_MODELS)
     def test_matches_oracle_semantics(self, name, model):

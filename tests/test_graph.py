@@ -11,6 +11,7 @@ from nucx.connectives import projection
 from nucx.graph import (
     FuncHandle,
     Manager,
+    ManagerMismatchError,
     dot_export,
     eval_handle,
     recompute_arity,
@@ -62,6 +63,16 @@ class TestInterning:
             mgr.diamond(mgr.zero, other.zero)
         with pytest.raises(ValueError):
             mgr.edge(U, other.zero)
+
+    def test_no_bare_edge_to_a_foreign_node(self, mgr):
+        other = Manager()
+        with pytest.raises(ManagerMismatchError):
+            mgr.edge(None, other.diamond(other.zero, other.one).node)
+        with pytest.raises(ManagerMismatchError):
+            mgr.edge(None, other.term1)
+        assert mgr.edge(None, mgr.term1) is mgr.one
+        own = mgr.diamond(mgr.zero, mgr.one)
+        assert mgr.edge(None, own.node) is own
 
 
 class TestPrepend:

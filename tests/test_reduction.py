@@ -1,5 +1,10 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,9 +38,11 @@ from nucx.reduction import (
     push_neg,
     reduce,
     translate_letter,
+    valid_models,
 )
 
 ALL_MODELS = list(PRESETS.items())
+VALID_MODELS = valid_models()
 NEGATION_MODELS = [(n, m) for n, m in ALL_MODELS if m.negation]
 
 
@@ -104,6 +111,103 @@ class TestModelSpec:
     def test_parse_unknown(self):
         with pytest.raises(ValueError):
             parse_model("o-zdd")
+
+
+class TestModelInterning:
+    def test_custom_spelling_of_a_preset_is_the_preset(self):
+        assert parse_model("custom:u,c00,c01,c10,c11+neg") is PRESETS["o-nuc"]
+        assert ModelSpec(frozenset({U})) is PRESETS["o-u"]
+        assert ModelSpec([X, U, C00, C01, C10, C11], True) is NUCX
+
+    def test_equal_custom_models_are_identical(self):
+        first = parse_model("custom:x,c10")
+        assert parse_model("custom:C10,X") is first
+        assert ModelSpec(frozenset({X, C10}), negation=False) is first
+        assert parse_model(first.name) is first
+        assert first is not parse_model("custom:x,c10,c11+neg")
+
+    def test_equality_is_identity(self):
+        model = parse_model("custom:u,x")
+        assert model == parse_model("custom:x,u")
+        assert model != parse_model("custom:u,x+neg")
+        assert hash(model) == object.__hash__(model)
+
+    def test_shared_instance_is_never_rewritten(self):
+        # no generated __init__ runs over an interned instance
+        assert "__init__" not in vars(ModelSpec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NUCX.negation = False
+        assert NUCX.negation is True
+
+    def test_copies_are_the_instance(self):
+        for model in (NUCX, parse_model("custom:x,c00")):
+            assert copy.copy(model) is model
+            assert copy.deepcopy(model) is model
+            assert pickle.loads(pickle.dumps(model)) is model
+
+    def test_threads_get_one_instance(self):
+        key = (frozenset({X, C10}), False)
+        original = reduction._MODELS[key]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                del reduction._MODELS[key]
+                barrier = threading.Barrier(8, timeout=10)
+                made = []
+
+                def build():
+                    barrier.wait()
+                    made.append(ModelSpec(*key))
+
+                threads = [threading.Thread(target=build) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(made) == 8
+                assert all(model is made[0] for model in made)
+                assert reduction._MODELS[key] is made[0]
+        finally:
+            sys.setswitchinterval(interval)
+            reduction._MODELS[key] = original
+
+    @pytest.mark.parametrize("letters,negation", [
+        ({U, C10}, True), ({N}, False), ({U, N}, True), ({C00, X}, True)])
+    def test_bad_alphabets_still_raise(self, letters, negation):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ModelSpec(frozenset(letters), negation)
+
+
+class TestValidModels:
+    def test_the_whole_class(self):
+        assert len(VALID_MODELS) == 80
+        assert len(set(VALID_MODELS)) == 80
+        assert set(PRESETS.values()) <= set(VALID_MODELS)
+        assert sum(m.negation for m in VALID_MODELS) == 16
+        for model in VALID_MODELS:
+            assert not model.negation or is_stable(model)
+
+    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    def test_certify_canonicity(self, model):
+        certify_canonicity(model, 3)
+
+    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    def test_compared_constants_end_at_a_terminal(self, model):
+        # ``cons_diamond`` skips the canalizing checks for a child that
+        # ends at a diamond; that is sound because every constant a check
+        # compares against is a letter chain down to a terminal
+        compared = {letter.const for letter in (C11, C10, C00)
+                    if letter in model.letters}
+        if C01 in model.letters:
+            compared.add(0 if model.negation else 1)
+        manager = Manager()
+        for arity in range(41):
+            for value in compared:
+                edge = constant(model, manager, value, arity)
+                assert edge.node.lo is None, (value, arity)
 
 
 class TestLattice:
