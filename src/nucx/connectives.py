@@ -7,9 +7,16 @@ is a constant, or the operands are equal) are read off that table.
 Every other pair splits both operands on the leading variable and
 recombines the results through the normalized constructor, so results
 stay reduced.  The walk is ``reduction.descend``, which does not
-recurse; its memo is keyed on the operator and the edge identities,
-with the operands of commutative operators ordered, so repeated
-subproblems across calls are free.
+recurse; its memo is keyed on the table and two mark-free, id-ordered
+operands, so repeated subproblems across calls are free.
+
+A key is normalized as in complement-edge BDD packages: a leading
+complement mark on an operand is folded into the table instead of kept
+on the edge, the operand with the lower ``id`` comes first (the table
+is transposed to match), and in complement-bearing models a table with
+``op(0, 0) = 1`` is the complement of ``op ^ 15``.  So ``xor(~f, g)``,
+``and(~f, ~g)`` and ``or(g, f)`` reuse the entries of ``xor(f, g)`` and
+``or(f, g)``, and no split complements a cofactor to build a key.
 
 In complement-bearing models negation is a constant-time mark toggle;
 in mark-free models it is ``reduction.rebuild`` with parity 1.
@@ -20,6 +27,7 @@ from __future__ import annotations
 from functools import partial
 
 from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
+from .letters import N, X
 from .oracle import ArityError
 from .reduction import (
     ModelSpec,
@@ -61,58 +69,98 @@ def cofactor(v0: int, handle: FuncHandle) -> FuncHandle:
                       model=model)
 
 
-def _unary(model: ModelSpec, table: int, edge: Edge) -> Edge:
-    """The reduced graph of ``v -> bit v of table`` applied to ``edge``:
-    a constant, ``edge`` itself or its complement."""
-    if table == 0b10:
-        return edge
-    if table == 0b01:
-        if model.negation:
-            return push_neg(edge)
-        return rebuild(model, edge, 1)
-    return constant(model, edge.manager, table & 1, edge.arity)
-
-
 def negb(handle: FuncHandle) -> FuncHandle:
     """Complement; constant-time in complement-bearing models."""
     model = require_model(handle)
-    return FuncHandle(_unary(model, 0b01, handle.edge), model=model)
+    edge = handle.edge
+    edge = push_neg(edge) if model.negation else rebuild(model, edge, 1)
+    return FuncHandle(edge, model=model)
 
 
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
-    """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``."""
-    manager = x.manager
+    """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``.
 
-    def pair(x: Edge, y: Edge) -> tuple:
-        if (op >> 1 ^ op >> 2) & 1 == 0 and id(y) < id(x):   # commutative
+    ``andb_pairs`` counts the splits of a top-level ``and``, whatever
+    table the normalized keys below it carry."""
+    manager = x.manager
+    negation = model.negation
+    count = op == _AND
+    rows: dict[int, tuple[Edge, Edge]] = {}
+
+    def constants(arity: int) -> tuple[Edge, Edge]:
+        found = rows.get(arity)
+        if found is None:
+            found = rows[arity] = (constant(model, manager, 0, arity),
+                                   constant(model, manager, 1, arity))
+        return found
+
+    # Each constant is a letter chain at every arity >= 1 or at none (the
+    # constructor picks its letter from the model and the value alone),
+    # so when both are chains an operand ending at a diamond is no
+    # constant and needs no terminal test.
+    zero, one = constants(x.arity)
+    chains = zero.node.lo is None and one.node.lo is None
+
+    def pair(op: int, x: Edge, y: Edge) -> tuple:
+        if x.letter is N:
+            x = x.child
+            op = op >> 2 & 3 | (op & 3) << 2
+        if y.letter is N:
+            y = y.child
+            op = op >> 1 & 5 | op << 1 & 10
+        if id(y) < id(x):
             x, y = y, x
+            op = op & 9 | op >> 1 & 2 | op << 1 & 4
         return model, op, x, y
 
-    def split(key):
-        _, _, x, y = key
-        arity = x.arity
-        zero = constant(model, manager, 0, arity)
-        one = constant(model, manager, 1, arity)
-        a = 0 if x is zero else 1 if x is one else None
-        b = 0 if y is zero else 1 if y is one else None
-        # each terminal case does the same work for both operand orders
-        # of a commutative operator, so the counters do not depend on id
-        if a is not None and b is not None:
-            return one if op >> (2 * a + b) & 1 else zero
-        if a is not None:
-            return _unary(model, op >> 2 * a & 3, y)
-        if b is not None:
-            return _unary(model, (op >> b & 1) | (op >> 1 >> b & 2), x)
-        if x is y:
-            return _unary(model, (op & 1) | (op >> 2 & 2), x)
-        if op == _AND:
-            manager.bump("andb_pairs")
-        x0, x1 = cofactors(model, x)
-        y0, y1 = cofactors(model, y)
-        return pair(x0, y0), pair(x1, y1)
+    def unary(table: int, edge: Edge) -> Edge:
+        """``v -> bit v of table`` applied to ``edge``."""
+        if table == 0b10:
+            return edge
+        if table == 0b01:
+            return push_neg(edge) if negation else rebuild(model, edge, 1)
+        return constants(edge.arity)[table & 1]
 
-    return descend(manager.cache("apply"), pair(x, y), split,
-                   partial(cons_diamond, model))
+    def split(key):
+        _, op, x, y = key
+        # x is y is a leaf below; its key's table depends on the order the
+        # operands came in, so it must not be memoized through a flip
+        if op & 1 and negation and x is not y:
+            return None, (model, op ^ 15, x, y)
+        if not chains or x.node.lo is None or y.node.lo is None:
+            zero, one = constants(x.arity)
+            a = 0 if x is zero else 1 if x is one else None
+            b = 0 if y is zero else 1 if y is one else None
+            if a is not None:
+                if b is not None:
+                    return one if op >> 2 * a + b & 1 else zero
+                return unary(op >> 2 * a & 3, y)
+            if b is not None:
+                return unary(op >> b & 1 | op >> 1 >> b & 2, x)
+        if x is y:
+            return unary(op & 1 | op >> 2 & 2, x)
+        if count:
+            manager.bump("andb_pairs")
+        # the hi cofactor of X.c is ~c: fold the mark into the table
+        op1 = op
+        if x.letter is None:
+            x0, x1 = x.node.lo, x.node.hi
+        elif x.letter is X:
+            x0 = x1 = x.child
+            op1 = op1 >> 2 & 3 | (op1 & 3) << 2
+        else:
+            x0, x1 = cofactors(model, x)
+        if y.letter is None:
+            y0, y1 = y.node.lo, y.node.hi
+        elif y.letter is X:
+            y0 = y1 = y.child
+            op1 = op1 >> 1 & 5 | op1 << 1 & 10
+        else:
+            y0, y1 = cofactors(model, y)
+        return pair(op, x0, y0), pair(op1, x1, y1)
+
+    return descend(manager.cache("apply"), pair(op, x, y), split,
+                   partial(cons_diamond, model), lambda _, v: push_neg(v))
 
 
 def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:

@@ -176,7 +176,14 @@ def parse_model(name: str) -> ModelSpec:
 def valid_models() -> list[ModelSpec]:
     """Every model of the class: each subset of the elementary letters,
     without and with the complement mark where the subset is closed
-    under conjugation (80 models)."""
+    under conjugation (80 models).
+
+    Not all 80 reduce differently.  ``cons_diamond`` can only see that
+    its children are complements when one is the mark over the other,
+    and a mark-free model never builds a mark, so it never introduces
+    ``X``: each of the 32 mark-free models with ``X`` builds exactly the
+    graphs of its twin without ``X`` (``custom:u,x`` those of ``o-u``).
+    A count of distinct models must not count them twice."""
     models = []
     for bits in range(1 << len(ELEMENTARY)):
         letters = frozenset(letter for i, letter in enumerate(ELEMENTARY)
@@ -250,7 +257,10 @@ def cons_diamond(model: ModelSpec, e0: Edge, e1: Edge) -> Edge:
     letters = model.letters
     if U in letters and e1 is e0:
         return manager.edge(U, e0)
-    if X in letters and e1 is push_neg(e0):
+    # compared structurally: interning the complement of e0 would leave
+    # an unreachable edge behind
+    if X in letters and (e1.letter is N and e1.child is e0
+                         or e0.letter is N and e0.child is e1):
         return manager.edge(X, e0)
     # A child that ends at a diamond cannot be a constant that a check
     # below compares against, so its checks are skipped without building

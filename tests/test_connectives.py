@@ -4,7 +4,15 @@ import random
 import pytest
 
 from conftest import EXAMPLE1_EXPR, example1_table
-from nucx.connectives import andb, apply, build_expr, cofactor, negb, projection
+from nucx.connectives import (
+    _apply,
+    andb,
+    apply,
+    build_expr,
+    cofactor,
+    negb,
+    projection,
+)
 from nucx.graph import (
     Manager,
     eval_handle,
@@ -29,15 +37,49 @@ from nucx.reduction import (
     cons_diamond,
     constant,
     parse_model,
+    valid_models,
 )
 from nucx.cli import parse_expr
 
 ALL_MODELS = list(PRESETS.items())
 MARK_FREE_MODELS = [(n, m) for n, m in ALL_MODELS if not m.negation]
+VALID_MODELS = valid_models()
 
 
 def compile_bits(model, bits, manager):
     return compile_table(model, TruthTable.from_bits(bits), manager)
+
+
+def table_mask(op, ma, mb, ones):
+    """The mask of the 4-bit table ``op`` applied pointwise to ``ma``
+    and ``mb``."""
+    result = 0
+    for a in (0, 1):
+        for b in (0, 1):
+            if op >> (2 * a + b) & 1:
+                result |= (ma if a else ~ma) & (mb if b else ~mb) & ones
+    return result
+
+
+def check_every_table(model, arities, memo_cap=200_000):
+    """``_apply`` of each of the 16 tables on every pair of functions of
+    each arity returns the compiled edge of the expected function.
+
+    The memo cap bounds the apply memo of an arity-3 sweep (65,536
+    pairs per table); a flush only costs time."""
+    manager = Manager(memo_cap=memo_cap)
+    for arity in arities:
+        ones = (1 << (1 << arity)) - 1
+        edges = [compile_table(model, TruthTable(arity, mask), manager).edge
+                 for mask in range(ones + 1)]
+        for op in range(16):
+            for ma, x in enumerate(edges):
+                for mb, y in enumerate(edges):
+                    expected = edges[table_mask(op, ma, mb, ones)]
+                    if _apply(model, op, x, y) is not expected:
+                        raise AssertionError(
+                            f"{model.name}: table {op:#06b} on arity-"
+                            f"{arity} masks {ma:#x}, {mb:#x}")
 
 
 def s_size(handle):
@@ -251,6 +293,78 @@ class TestApply:
             andb(ha, hb)
             pairs = manager.counters.get("andb_pairs", 0)
             assert pairs <= max(s_size(ha), 1) * max(s_size(hb), 1)
+
+
+class TestApplyKeys:
+    """The apply memo is keyed on mark-free, id-ordered operands and a
+    4-bit table; these pin what that normalization must keep."""
+
+    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    def test_every_table_on_every_pair(self, model):
+        check_every_table(model, range(3))
+
+    @pytest.mark.parametrize("name", ["o-nu", "o-nucx"])
+    def test_complement_and_swap_share_entries(self, name):
+        model = PRESETS[name]
+        rng = random.Random(11)
+        for _ in range(20):
+            manager = Manager()
+            a, b = (compile_table(model, TruthTable(6, rng.getrandbits(64)),
+                                  manager) for _ in range(2))
+            apply("xor", a, b)
+            apply("or", a, b)
+            memo = manager.cache("apply")
+            entries = len(memo)
+            manager.reset_counters()
+            apply("xor", negb(a), b)
+            andb(negb(a), negb(b))
+            apply("xor", b, a)
+            # at most the two complemented tables, each a flip of a key
+            # already memoized; the conjunction splits nothing
+            assert len(memo) - entries <= 2
+            assert manager.counters.get("andb_pairs", 0) == 0
+
+    def test_counts_do_not_depend_on_ids(self):
+        model = NUCX
+        rng = random.Random(23)
+        tables = [TruthTable(5, rng.getrandbits(32)) for _ in range(12)]
+        steps = [(rng.randrange(16), rng.randrange(12), rng.randrange(12),
+                  rng.getrandbits(2)) for _ in range(60)]
+
+        def run(order):
+            manager = Manager()
+            handles = {}
+            for i in order:
+                handles[i] = compile_table(model, tables[i], manager)
+            manager.reset_counters()
+            for op, i, j, marks in steps:
+                x, y = handles[i], handles[j]
+                if marks & 1:
+                    x = negb(x)
+                if marks & 2:
+                    y = negb(y)
+                _apply(model, op, x.edge, y.edge)
+            return (dict(manager.counters), len(manager.cache("apply")),
+                    len(manager._edges), len(manager._diamonds))
+
+        forward = run(range(12))
+        assert forward == run(reversed(range(12)))
+        assert forward == run(rng.sample(range(12), 12))
+
+    @pytest.mark.parametrize(
+        "model", [m for m in VALID_MODELS if not m.negation], ids=repr)
+    def test_mark_free_models_intern_no_mark(self, model):
+        manager = Manager()
+        rng = random.Random(31)
+        for _ in range(20):
+            arity = rng.randint(0, 5)
+            fa = TruthTable(arity, rng.getrandbits(1 << arity))
+            fb = TruthTable(arity, rng.getrandbits(1 << arity))
+            ha = compile_table(model, fa, manager)
+            hb = compile_table(model, fb, manager)
+            for op in range(16):
+                _apply(model, op, ha.edge, hb.edge)
+        assert not any(e.letter is N for e in manager._edges.values())
 
 
 class TestBuildExpr:

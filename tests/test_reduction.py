@@ -209,6 +209,19 @@ class TestValidModels:
                 edge = constant(model, manager, value, arity)
                 assert edge.node.lo is None, (value, arity)
 
+    def test_constants_are_chains_at_every_arity_or_at_none(self):
+        # the apply core reads this once per call, at the root's arity,
+        # to skip the terminal test for operands ending at a diamond
+        manager = Manager()
+        chains = 0
+        for model in VALID_MODELS:
+            shapes = {tuple(constant(model, manager, value, arity).node.lo
+                            is None for value in (0, 1))
+                      for arity in range(1, 31)}
+            assert len(shapes) == 1, model
+            chains += shapes == {(True, True)}
+        assert chains == 64
+
 
 class TestLattice:
     def test_examples(self):
