@@ -120,15 +120,17 @@ class Manager:
 
     :meth:`edge` and :meth:`diamond` are the only graph constructors.
     Each diamond and each link of a letter chain is stored once, so words
-    share their suffixes.  The diamond table maps a ``(lo, hi)`` pair
-    straight to the bare edge of its node, so a diamond that exists
-    costs one lookup.  A manager is a single-owner mutable object:
-    all access to it and to its graphs, reads included, must be
+    share their suffixes.  A diamond is one entry of the diamond table,
+    which maps a ``(lo, hi)`` pair straight to the bare edge of its node,
+    so a diamond that exists costs one lookup; ``edge(None, node)`` of a
+    diamond reads that table, and the edge table holds only letter links
+    and the two terminal edges.  A manager is a single-owner mutable
+    object: all access to it and to its graphs, reads included, must be
     serialized by the caller, since complementing an edge may intern a
     new one and every query fills memo tables.  Graphs from different
     managers must never be mixed; both constructors raise
     :class:`ManagerMismatchError` when asked to intern over a child or
-    node of another manager.
+    node of another manager, or over a node not made by :meth:`diamond`.
 
     ``memo_cap`` bounds each named memo table: a table exceeding the cap
     is flushed whole when an operation that uses it starts (results are
@@ -143,37 +145,39 @@ class Manager:
         # (lo edge, hi edge) -> bare edge to the diamond; keys hash by
         # identity
         self._diamonds: dict[tuple[Edge, Edge], Edge] = {}
-        # (letter, child edge) or (None, node) -> edge
+        # (letter, child edge) or (None, terminal node) -> edge
         self._edges: dict[tuple[Letter | None, Edge | Node], Edge] = {}
         self._caches: dict[str, dict] = {}
         self.counters: dict[str, int] = {}
-        self.zero = self.edge(None, self.term0)
-        self.one = self.edge(None, self.term1)
+        self.zero = Edge(None, None, self.term0, 0, self)
+        self.one = Edge(None, None, self.term1, 0, self)
+        self._edges[None, self.term0] = self.zero
+        self._edges[None, self.term1] = self.one
 
     def edge(self, letter: Letter | None, target: Edge | Node) -> Edge:
         """Intern ``letter`` over the edge ``target``, or, with
-        ``letter`` ``None``, the bare edge to the node ``target``."""
+        ``letter`` ``None``, return the bare edge to the node ``target``:
+        a terminal or a diamond made by :meth:`diamond`."""
         key = (letter, target)
         found = self._edges.get(key)
         if found is None:
             # a foreign child or node is never a key here, so checking on
             # a miss catches every one
             if letter is None:
-                if target.lo is None:
-                    owned = target is self.term0 or target is self.term1
-                else:
-                    owned = target.lo.manager is self
-                if not owned:
-                    raise ManagerMismatchError(
-                        "node belongs to another manager")
-                found = Edge(None, None, target, target.arity, self)
-            else:
-                if target.manager is not self:
-                    raise ManagerMismatchError(
-                        "child belongs to another manager")
-                found = Edge(letter, target, target.node,
-                             target.arity + (letter is not N), self)
-            self._edges[key] = found
+                # the bare edge to a diamond is stored once, in the
+                # diamond table; any other node was not made here
+                if target.lo is not None:
+                    found = self._diamonds.get((target.lo, target.hi))
+                    if found is not None and found.node is target:
+                        return found
+                raise ManagerMismatchError(
+                    "node was not made by this manager")
+            if target.manager is not self:
+                raise ManagerMismatchError(
+                    "child belongs to another manager")
+            found = self._edges[key] = Edge(
+                letter, target, target.node, target.arity + (letter is not N),
+                self)
         return found
 
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
@@ -190,8 +194,9 @@ class Manager:
                 raise ArityError(
                     f"diamond children must agree on arity: "
                     f"{lo.arity} vs {hi.arity}")
-            found = self._diamonds[key] = self.edge(
-                None, Node(lo, hi, None, lo.arity + 1))
+            arity = lo.arity + 1
+            found = self._diamonds[key] = Edge(
+                None, None, Node(lo, hi, None, arity), arity, self)
         return found
 
     def cache(self, name: str) -> dict:

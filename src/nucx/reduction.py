@@ -8,8 +8,9 @@ are reduced by construction.  ``reduce`` re-normalizes arbitrary raw
 graphs (including graphs reduced under another model) by eliminating
 every letter back to its diamond pattern and rebuilding.
 Every memoized descent, here and in the connectives and queries, runs
-on ``descend``, a walk on an explicit stack, so none can hit the
-interpreter's recursion limit.
+on ``descend``, a walk on an explicit stack, and ``compile_table`` builds
+level by level in a loop, so none can hit the interpreter's recursion
+limit.
 
 Letter introduction priority is fixed globally:
 
@@ -395,8 +396,24 @@ def reduce(model: ModelSpec, handle: FuncHandle) -> FuncHandle:
 
 def compile_table(model: ModelSpec, table: TruthTable,
                   manager: Manager) -> FuncHandle:
-    """The model-canonical graph of a truth table (split on the leading
-    variable, memoized on subtable identity)."""
+    """The model-canonical graph of a truth table, built level by level.
+
+    The subtables of the last three variables are the bytes of the mask
+    (little-endian, so byte ``j`` is the subtable of prefix ``j``; a
+    table of arity 3 or less is one such chunk).  Each distinct chunk is
+    compiled by splitting on its leading variable, memoized on
+    ``(model, mask, arity)``.  Each level above pairs neighbouring edges
+    through ``cons_diamond``, once per distinct pair, up to the root.
+    The whole table is memoized as one root entry, so a repeated compile
+    costs one lookup and no memo key holds a mask wider than a byte
+    except a root's.
+    """
+    memo = manager.cache("compile")
+    arity = table.arity
+    root = (model, table.mask, arity)
+    edge = memo.get(root)
+    if edge is not None:
+        return FuncHandle(edge, model=model)
 
     def split(key):
         _, mask, arity = key
@@ -406,8 +423,20 @@ def compile_table(model: ModelSpec, table: TruthTable,
         return ((model, mask & ((1 << half) - 1), arity - 1),
                 (model, mask >> half, arity - 1))
 
-    edge = descend(manager.cache("compile"), (model, table.mask, table.arity),
-                   split, partial(cons_diamond, model))
+    join = partial(cons_diamond, model)
+    if arity <= 3:
+        return FuncHandle(descend(memo, root, split, join), model=model)
+    chunks = table.mask.to_bytes(1 << (arity - 3), "little")
+    # a hit skips the set-up of a walk; every small table pays for this
+    leaves = {chunk: memo.get((model, chunk, 3))
+              or descend(memo, (model, chunk, 3), split, join)
+              for chunk in dict.fromkeys(chunks)}
+    level = list(map(leaves.__getitem__, chunks))
+    while len(level) > 2:
+        pairs = list(zip(level[::2], level[1::2]))
+        made = {pair: join(*pair) for pair in dict.fromkeys(pairs)}
+        level = list(map(made.__getitem__, pairs))
+    edge = memo[root] = join(*level)
     return FuncHandle(edge, model=model)
 
 

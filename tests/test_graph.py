@@ -12,6 +12,7 @@ from nucx.graph import (
     FuncHandle,
     Manager,
     ManagerMismatchError,
+    Node,
     dot_export,
     eval_handle,
     recompute_arity,
@@ -73,6 +74,19 @@ class TestInterning:
         assert mgr.edge(None, mgr.term1) is mgr.one
         own = mgr.diamond(mgr.zero, mgr.one)
         assert mgr.edge(None, own.node) is own
+
+    def test_no_second_bare_edge_to_a_diamond(self, mgr):
+        own = mgr.diamond(mgr.zero, mgr.one)
+        edges = len(mgr._edges)
+        # a node made by hand over owned children, equal to a diamond
+        # that exists and to one that does not
+        for lo, hi in ((mgr.zero, mgr.one), (mgr.one, mgr.zero)):
+            with pytest.raises(ManagerMismatchError):
+                mgr.edge(None, Node(lo, hi, None, 1))
+        assert len(mgr._edges) == edges
+        assert mgr.edge(None, own.node) is own
+        assert mgr.diamond(mgr.zero, mgr.one) is own
+        assert len(mgr) == 1
 
 
 class TestPrepend:

@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -465,6 +466,86 @@ class TestCompile:
         monkeypatch.setattr(reduction, "compile_table", colliding)
         with pytest.raises(ValueError, match="share one edge"):
             certify_canonicity(NUCX, max_arity=1)
+
+
+def compile_top_down(model, table, manager):
+    """Reference compile: split on the leading variable down to the
+    constants, memoized on every subtable in a memo of its own."""
+
+    def split(key):
+        mask, arity = key
+        if arity == 0:
+            return constant(model, manager, mask, 0)
+        half = 1 << (arity - 1)
+        return (mask & ((1 << half) - 1), arity - 1), (mask >> half, arity - 1)
+
+    return descend({}, (table.mask, table.arity), split,
+                   partial(cons_diamond, model))
+
+
+def reference_tables():
+    """Random tables at arities 0-12, parity and one-hot at arity 16, a
+    mask whose bytes repeat apart, and both constants."""
+    rng = random.Random(9)
+    tables = [TruthTable(arity, rng.getrandbits(1 << arity))
+              for arity in range(13) for _ in range(2)]
+    wide = 16
+    tables.append(TruthTable(wide, sum(
+        1 << i for i in range(1 << wide) if bin(i).count("1") & 1)))
+    tables.append(TruthTable(wide, sum(1 << (1 << v) for v in range(wide))))
+    tables.append(TruthTable(6, int.from_bytes(
+        bytes([0x5A, 0x3C, 0x5A, 0x99, 0x3C, 0x5A, 0x00, 0x3C]), "little")))
+    for arity in (0, 3, 4, 9):
+        tables += [TruthTable(arity, 0),
+                   TruthTable(arity, (1 << (1 << arity)) - 1)]
+    return tables
+
+
+REFERENCE_TABLES = reference_tables()
+
+
+class TestLevelCompile:
+    @pytest.mark.parametrize("name,model", ALL_MODELS)
+    def test_agrees_with_top_down(self, name, model):
+        manager = Manager()
+        for table in REFERENCE_TABLES:
+            edge = compile_table(model, table, manager).edge
+            assert edge is compile_top_down(model, table, manager), table
+
+    @pytest.mark.parametrize("name,model", ALL_MODELS)
+    def test_agrees_with_top_down_without_memo(self, name, model):
+        manager = Manager(memo_cap=0)
+        for table in REFERENCE_TABLES[::3]:
+            edge = compile_table(model, table, manager).edge
+            assert edge is compile_top_down(model, table, manager), table
+
+    def test_repeated_compile_adds_no_entry(self):
+        manager = Manager()
+        memo = manager.cache("compile")
+        for table in REFERENCE_TABLES:
+            first = compile_table(NUCX, table, manager)
+            entries = len(memo)
+            assert compile_table(NUCX, table, manager).edge is first.edge
+            assert len(memo) == entries
+
+    def test_memo_holds_chunks_and_one_root_per_table(self):
+        manager = Manager()
+        rng = random.Random(4)
+        models = (NUCX, PRESETS["s"], PRESETS["o-u"])
+        roots = set()
+        for _ in range(60):
+            arity = rng.randint(0, 11)
+            table = TruthTable(arity, rng.getrandbits(1 << arity))
+            for model in models:
+                compile_table(model, table, manager)
+                roots.add((model, table.mask, arity))
+        memo = manager.cache("compile")
+        wide = {key for key in memo if key[2] > 3}
+        assert wide == {key for key in roots if key[2] > 3}
+        for model in models:
+            chunks = [key for key in memo if key[0] is model and key[2] <= 3]
+            assert len(chunks) <= 256 + 16 + 4 + 2
+            assert all(key[1] < 1 << (1 << key[2]) for key in chunks)
 
 
 def reduced_edges(model, manager, max_arity):
