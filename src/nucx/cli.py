@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Inputs are Boolean expressions (``--expr``, grammar below) or hex truth
-tables (``--tt``), always with an explicit ``--arity``.  Exit codes:
-0 success (also when the reader closes stdout early), 1 usage or parse
-error, 2 internal invariant violation.
+tables (``--tt``), always with an explicit ``--arity`` (at most 24 for
+``bench``, which draws random tables).  Exit codes: 0 success (also
+when the reader closes stdout early), 1 usage or parse error, 2
+internal invariant violation.
 
 Expression grammar (loosest to tightest): ``|``, ``^``, ``&``, unary
 ``~``; parentheses, constants ``0``/``1`` and variables ``x0, x1, ...``.
-Binary operators associate left.
+Binary operators associate left.  The parser is one loop over the
+tokens, so any nesting depth parses.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict
 
 from .connectives import apply as apply_op
 from .connectives import build_expr, negb
@@ -39,6 +42,11 @@ from .reduction import (
 #: Expression AST: ("const", v) | ("var", i) | ("not", e) | (op, e1, e2)
 ExprAst = tuple
 
+#: Operator token -> (binding strength, AST tag).  ``(`` binds nothing,
+#: so it stops every fold; ``~`` binds tightest.
+_OPERATORS = {"(": (0, "("), "|": (1, "or"), "^": (2, "xor"),
+              "&": (3, "and"), "~": (4, "not")}
+
 
 class ParseError(ValueError):
     """Expression syntax error, carrying the byte offset."""
@@ -53,89 +61,70 @@ def _tokenize(source: str):
     i = 0
     while i < len(source):
         ch = source[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "|^&~()":
-            tokens.append((ch, None, i))
-            i += 1
-        elif ch in "01":
-            tokens.append(("const", int(ch), i))
-            i += 1
-        elif ch == "x":
-            j = i + 1
+        j = i + 1
+        if ch == "x":
             while j < len(source) and source[j].isdigit():
                 j += 1
             if j == i + 1:
-                raise ParseError("expected digits after 'x'", i + 1)
+                raise ParseError("expected digits after 'x'", j)
             tokens.append(("var", int(source[i + 1:j]), i))
-            i = j
-        else:
+        elif ch in "01":
+            tokens.append(("const", int(ch), i))
+        elif ch in "|^&~()":
+            tokens.append((ch, None, i))
+        elif not ch.isspace():
             raise ParseError(f"unexpected character {ch!r}", i)
+        i = j
     return tokens
 
 
+def _fold(operands: list, pending: list, strength: int) -> None:
+    """Apply the pending operators that bind at least ``strength``."""
+    while pending and pending[-1][0] >= strength:
+        tag = pending.pop()[1]
+        if tag == "not":
+            operands[-1] = ("not", operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = (tag, operands[-1], right)
+
+
 def parse_expr(source: str, arity: int) -> ExprAst:
-    """Parse to an AST of nested tuples (see ``build_expr``)."""
-    tokens = _tokenize(source)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def binary(ops, below):
-        nonlocal pos
-        node = below()
-        while True:
-            token = peek()
-            if token is None or token[0] not in ops:
-                return node
-            pos += 1
-            node = (ops[token[0]], node, below())
-
-    def disjunction():
-        return binary({"|": "or"}, xors)
-
-    def xors():
-        return binary({"^": "xor"}, conjunction)
-
-    def conjunction():
-        return binary({"&": "and"}, unary)
-
-    def unary():
-        nonlocal pos
-        token = peek()
-        if token is None:
-            raise ParseError("unexpected end of input", len(source))
-        kind, value, offset = token
-        if kind == "~":
-            pos += 1
-            return ("not", unary())
-        if kind == "(":
-            pos += 1
-            node = disjunction()
-            closing = peek()
-            if closing is None or closing[0] != ")":
-                raise ParseError("expected ')'",
-                                 len(source) if closing is None
-                                 else closing[2])
-            pos += 1
-            return node
-        if kind == "const":
-            pos += 1
-            return ("const", value)
-        if kind == "var":
-            if value >= arity:
+    """Parse to an AST of nested tuples (see ``build_expr``) in one loop
+    over the tokens, with a stack of operands and a stack of pending
+    operators: ``~``, ``(`` and binary operators."""
+    operands: list = []
+    pending: list = []
+    want_operand = True
+    for kind, value, offset in _tokenize(source):
+        if want_operand and (kind == "~" or kind == "("):
+            pending.append(_OPERATORS[kind])
+        elif want_operand:
+            if kind == "var" and value >= arity:
                 raise ParseError(
                     f"variable x{value} out of range for arity {arity}",
                     offset)
-            pos += 1
-            return ("var", value)
-        raise ParseError(f"unexpected token {kind!r}", offset)
-
-    node = disjunction()
-    if pos != len(tokens):
-        raise ParseError("trailing input", tokens[pos][2])
-    return node
+            if kind != "const" and kind != "var":
+                raise ParseError(f"unexpected token {kind!r}", offset)
+            operands.append((kind, value))
+            want_operand = False
+        elif kind in ("|", "^", "&"):
+            _fold(operands, pending, _OPERATORS[kind][0])
+            pending.append(_OPERATORS[kind])
+            want_operand = True
+        else:
+            # only an open parenthesis can stop a fold of strength 1
+            _fold(operands, pending, 1)
+            if kind != ")" or not pending:
+                raise ParseError(
+                    "expected ')'" if pending else "trailing input", offset)
+            pending.pop()
+    if want_operand:
+        raise ParseError("unexpected end of input", len(source))
+    _fold(operands, pending, 1)
+    if pending:
+        raise ParseError("expected ')'", len(source))
+    return operands[0]
 
 
 class _UsageError(Exception):
@@ -158,19 +147,10 @@ def _arity(text: str) -> int:
     return arity
 
 
-def _add_input_arguments(parser, second=False):
-    parser.add_argument("--expr", help="Boolean expression over x0..")
-    parser.add_argument("--tt", help="hex truth table, MSB-first")
-    parser.add_argument("--arity", type=_arity, required=True)
-    if second:
-        parser.add_argument("--expr2", help="second expression")
-        parser.add_argument("--tt2", help="second hex truth table")
-
-
 def _load_handle(args, model: ModelSpec, manager: Manager,
                  suffix: str = "") -> FuncHandle:
-    expr = getattr(args, "expr" + suffix, None)
-    hexes = getattr(args, "tt" + suffix, None)
+    expr = getattr(args, "expr" + suffix)
+    hexes = getattr(args, "tt" + suffix)
     if (expr is None) == (hexes is None):
         raise _UsageError(
             f"exactly one of --expr{suffix}/--tt{suffix} is required")
@@ -181,99 +161,75 @@ def _load_handle(args, model: ModelSpec, manager: Manager,
                          manager)
 
 
-def _stats_pairs(handle: FuncHandle):
-    report = measure(handle)
-    return (
-        ("model", report.model),
-        ("arity", report.arity),
-        ("diamonds", report.diamonds),
-        ("letters", report.letters),
-        ("neg_letters", report.neg_letters),
-        ("s_size", report.s_size),
-    )
+def _with_input(handler):
+    """Call ``handler(args, handle, second, out)`` with the handle of
+    ``--expr``/``--tt`` under ``--model``; ``second()`` loads ``--expr2``/
+    ``--tt2`` into the same manager (``apply not`` never asks)."""
+    def run_with_input(args, out):
+        model = parse_model(args.model)
+        manager = Manager()
+        first = _load_handle(args, model, manager)
+        return handler(args, first,
+                       lambda: _load_handle(args, model, manager, "2"), out)
+    return run_with_input
 
 
 def _emit_stats(handle: FuncHandle, as_json: bool, out) -> None:
-    pairs = _stats_pairs(handle)
+    report = measure(handle)
+    stats = dict(asdict(report), s_size=report.s_size)
     if as_json:
-        print(json.dumps(dict(pairs)), file=out)
+        print(json.dumps(stats), file=out)
     else:
-        for key, value in pairs:
+        for key, value in stats.items():
             print(f"{key}={value}", file=out)
 
 
-def _cmd_compile(args, out):
-    manager = Manager()
-    model = parse_model(args.model)
-    handle = _load_handle(args, model, manager)
-    emitted = False
-    if args.sig:
+@_with_input
+def _cmd_compile(args, handle, second, out):
+    if args.sig or not (args.stats or args.json or args.dot):
         print(signature(handle), file=out)
-        emitted = True
     if args.stats or args.json:
         _emit_stats(handle, args.json, out)
-        emitted = True
-    if args.dot:
-        text = dot_export(handle)
-        if args.dot == "-":
-            out.write(text)
-        else:
-            with open(args.dot, "w") as stream:
-                stream.write(text)
-        emitted = True
-    if not emitted:
-        print(signature(handle), file=out)
-    return 0
+    if args.dot == "-":
+        out.write(dot_export(handle))
+    elif args.dot:
+        with open(args.dot, "w") as stream:
+            stream.write(dot_export(handle))
 
 
-def _cmd_query(args, out):
-    manager = Manager()
-    model = parse_model(args.model)
-    handle = _load_handle(args, model, manager)
-    if args.kind == "sat":
-        print("true" if is_sat(handle) else "false", file=out)
-    elif args.kind == "taut":
-        print("true" if is_taut(handle) else "false", file=out)
-    elif args.kind == "count":
+@_with_input
+def _cmd_query(args, handle, second, out):
+    if args.kind == "count":
         print(count_sat(handle), file=out)
-    else:
+    elif args.kind == "anysat":
         witness = any_sat(handle)
         print("none" if witness is None
               else "".join(map(str, witness)), file=out)
-    return 0
+    else:
+        holds = (is_sat if args.kind == "sat" else is_taut)(handle)
+        print("true" if holds else "false", file=out)
 
 
-def _cmd_allsat(args, out):
-    manager = Manager()
-    model = parse_model(args.model)
-    handle = _load_handle(args, model, manager)
+@_with_input
+def _cmd_allsat(args, handle, second, out):
     for valuation in all_sat(handle):
         print("".join(map(str, valuation)), file=out)
-    return 0
 
 
-def _cmd_equiv(args, out):
-    manager = Manager()
-    model = parse_model(args.model)
-    first = _load_handle(args, model, manager)
-    second = _load_handle(args, model, manager, suffix="2")
-    print("true" if equiv(first, second) else "false", file=out)
-    return 0
+@_with_input
+def _cmd_equiv(args, handle, second, out):
+    print("true" if equiv(handle, second()) else "false", file=out)
 
 
-def _cmd_apply(args, out):
-    manager = Manager()
-    model = parse_model(args.model)
-    first = _load_handle(args, model, manager)
+@_with_input
+def _cmd_apply(args, handle, second, out):
     if args.op == "not":
-        result = negb(first)
+        result = negb(handle)
     else:
-        second = _load_handle(args, model, manager, suffix="2")
-        result = apply_op(args.op, first, second)
+        result = apply_op(args.op, handle, second())
     print(signature(result), file=out)
     if args.stats:
         _emit_stats(result, False, out)
-    return 0
 
 
 def _parse_models(text: str) -> list[ModelSpec]:
@@ -290,10 +246,11 @@ def _cmd_compare(args, out):
     for model in models:
         handle = _load_handle(args, model, manager)
         print(measure(handle).csv_row(), file=out)
-    return 0
 
 
 def _cmd_bench(args, out):
+    # an empty table checks the arity before anything is printed or drawn
+    TruthTable(args.arity, 0)
     models = _parse_models(args.models)
     manager = Manager(memo_cap=args.memo_cap)
     violations = 0
@@ -302,9 +259,8 @@ def _cmd_bench(args, out):
         seed = args.seed + index
         table = TruthTable(args.arity,
                            random.Random(seed).getrandbits(1 << args.arity))
-        handles = {m: compile_table(m, table, manager) for m in models}
         for model in models:
-            report = measure(handles[model])
+            report = measure(compile_table(model, table, manager))
             print(report.csv_row(seed), file=out)
             if not report.labels_within_bound:
                 violations += 1
@@ -318,10 +274,8 @@ def _cmd_bench(args, out):
 
 
 def _cmd_translate(args, out):
-    letter = from_token(args.letter)
-    result = translate_letter(args.source, args.to, letter)
+    result = translate_letter(args.source, args.to, from_token(args.letter))
     print(result.token.lower(), file=out)
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -329,43 +283,47 @@ def _build_parser() -> _Parser:
                      description="canonical decision-diagram toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", default="o-nucx")
+    first = argparse.ArgumentParser(add_help=False)
+    first.add_argument("--expr", help="Boolean expression over x0..")
+    first.add_argument("--tt", help="hex truth table, MSB-first")
+    first.add_argument("--arity", type=_arity, required=True)
+    second = argparse.ArgumentParser(add_help=False)
+    second.add_argument("--expr2", help="second expression")
+    second.add_argument("--tt2", help="second hex truth table")
 
-    p = sub.add_parser("compile", help="build a reduced diagram")
-    p.add_argument("--model", default="o-nucx")
-    _add_input_arguments(p)
+    p = sub.add_parser("compile", help="build a reduced diagram",
+                       parents=[model, first])
     p.add_argument("--dot", help="write DOT to a path, or - for stdout")
     p.add_argument("--sig", action="store_true")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_compile)
 
-    p = sub.add_parser("query", help="decision and counting queries")
+    p = sub.add_parser("query", help="decision and counting queries",
+                       parents=[model, first])
     p.add_argument("kind", choices=["sat", "taut", "anysat", "count"])
-    p.add_argument("--model", default="o-nucx")
-    _add_input_arguments(p)
     p.set_defaults(handler=_cmd_query)
 
-    p = sub.add_parser("allsat", help="enumerate satisfying valuations")
-    p.add_argument("--model", default="o-nucx")
-    _add_input_arguments(p)
+    p = sub.add_parser("allsat", help="enumerate satisfying valuations",
+                       parents=[model, first])
     p.set_defaults(handler=_cmd_allsat)
 
-    p = sub.add_parser("equiv", help="compare two inputs for equivalence")
-    p.add_argument("--model", default="o-nucx")
-    _add_input_arguments(p, second=True)
+    p = sub.add_parser("equiv", help="compare two inputs for equivalence",
+                       parents=[model, first, second])
     p.set_defaults(handler=_cmd_equiv)
 
-    p = sub.add_parser("apply", help="combine inputs with a connective")
+    p = sub.add_parser("apply", help="combine inputs with a connective",
+                       parents=[model, first, second])
     p.add_argument("op", choices=["and", "or", "xor", "not"])
-    p.add_argument("--model", default="o-nucx")
-    _add_input_arguments(p, second=True)
     p.add_argument("--stats", action="store_true")
     p.set_defaults(handler=_cmd_apply)
 
-    p = sub.add_parser("compare", help="size report across models")
+    p = sub.add_parser("compare", help="size report across models",
+                       parents=[first])
     p.add_argument("--models", required=True,
                    help="comma-separated model names")
-    _add_input_arguments(p)
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("bench",
@@ -390,12 +348,12 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None, out=None) -> int:
-    """Entry point returning the exit code (stdout injectable for tests)."""
+    """Entry point returning the exit code (stdout injectable for tests).
+    A handler returns its exit code, or ``None`` for success."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args, out)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args, out) or 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -406,6 +364,7 @@ def run(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
+        # the tree ``signature`` of a deep diagram
         print("error: input nested too deeply", file=sys.stderr)
         return 1
     except AssertionError as exc:

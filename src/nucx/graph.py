@@ -5,9 +5,10 @@ interns structurally equal objects to a single identity.  After
 interning, equality of subgraphs *is* identity (``is``), which is what
 the reduction engine, the memo tables and the equivalence query rely on.
 The two term constructors are the manager's: ``Manager.edge(letter,
-target)`` puts a letter over an edge, and ``Manager.diamond(lo, hi)``
-returns the bare edge to a Shannon diamond.  Neither normalizes; the
-reduced constructor is ``reduction.cons_diamond``.
+child)`` puts a letter over an edge, and ``Manager.diamond(lo, hi)``
+returns the bare edge to a Shannon diamond; the bare edges to the
+terminals are ``Manager.zero`` and ``Manager.one``.  Neither constructor
+normalizes; the reduced constructor is ``reduction.cons_diamond``.
 
 Structure of a graph:
 
@@ -86,7 +87,10 @@ class Edge:
         return tuple(letters)
 
     def __repr__(self):
-        return f"<edge {signature_of_edge(self)}>"
+        # the word and the node it ends at, never the whole DAG
+        node = self.node
+        kind = "diamond" if node.lo is not None else f"terminal {node.value}"
+        return f"<edge [{_label(self) or 'e'}] {kind} arity={self.arity}>"
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ class FuncHandle:
     def __repr__(self):
         name = getattr(self.model, "name", None)
         tag = f", model={name}" if name else ""
-        return f"FuncHandle({signature_of_edge(self.edge)}, n={self.arity}{tag})"
+        return f"FuncHandle({self.edge!r}{tag})"
 
 
 class Manager:
@@ -122,15 +126,13 @@ class Manager:
     Each diamond and each link of a letter chain is stored once, so words
     share their suffixes.  A diamond is one entry of the diamond table,
     which maps a ``(lo, hi)`` pair straight to the bare edge of its node,
-    so a diamond that exists costs one lookup; ``edge(None, node)`` of a
-    diamond reads that table, and the edge table holds only letter links
-    and the two terminal edges.  A manager is a single-owner mutable
-    object: all access to it and to its graphs, reads included, must be
-    serialized by the caller, since complementing an edge may intern a
-    new one and every query fills memo tables.  Graphs from different
-    managers must never be mixed; both constructors raise
-    :class:`ManagerMismatchError` when asked to intern over a child or
-    node of another manager, or over a node not made by :meth:`diamond`.
+    so a diamond that exists costs one lookup; the edge table holds only
+    letter links.  A manager is a single-owner mutable object: all access
+    to it and to its graphs, reads included, must be serialized by the
+    caller, since complementing an edge may intern a new one and every
+    query fills memo tables.  Graphs from different managers must never
+    be mixed; both constructors raise :class:`ManagerMismatchError` when
+    asked to intern over a child of another manager.
 
     ``memo_cap`` bounds each named memo table: a table exceeding the cap
     is flushed whole when an operation that uses it starts (results are
@@ -139,44 +141,32 @@ class Manager:
     """
 
     def __init__(self, memo_cap: int | None = None):
-        self.term0 = Node(None, None, 0, 0)
-        self.term1 = Node(None, None, 1, 0)
         self.memo_cap = memo_cap
         # (lo edge, hi edge) -> bare edge to the diamond; keys hash by
         # identity
         self._diamonds: dict[tuple[Edge, Edge], Edge] = {}
-        # (letter, child edge) or (None, terminal node) -> edge
-        self._edges: dict[tuple[Letter | None, Edge | Node], Edge] = {}
+        # (letter, child edge) -> edge
+        self._edges: dict[tuple[Letter, Edge], Edge] = {}
         self._caches: dict[str, dict] = {}
         self.counters: dict[str, int] = {}
-        self.zero = Edge(None, None, self.term0, 0, self)
-        self.one = Edge(None, None, self.term1, 0, self)
-        self._edges[None, self.term0] = self.zero
-        self._edges[None, self.term1] = self.one
+        self.zero = Edge(None, None, Node(None, None, 0, 0), 0, self)
+        self.one = Edge(None, None, Node(None, None, 1, 0), 0, self)
 
-    def edge(self, letter: Letter | None, target: Edge | Node) -> Edge:
-        """Intern ``letter`` over the edge ``target``, or, with
-        ``letter`` ``None``, return the bare edge to the node ``target``:
-        a terminal or a diamond made by :meth:`diamond`."""
-        key = (letter, target)
+    def edge(self, letter: Letter, child: Edge) -> Edge:
+        """Intern ``letter`` over the edge ``child``."""
+        key = (letter, child)
         found = self._edges.get(key)
         if found is None:
-            # a foreign child or node is never a key here, so checking on
-            # a miss catches every one
+            # a foreign child is never a key here, so checking on a miss
+            # catches every one
             if letter is None:
-                # the bare edge to a diamond is stored once, in the
-                # diamond table; any other node was not made here
-                if target.lo is not None:
-                    found = self._diamonds.get((target.lo, target.hi))
-                    if found is not None and found.node is target:
-                        return found
-                raise ManagerMismatchError(
-                    "node was not made by this manager")
-            if target.manager is not self:
+                raise ValueError(
+                    "bare edges come only from diamond(), zero and one")
+            if child.manager is not self:
                 raise ManagerMismatchError(
                     "child belongs to another manager")
             found = self._edges[key] = Edge(
-                letter, target, target.node, target.arity + (letter is not N),
+                letter, child, child.node, child.arity + (letter is not N),
                 self)
         return found
 

@@ -1,5 +1,7 @@
+import collections
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,132 @@ def invoke(*argv):
     return code, out.getvalue()
 
 
+def reference_tokenize(source):
+    tokens = []
+    i = 0
+    while i < len(source):
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "|^&~()":
+            tokens.append((ch, None, i))
+            i += 1
+        elif ch in "01":
+            tokens.append(("const", int(ch), i))
+            i += 1
+        elif ch == "x":
+            j = i + 1
+            while j < len(source) and source[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError("expected digits after 'x'", i + 1)
+            tokens.append(("var", int(source[i + 1:j]), i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def reference_parse_expr(source, arity):
+    """The tokenizer and recursive-descent parser the loop parser
+    replaced, kept as the reference for the differential test."""
+    tokens = reference_tokenize(source)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def binary(ops, below):
+        nonlocal pos
+        node = below()
+        while True:
+            token = peek()
+            if token is None or token[0] not in ops:
+                return node
+            pos += 1
+            node = (ops[token[0]], node, below())
+
+    def disjunction():
+        return binary({"|": "or"}, xors)
+
+    def xors():
+        return binary({"^": "xor"}, conjunction)
+
+    def conjunction():
+        return binary({"&": "and"}, unary)
+
+    def unary():
+        nonlocal pos
+        token = peek()
+        if token is None:
+            raise ParseError("unexpected end of input", len(source))
+        kind, value, offset = token
+        if kind == "~":
+            pos += 1
+            return ("not", unary())
+        if kind == "(":
+            pos += 1
+            node = disjunction()
+            closing = peek()
+            if closing is None or closing[0] != ")":
+                raise ParseError("expected ')'",
+                                 len(source) if closing is None
+                                 else closing[2])
+            pos += 1
+            return node
+        if kind == "const":
+            pos += 1
+            return ("const", value)
+        if kind == "var":
+            if value >= arity:
+                raise ParseError(
+                    f"variable x{value} out of range for arity {arity}",
+                    offset)
+            pos += 1
+            return ("var", value)
+        raise ParseError(f"unexpected token {kind!r}", offset)
+
+    node = disjunction()
+    if pos != len(tokens):
+        raise ParseError("trailing input", tokens[pos][2])
+    return node
+
+
+def random_formula(rng, depth):
+    """A well-formed formula of at most ``depth`` nested connectives."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["x0", "x1", "x2", "0", "1"])
+    form = rng.choice(["~{}", "({})", "{} & {}", "{}|{}", "{} ^{}"])
+    return form.format(*(random_formula(rng, depth - 1)
+                         for _ in range(form.count("{}"))))
+
+
+def parse_outcome(parse, source):
+    try:
+        return "ast", parse(source, 3)
+    except ParseError as exc:
+        return "error", str(exc), exc.offset
+
+
 class TestParseExpr:
+    def test_same_as_recursive_descent(self):
+        rng = random.Random(10)
+        pool = "x0 x1 x2 0 1 ~ & | ^ ( ) x9 x ?".split() + [" "]
+        sources = ["".join(rng.choice(pool) for _ in range(rng.randint(0, 24)))
+                   for _ in range(20000)]
+        for _ in range(5000):
+            source = random_formula(rng, 6)
+            if rng.random() < 0.3:
+                k = rng.randrange(len(source))
+                source = source[:k] + rng.choice("()~&|^x0 ") + source[k + 1:]
+            sources.append(source)
+        outcomes = collections.Counter()
+        for source in sources:
+            expected = parse_outcome(reference_parse_expr, source)
+            assert parse_outcome(parse_expr, source) == expected, source
+            outcomes[expected[0]] += 1
+        assert outcomes["ast"] > 3000 and outcomes["error"] > 3000
+
     def test_running_example(self):
         ast = parse_expr("x1 ^ x2 ^ (~x0 & x3)", 4)
         assert ast == ("xor", ("xor", ("var", 1), ("var", 2)),
@@ -259,13 +386,26 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert invoke("--help")[0] == 0
 
-    @pytest.mark.parametrize("expr", ["(" * 200 + "x0" + ")" * 200,
-                                      "~" * 2000 + "x0"],
-                             ids=["parentheses", "negations"])
-    def test_deep_nesting_is_an_error(self, expr, capsys):
-        assert invoke("compile", "--expr", expr, "--arity", "1")[0] == 1
+    @pytest.mark.parametrize("expr, same_as", [
+        ("(" * 200 + "x0" + ")" * 200, "x0"),
+        ("(" * 5000 + "x0" + ")" * 5000, "x0"),
+        ("~" * 2000 + "x0", "x0"),
+        ("~" * 10001 + "x0", "~x0"),
+    ], ids=["parentheses-200", "parentheses-5000", "negations-2000",
+            "negations-10001"])
+    def test_deep_nesting_parses(self, expr, same_as):
+        code, out = invoke("compile", "--expr", expr, "--arity", "1", "--sig")
+        assert (code, out) == invoke("compile", "--expr", same_as,
+                                     "--arity", "1", "--sig")
+        assert code == 0
+
+    @pytest.mark.parametrize("arity", ["25", "64"])
+    def test_bench_arity_above_the_table_limit(self, arity, capsys):
+        # rejected before the CSV header or any random bits
+        assert invoke("bench", "--arity", arity) == (1, "")
         err = capsys.readouterr().err
-        assert err == "error: input nested too deeply\n"
+        assert err == (f"error: arity {arity} exceeds the truth-table "
+                       f"limit of 24\n")
 
     @pytest.mark.parametrize("model", ["o-u", "o-nucx", "s"])
     def test_flat_chain_deeper_than_recursion_limit(self, model):

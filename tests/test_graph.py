@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import re
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import example1_table, random_raw_edge
-from nucx.connectives import projection
+from nucx.connectives import andb, apply, projection
 from nucx.graph import (
     FuncHandle,
     Manager,
@@ -65,34 +66,24 @@ class TestInterning:
         with pytest.raises(ValueError):
             mgr.edge(U, other.zero)
 
-    def test_no_bare_edge_to_a_foreign_node(self, mgr):
-        other = Manager()
-        with pytest.raises(ManagerMismatchError):
-            mgr.edge(None, other.diamond(other.zero, other.one).node)
-        with pytest.raises(ManagerMismatchError):
-            mgr.edge(None, other.term1)
-        assert mgr.edge(None, mgr.term1) is mgr.one
-        own = mgr.diamond(mgr.zero, mgr.one)
-        assert mgr.edge(None, own.node) is own
-
-    def test_no_second_bare_edge_to_a_diamond(self, mgr):
+    def test_no_bare_edge_from_edge(self, mgr):
+        # bare edges come only from diamond(), zero and one
         own = mgr.diamond(mgr.zero, mgr.one)
         edges = len(mgr._edges)
-        # a node made by hand over owned children, equal to a diamond
-        # that exists and to one that does not
-        for lo, hi in ((mgr.zero, mgr.one), (mgr.one, mgr.zero)):
-            with pytest.raises(ManagerMismatchError):
-                mgr.edge(None, Node(lo, hi, None, 1))
+        stray = Node(mgr.zero, mgr.one, None, 1)
+        other = Manager()
+        foreign = other.diamond(other.zero, other.one).node
+        for target in (own.node, mgr.one.node, own, stray, foreign):
+            with pytest.raises(ValueError):
+                mgr.edge(None, target)
         assert len(mgr._edges) == edges
-        assert mgr.edge(None, own.node) is own
         assert mgr.diamond(mgr.zero, mgr.one) is own
         assert len(mgr) == 1
 
 
 class TestPrepend:
     def test_empty_word_is_identity(self, mgr):
-        # the bare edge to a node is interned once, like every link
-        assert chain(mgr, []) is mgr.edge(None, mgr.term0) is mgr.zero
+        assert chain(mgr, []) is mgr.zero
         assert mgr.zero.word == ()
 
     def test_useless_chain(self, mgr):
@@ -189,6 +180,23 @@ class TestSignature:
     def test_diamond_form(self, mgr):
         assert signature(FuncHandle(example1_edge(mgr))) == \
             "[e]([X.X.X]0,[X.X.U]0)"
+
+    def test_repr_shows_word_node_kind_and_arity(self, mgr):
+        handle = FuncHandle(chain(mgr, [N, X]), model=PRESETS["o-nucx"])
+        assert repr(handle) == \
+            "FuncHandle(<edge [N.X] terminal 0 arity=1>, model=o-nucx)"
+        assert repr(example1_edge(mgr)) == "<edge [e] diamond arity=4>"
+
+    def test_repr_does_not_expand_the_dag(self, mgr):
+        # the tree signature of the pair chain grows exponentially, and
+        # that of a deep Shannon projection recurses once per level
+        model = PRESETS["o-u"]
+        xs = [projection(model, mgr, i, 28) for i in range(28)]
+        pairs = [apply("or", xs[2 * i], xs[2 * i + 1]) for i in range(14)]
+        deep = projection(PRESETS["s"], Manager(), 0, 1200)
+        for handle in (functools.reduce(andb, pairs), deep):
+            assert len(repr(handle)) < 80
+            assert repr(handle.edge) in repr(handle)
 
 
 # loose structural check: every line is a node, an edge, or a brace
