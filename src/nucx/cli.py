@@ -63,7 +63,8 @@ def _tokenize(source: str):
         ch = source[i]
         j = i + 1
         if ch == "x":
-            while j < len(source) and source[j].isdigit():
+            # ASCII only: str.isdigit also takes "²" and "٣"
+            while j < len(source) and "0" <= source[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise ParseError("expected digits after 'x'", j)
@@ -136,15 +137,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _arity(text: str) -> int:
+def _count(text: str) -> int:
+    """A non-negative integer option: an arity, a count or a cap."""
     try:
-        arity = int(text)
+        value = int(text)
     except ValueError:
-        arity = -1
-    if arity < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
-    return arity
+    return value
 
 
 def _load_handle(args, model: ModelSpec, manager: Manager,
@@ -288,7 +290,7 @@ def _build_parser() -> _Parser:
     first = argparse.ArgumentParser(add_help=False)
     first.add_argument("--expr", help="Boolean expression over x0..")
     first.add_argument("--tt", help="hex truth table, MSB-first")
-    first.add_argument("--arity", type=_arity, required=True)
+    first.add_argument("--arity", type=_count, required=True)
     second = argparse.ArgumentParser(add_help=False)
     second.add_argument("--expr2", help="second expression")
     second.add_argument("--tt2", help="second hex truth table")
@@ -328,11 +330,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench",
                        help="random functions, sizes and bound checks")
-    p.add_argument("--arity", type=_arity, required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--arity", type=_count, required=True)
+    p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=",".join(PRESETS))
-    p.add_argument("--memo-cap", type=int, default=None,
+    p.add_argument("--memo-cap", type=_count, default=None,
                    help="flush memo tables beyond this many entries")
     p.set_defaults(handler=_cmd_bench)
 

@@ -160,7 +160,8 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
         return pair(op, x0, y0), pair(op1, x1, y1)
 
     return descend(manager.cache("apply"), pair(op, x, y), split,
-                   partial(cons_diamond, model), lambda _, v: push_neg(v))
+                   partial(cons_diamond, model, manager),
+                   lambda _, v: push_neg(v))
 
 
 def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:
@@ -185,10 +186,10 @@ def projection(model: ModelSpec, manager: Manager, index: int,
         raise ValueError(f"variable index {index} out of range for "
                          f"arity {arity}")
     rest = arity - index - 1
-    edge = cons_diamond(model, constant(model, manager, 0, rest),
+    edge = cons_diamond(model, manager, constant(model, manager, 0, rest),
                         constant(model, manager, 1, rest))
     for _ in range(index):
-        edge = cons_diamond(model, edge, edge)
+        edge = cons_diamond(model, manager, edge, edge)
     return FuncHandle(edge, model=model)
 
 

@@ -22,10 +22,17 @@ Structure of a graph:
 
 Arity bookkeeping: each elementary letter and each diamond consumes one
 variable; the complement mark ``N`` consumes none.
+
+Ownership: a :class:`FuncHandle` or the :class:`Manager` itself keeps a
+graph alive; a bare :class:`Edge` does not.  Edges reach their manager
+only through a weak reference, so no reference cycle runs through the
+manager's tables, and reference counting frees a manager and its whole
+graph as soon as its last handle goes, without the cycle collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -63,18 +70,32 @@ class Edge:
     with ``letter`` ``None``, a bare pointer to a node.
 
     ``node`` is the node at the end of the chain; ``word`` reads the
-    letters from here down to it.
+    letters from here down to it.  ``owner`` is the weak reference to
+    the manager, one object shared by all of its edges: an edge does not
+    keep its manager alive, so a bare edge outlives its graph's manager
+    unless a :class:`FuncHandle` or the manager itself is kept.
     """
 
-    __slots__ = ("letter", "child", "node", "arity", "manager")
+    __slots__ = ("letter", "child", "node", "arity", "owner")
 
     def __init__(self, letter: Letter | None, child: Edge | None,
-                 node: Node, arity: int, manager: Manager):
+                 node: Node, arity: int, owner: weakref.ref):
         self.letter = letter
         self.child = child
         self.node = node
         self.arity = arity
-        self.manager = manager
+        self.owner = owner
+
+    @property
+    def manager(self) -> Manager:
+        """The owning manager; raises :class:`ManagerMismatchError` once
+        it has been freed."""
+        manager = self.owner()
+        if manager is None:
+            raise ManagerMismatchError(
+                "the edge's manager has been freed: keep a FuncHandle or "
+                "the Manager alive while its edges are in use")
+        return manager
 
     @property
     def word(self) -> Word:
@@ -100,18 +121,21 @@ class FuncHandle:
     ``model`` records the model the graph is reduced under (``None`` for
     raw, unreduced graphs); operations that require reduced inputs read
     it from here.  The arity is the edge's.
+
+    The handle holds the edge's manager strongly as ``manager`` (not a
+    field), so a graph lives as long as some handle to it does; the
+    edge's manager must still be alive when the handle is made.
     """
 
     edge: Edge
     model: object = field(default=None, kw_only=True)
 
+    def __post_init__(self):
+        object.__setattr__(self, "manager", self.edge.manager)
+
     @property
     def arity(self) -> int:
         return self.edge.arity
-
-    @property
-    def manager(self) -> Manager:
-        return self.edge.manager
 
     def __repr__(self):
         name = getattr(self.model, "name", None)
@@ -134,6 +158,10 @@ class Manager:
     be mixed; both constructors raise :class:`ManagerMismatchError` when
     asked to intern over a child of another manager.
 
+    The manager keeps its whole graph alive, and so does every
+    :class:`FuncHandle` to it; its edges refer back to it only weakly,
+    so it is freed by reference counting once the last of those goes.
+
     ``memo_cap`` bounds each named memo table: a table exceeding the cap
     is flushed whole when an operation that uses it starts (results are
     recomputed identically, so only speed is affected).  Unique tables
@@ -149,8 +177,10 @@ class Manager:
         self._edges: dict[tuple[Letter, Edge], Edge] = {}
         self._caches: dict[str, dict] = {}
         self.counters: dict[str, int] = {}
-        self.zero = Edge(None, None, Node(None, None, 0, 0), 0, self)
-        self.one = Edge(None, None, Node(None, None, 1, 0), 0, self)
+        # the one weak reference every edge of this manager stores
+        self._ref = weakref.ref(self)
+        self.zero = Edge(None, None, Node(None, None, 0, 0), 0, self._ref)
+        self.one = Edge(None, None, Node(None, None, 1, 0), 0, self._ref)
 
     def edge(self, letter: Letter, child: Edge) -> Edge:
         """Intern ``letter`` over the edge ``child``."""
@@ -162,12 +192,12 @@ class Manager:
             if letter is None:
                 raise ValueError(
                     "bare edges come only from diamond(), zero and one")
-            if child.manager is not self:
+            if child.owner is not self._ref:
                 raise ManagerMismatchError(
                     "child belongs to another manager")
             found = self._edges[key] = Edge(
                 letter, child, child.node, child.arity + (letter is not N),
-                self)
+                self._ref)
         return found
 
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
@@ -177,7 +207,7 @@ class Manager:
         found = self._diamonds.get(key)
         if found is None:
             # every key passed these checks, so a hit needs neither
-            if lo.manager is not self or hi.manager is not self:
+            if lo.owner is not self._ref or hi.owner is not self._ref:
                 raise ManagerMismatchError(
                     "children belong to another manager")
             if lo.arity != hi.arity:
@@ -186,7 +216,7 @@ class Manager:
                     f"{lo.arity} vs {hi.arity}")
             arity = lo.arity + 1
             found = self._diamonds[key] = Edge(
-                None, None, Node(lo, hi, None, arity), arity, self)
+                None, None, Node(lo, hi, None, arity), arity, self._ref)
         return found
 
     def cache(self, name: str) -> dict:
@@ -244,7 +274,10 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
 
 def edge_mask(edge: Edge) -> int:
     """Truth-table mask of an edge's function (memoized per manager)."""
-    cache = edge.manager.cache("tt_mask")
+    return _edge_mask(edge, edge.manager.cache("tt_mask"))
+
+
+def _edge_mask(edge: Edge, cache: dict) -> int:
     found = cache.get(edge)
     if found is not None:
         return found
@@ -253,7 +286,7 @@ def edge_mask(edge: Edge) -> int:
         mask = node.value
     else:
         size = 1 << node.lo.arity
-        mask = edge_mask(node.lo) | edge_mask(node.hi) << size
+        mask = _edge_mask(node.lo, cache) | _edge_mask(node.hi, cache) << size
     arity = node.arity
     for letter in reversed(edge.word):
         mask = letter_mask(letter, mask, arity)
@@ -283,7 +316,10 @@ def _label(edge: Edge) -> str:
 def signature_of_edge(edge: Edge) -> str:
     """Deterministic text form: ``[tokens]target`` with ``e`` for the
     empty word, ``0``/``1`` terminals, ``(lo,hi)`` diamonds."""
-    cache = edge.manager.cache("signature")
+    return _signature(edge, edge.manager.cache("signature"))
+
+
+def _signature(edge: Edge, cache: dict) -> str:
     found = cache.get(edge)
     if found is not None:
         return found
@@ -292,7 +328,7 @@ def signature_of_edge(edge: Edge) -> str:
     if node.lo is None:
         target = "01"[node.value]
     else:
-        target = f"({signature_of_edge(node.lo)},{signature_of_edge(node.hi)})"
+        target = f"({_signature(node.lo, cache)},{_signature(node.hi, cache)})"
     text = cache[edge] = f"[{word}]{target}"
     return text
 
@@ -353,12 +389,3 @@ def dot_export(handle: FuncHandle) -> str:
         lines.append(f"  {source} -> {target} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def recompute_arity(edge: Edge) -> int:
-    """Bottom-up arity recomputation (consistency checks in tests)."""
-    node = edge.node
-    base = 0 if node.lo is None else recompute_arity(node.lo) + 1
-    if node.lo is not None and recompute_arity(node.hi) + 1 != base:
-        raise ArityError("inconsistent child arities")
-    return base + sum(1 for l in edge.word if l is not N)

@@ -202,10 +202,13 @@ def lattice_leq(a: ModelSpec, b: ModelSpec) -> bool:
 
 def push_neg(edge: Edge) -> Edge:
     """Toggle a leading complement mark: strip it if present, else
-    prepend one.  Involutive on mark-normalized words."""
+    prepend one.  Involutive on mark-normalized words.  The edge's
+    manager must be alive."""
     if edge.letter is N:
         return edge.child
-    return edge.manager.edge(N, edge)
+    # the weak reference itself, not the checked ``Edge.manager``: this
+    # runs once per node of a rebuild
+    return edge.owner().edge(N, edge)
 
 
 def constant(model: ModelSpec, manager: Manager, value: int,
@@ -231,7 +234,7 @@ def constant(model: ModelSpec, manager: Manager, value: int,
     for level in range(level, arity + 1):
         manager.bump("const_steps")
         if level:
-            found = cons_diamond(model, found, found)
+            found = cons_diamond(model, manager, found, found)
         elif not value:
             found = manager.zero
         elif model.negation:
@@ -242,19 +245,23 @@ def constant(model: ModelSpec, manager: Manager, value: int,
     return found
 
 
-def cons_diamond(model: ModelSpec, e0: Edge, e1: Edge) -> Edge:
-    """Normalized node constructor over two reduced children.
+def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
+                 e1: Edge) -> Edge:
+    """Normalized node constructor over two reduced children of
+    ``manager``.
 
     ``e0`` is the ``x0 = 0`` branch.  Introduces the highest-priority
-    applicable letter of the model, or interns a plain diamond.
+    applicable letter of the model, or interns a plain diamond.  The
+    manager is passed rather than read from the children, so building a
+    graph reads no weak reference per node.
     """
     if e0.arity != e1.arity:
         raise ArityError(
             f"operands must agree on arity: {e0.arity} vs {e1.arity}")
-    manager = e0.manager
     if model.negation and e0.letter is N:
         # pull the mark above the node, toggling the other branch
-        return push_neg(cons_diamond(model, push_neg(e0), push_neg(e1)))
+        return push_neg(cons_diamond(model, manager, push_neg(e0),
+                                     push_neg(e1)))
     letters = model.letters
     if U in letters and e1 is e0:
         return manager.edge(U, e0)
@@ -301,7 +308,7 @@ def elim_letter(model: ModelSpec, letter: Letter,
         return edge, edge
     if letter is X:
         return edge, push_neg(edge)
-    const = constant(model, edge.manager, letter.const, edge.arity)
+    const = constant(model, edge.owner(), letter.const, edge.arity)
     if letter.branch == 0:
         return const, edge
     return edge, const
@@ -380,7 +387,8 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
         return (model, lo, parity), (model, hi, parity)
 
     return descend(manager.cache("reduce"), (model, edge, parity), split,
-                   partial(cons_diamond, model), lambda _, v: push_neg(v))
+                   partial(cons_diamond, model, manager),
+                   lambda _, v: push_neg(v))
 
 
 def reduce(model: ModelSpec, handle: FuncHandle) -> FuncHandle:
@@ -423,7 +431,7 @@ def compile_table(model: ModelSpec, table: TruthTable,
         return ((model, mask & ((1 << half) - 1), arity - 1),
                 (model, mask >> half, arity - 1))
 
-    join = partial(cons_diamond, model)
+    join = partial(cons_diamond, model, manager)
     if arity <= 3:
         return FuncHandle(descend(memo, root, split, join), model=model)
     chunks = table.mask.to_bytes(1 << (arity - 3), "little")

@@ -185,6 +185,18 @@ class TestParseExpr:
         with pytest.raises(ParseError):
             parse_expr("x0 x1", 2)
 
+    @pytest.mark.parametrize("source", ["x\u00b2", "x\u0663"],
+                             ids=["superscript-two", "arabic-indic-three"])
+    def test_variable_digits_are_ascii(self, source, capsys):
+        # str.isdigit accepts both; int() parses the second as 3
+        with pytest.raises(ParseError) as info:
+            parse_expr(source, 4)
+        assert str(info.value) == "expected digits after 'x' (at offset 1)"
+        assert info.value.offset == 1
+        assert invoke("compile", "--expr", source, "--arity", "4") == (1, "")
+        assert capsys.readouterr().err == (
+            "error: expected digits after 'x' (at offset 1)\n")
+
 
 class TestCompile:
     def test_stats_contains_diamond_count(self):
@@ -337,6 +349,13 @@ class TestBench:
         assert lines[0] == "model,arity,seed,diamonds,letters,s_size"
         assert lines[-1] == "violations=0"
         assert len(lines) == 2 + 4 * 6
+
+    @pytest.mark.parametrize("option", ["--samples", "--memo-cap"])
+    def test_negative_counts_are_usage_errors(self, option, capsys):
+        assert invoke("bench", "--arity", "3", option, "-4") == (1, "")
+        assert capsys.readouterr().err == (
+            f"usage error: argument {option}: expected a non-negative "
+            f"integer, got '-4'\n")
 
     def test_memo_cap_only_affects_speed(self):
         argv = ("bench", "--arity", "5", "--samples", "3", "--seed", "2",

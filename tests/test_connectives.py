@@ -133,7 +133,7 @@ class TestCofactor:
         manager = Manager()
         for mask in range(256):
             handle = compile_table(model, TruthTable(3, mask), manager)
-            rebuilt = cons_diamond(model, cofactor(0, handle).edge,
+            rebuilt = cons_diamond(model, manager, cofactor(0, handle).edge,
                                    cofactor(1, handle).edge)
             assert rebuilt is handle.edge
 

@@ -1,28 +1,38 @@
+import contextlib
 import dataclasses
 import functools
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import example1_table, random_raw_edge
-from nucx.connectives import andb, apply, projection
+from nucx.cli import parse_expr
+from nucx.connectives import (andb, apply, build_expr, cofactor, negb,
+                              projection)
 from nucx.graph import (
     FuncHandle,
     Manager,
     ManagerMismatchError,
     Node,
     dot_export,
+    edge_mask,
     eval_handle,
-    recompute_arity,
     signature,
+    signature_of_edge,
     to_truth_table,
 )
-from nucx.letters import N, U, X
+from nucx.letters import C10, N, U, X
+from nucx.metrics import check_bounds, measure, node_count
 from nucx.oracle import ArityError, OracleLimitError, TruthTable, tt_eval
-from nucx.reduction import PRESETS, compile_table
+from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
+from nucx.reduction import (PRESETS, certify_canonicity, compile_table,
+                            cons_diamond, constant, elim_letter,
+                            parse_model, push_neg, reduce)
 
 
 def chain(manager, letters, terminal=0):
@@ -30,6 +40,15 @@ def chain(manager, letters, terminal=0):
     for letter in reversed(letters):
         edge = manager.edge(letter, edge)
     return edge
+
+
+def recompute_arity(edge):
+    """Bottom-up arity recomputation, independent of the stored one."""
+    node = edge.node
+    base = 0 if node.lo is None else recompute_arity(node.lo) + 1
+    if node.lo is not None and recompute_arity(node.hi) + 1 != base:
+        raise ArityError("inconsistent child arities")
+    return base + sum(1 for l in edge.word if l is not N)
 
 
 def example1_edge(manager):
@@ -291,3 +310,119 @@ class TestArityBookkeeping:
         # cannot store n as the model
         with pytest.raises(TypeError):
             FuncHandle(mgr.zero, 3)
+
+
+@contextlib.contextmanager
+def no_cycle_collector():
+    """Run the body from a collected heap with the cycle collector off,
+    so only reference counting can free what the body drops."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def use_every_public_op(model) -> weakref.ref:
+    """Build graphs in a fresh manager and run every public operation on
+    them; only a weak reference to the manager outlives the call."""
+    manager = Manager()
+    arity = 6
+    table = TruthTable(arity, random.Random(6).getrandbits(1 << arity))
+    f = compile_table(model, table, manager)
+    g = build_expr(model, parse_expr("x0 & ~x3 | x1 ^ x5", arity), arity,
+                   manager)
+    x2 = projection(model, manager, 2, arity)
+    handles = [f, g, x2, andb(f, x2), negb(f), cofactor(0, f),
+               cofactor(1, g), reduce(PRESETS["o-nucx"], f)]
+    handles += [apply(op, f, g) for op in ("and", "or", "xor", "implies")]
+    rebuilt = cons_diamond(model, manager, cofactor(0, f).edge,
+                           cofactor(1, f).edge)
+    assert equiv(FuncHandle(rebuilt, model=model), f)
+    assert equiv(f, compile_table(model, table, manager))
+    push_neg(f.edge)
+    elim_letter(model, X, f.edge)
+    elim_letter(model, C10, f.edge)
+    constant(model, manager, 1, arity)
+    edge_mask(g.edge)
+    signature_of_edge(g.edge)
+    for h in handles:
+        count_sat(h)
+        any_sat(h)
+        list(all_sat(h))
+        is_sat(h)
+        is_taut(h)
+        eval_handle(h, (1, 0) * (h.arity // 2) + (1,) * (h.arity % 2))
+        to_truth_table(h)
+        signature(h)
+        dot_export(h)
+        measure(h)
+        node_count(h)
+    check_bounds(table, PRESETS["o-u"], PRESETS["o-nucx"], manager)
+    certify_canonicity(model, 2)
+    return weakref.ref(manager)
+
+
+class TestOwnership:
+    """A handle or the manager keeps a graph alive; a bare edge does
+    not.  Edges refer to their manager weakly, so reference counting
+    alone frees a dropped manager and its graph."""
+
+    def test_handle_keeps_its_manager_alive(self):
+        with no_cycle_collector():
+            manager = Manager()
+            handle = projection(PRESETS["o-nucx"], manager, 1, 3)
+            ref = weakref.ref(manager)
+            del manager
+            assert ref() is handle.manager is handle.edge.manager
+            assert to_truth_table(handle) == TruthTable.projection(3, 1)
+
+    def test_manager_freed_with_its_last_handle(self):
+        with no_cycle_collector():
+            manager = Manager()
+            a = projection(PRESETS["o-u"], manager, 0, 4)
+            b = negb(a)
+            ref = weakref.ref(manager)
+            del manager
+            del a
+            assert ref() is b.manager
+            del b
+            assert ref() is None
+
+    def test_edge_does_not_keep_its_manager_alive(self):
+        with no_cycle_collector():
+            edge = Manager().one
+            with pytest.raises(ManagerMismatchError,
+                               match="manager has been freed"):
+                FuncHandle(edge)
+            with pytest.raises(ManagerMismatchError):
+                Manager().edge(U, edge)
+
+    def test_pair_chain_needs_no_cycle_collection(self):
+        with no_cycle_collector():
+            arity = 128
+            text = " & ".join(f"(x{2 * i} | x{2 * i + 1})"
+                              for i in range(arity // 2))
+            handle = build_expr(PRESETS["o-nucx"], parse_expr(text, arity),
+                                arity, Manager())
+            ref = weakref.ref(handle.manager)
+            assert count_sat(handle) == 3 ** (arity // 2)
+            del handle
+            assert ref() is None
+            assert gc.collect() == 0
+
+    @pytest.mark.parametrize("name", ["s", "o-u", "o-nucx",
+                                      "custom:c01,c10"])
+    def test_every_public_op_needs_no_cycle_collection(self, name):
+        with no_cycle_collector():
+            ref = use_every_public_op(parse_model(name))
+            assert ref() is None
+            assert gc.collect() == 0
+
+    def test_cons_diamond_rejects_children_of_another_manager(self, mgr):
+        other = Manager()
+        with pytest.raises(ManagerMismatchError):
+            cons_diamond(PRESETS["o-nucx"], mgr, other.zero, other.one)

@@ -266,25 +266,25 @@ class TestPushNeg:
 
 class TestConsDiamond:
     def test_useless_first(self, mgr):
-        assert signature(FuncHandle(cons_diamond(NUCX, mgr.zero,
+        assert signature(FuncHandle(cons_diamond(NUCX, mgr, mgr.zero,
                                                  mgr.zero))) == "[U]0"
 
     def test_xor_beats_canalizing(self, mgr):
         one = push_neg(mgr.zero)
-        assert signature(FuncHandle(cons_diamond(NUCX, mgr.zero,
+        assert signature(FuncHandle(cons_diamond(NUCX, mgr, mgr.zero,
                                                  one))) == "[X]0"
 
     def test_chain_model_zero_suppression(self, mgr):
         model = PRESETS["o-uc10"]
         e = compile_table(model, TruthTable.from_bits([0, 1]), mgr).edge
         zero1 = constant(model, mgr, 0, 1)
-        result = cons_diamond(model, e, zero1)
+        result = cons_diamond(model, mgr, e, zero1)
         assert result.word == (C10,) + e.word
         assert result.node is e.node
 
     def test_arity_mismatch(self, mgr):
         with pytest.raises(ArityError):
-            cons_diamond(NUCX, mgr.zero, constant(NUCX, mgr, 0, 1))
+            cons_diamond(NUCX, mgr, mgr.zero, constant(NUCX, mgr, 0, 1))
 
 
 class TestConstant:
@@ -324,7 +324,7 @@ class TestElim:
             first = word[0]
             rest = handle.edge.child
             lo, hi = elim_letter(model, first, rest)
-            assert cons_diamond(model, lo, hi) is handle.edge
+            assert cons_diamond(model, mgr, lo, hi) is handle.edge
 
 
 class TestDescend:
@@ -480,7 +480,7 @@ def compile_top_down(model, table, manager):
         return (mask & ((1 << half) - 1), arity - 1), (mask >> half, arity - 1)
 
     return descend({}, (table.mask, table.arity), split,
-                   partial(cons_diamond, model))
+                   partial(cons_diamond, model, manager))
 
 
 def reference_tables():
