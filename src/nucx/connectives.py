@@ -80,26 +80,24 @@ def negb(handle: FuncHandle) -> FuncHandle:
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``.
 
-    ``andb_pairs`` counts the splits of a top-level ``and``, whatever
-    table the normalized keys below it carry."""
+    Memoized in the model's space on ``(id(x) << 64 | id(y)) << 4 |
+    op``.  ``andb_pairs`` counts the splits of a top-level ``and``,
+    whatever table the normalized keys below it carry."""
     manager = x.manager
+    space = manager.space(model)
     negation = model.negation
     count = op == _AND
-    rows: dict[int, tuple[Edge, Edge]] = {}
-
-    def constants(arity: int) -> tuple[Edge, Edge]:
-        found = rows.get(arity)
-        if found is None:
-            found = rows[arity] = (constant(model, manager, 0, arity),
-                                   constant(model, manager, 1, arity))
-        return found
-
-    # Each constant is a letter chain at every arity >= 1 or at none (the
-    # constructor picks its letter from the model and the value alone),
-    # so when both are chains an operand ending at a diamond is no
-    # constant and needs no terminal test.
-    zero, one = constants(x.arity)
-    chains = zero.node.lo is None and one.node.lo is None
+    pairs = 0
+    # fill both constant rows up to the operands' arity: every constant
+    # below is then one index into them
+    constant(model, manager, 0, x.arity)
+    constant(model, manager, 1, x.arity)
+    zeros, ones = space.zeros, space.ones
+    # Each constant is a letter chain at every arity >= 1 or at none, so
+    # when both are chains an operand ending at a diamond is no constant
+    # and needs no terminal test (at arity 0, ``chains`` may be unset and
+    # every operand is a terminal).
+    chains = space.chains
 
     def pair(op: int, x: Edge, y: Edge) -> tuple:
         if x.letter is N:
@@ -111,7 +109,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
         if id(y) < id(x):
             x, y = y, x
             op = op & 9 | op >> 1 & 2 | op << 1 & 4
-        return model, op, x, y
+        return (id(x) << 64 | id(y)) << 4 | op, op, x, y
 
     def unary(table: int, edge: Edge) -> Edge:
         """``v -> bit v of table`` applied to ``edge``."""
@@ -119,16 +117,18 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             return edge
         if table == 0b01:
             return push_neg(edge) if negation else rebuild(model, edge, 1)
-        return constants(edge.arity)[table & 1]
+        return (ones if table & 1 else zeros)[edge.arity]
 
-    def split(key):
-        _, op, x, y = key
+    def split(item):
+        nonlocal pairs
+        key, op, x, y = item
         # x is y is a leaf below; its key's table depends on the order the
         # operands came in, so it must not be memoized through a flip
         if op & 1 and negation and x is not y:
-            return None, (model, op ^ 15, x, y)
+            return None, (key ^ 15, op ^ 15, x, y)
         if not chains or x.node.lo is None or y.node.lo is None:
-            zero, one = constants(x.arity)
+            zero = zeros[x.arity]
+            one = ones[x.arity]
             a = 0 if x is zero else 1 if x is one else None
             b = 0 if y is zero else 1 if y is one else None
             if a is not None:
@@ -140,7 +140,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
         if x is y:
             return unary(op & 1 | op >> 2 & 2, x)
         if count:
-            manager.bump("andb_pairs")
+            pairs += 1
         # the hi cofactor of X.c is ~c: fold the mark into the table
         op1 = op
         if x.letter is None:
@@ -159,9 +159,12 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             y0, y1 = cofactors(model, y)
         return pair(op, x0, y0), pair(op1, x1, y1)
 
-    return descend(manager.cache("apply"), pair(op, x, y), split,
-                   partial(cons_diamond, model, manager),
-                   lambda _, v: push_neg(v))
+    result = descend(manager.memo(space.apply), pair(op, x, y), split,
+                     partial(cons_diamond, model, manager),
+                     lambda _, v: push_neg(v))
+    if pairs:
+        manager.bump("andb_pairs", pairs)
+    return result
 
 
 def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:

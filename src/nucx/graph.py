@@ -36,7 +36,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .letters import Letter, N, U, X
+from .letters import ALPHABET, Letter, N, U, X
 from .oracle import (ARITY_LIMIT, ArityError, OracleLimitError, TruthTable,
                      letter_mask)
 
@@ -143,38 +143,77 @@ class FuncHandle:
         return f"FuncHandle({self.edge!r}{tag})"
 
 
+class Space:
+    """The tables of one model in one manager, made by
+    :meth:`Manager.space` on first use.
+
+    ``zeros`` and ``ones`` are the model-canonical constants, indexed by
+    arity and always filled from arity 0 up (``reduction.constant``
+    extends them).  ``chains`` is ``None`` until both rows reach arity 1,
+    then whether both constants are letter chains there (and so at every
+    arity).  ``apply``, ``reduce`` and ``compile`` are the memos of the
+    apply core, ``reduction.rebuild`` and ``reduction.compile_table``;
+    their keys are ints or interned edges, never tuples, so an entry adds
+    no object for the cycle collector to walk.  A space holds no
+    reference to its manager.
+    """
+
+    __slots__ = ("zeros", "ones", "chains", "apply", "reduce", "compile")
+
+    def __init__(self):
+        self.zeros: list[Edge] = []
+        self.ones: list[Edge] = []
+        self.chains: bool | None = None
+        self.apply: dict[int, Edge] = {}
+        self.reduce: dict[int | Edge, Edge] = {}
+        self.compile: dict[int, Edge] = {}
+
+
 class Manager:
     """Interning and memoization authority for one diagram universe.
 
     :meth:`edge` and :meth:`diamond` are the only graph constructors.
     Each diamond and each link of a letter chain is stored once, so words
-    share their suffixes.  A diamond is one entry of the diamond table,
-    which maps a ``(lo, hi)`` pair straight to the bare edge of its node,
-    so a diamond that exists costs one lookup; the edge table holds only
-    letter links.  A manager is a single-owner mutable object: all access
-    to it and to its graphs, reads included, must be serialized by the
-    caller, since complementing an edge may intern a new one and every
-    query fills memo tables.  Graphs from different managers must never
-    be mixed; both constructors raise :class:`ManagerMismatchError` when
-    asked to intern over a child of another manager.
+    share their suffixes.  The links of each letter are one table keyed
+    on the child edge.  A diamond is one entry of the diamond table,
+    keyed on the ids of its two children and mapping straight to the
+    bare edge of its node, so a diamond that exists costs one lookup.  A
+    manager is a single-owner mutable object: all access to it and to
+    its graphs, reads included, must be serialized by the caller, since
+    complementing an edge may intern a new one and every query fills
+    memo tables.  Graphs from different managers must never be mixed;
+    both constructors raise :class:`ManagerMismatchError` when asked to
+    intern over a child of another manager.
 
     The manager keeps its whole graph alive, and so does every
     :class:`FuncHandle` to it; its edges refer back to it only weakly,
     so it is freed by reference counting once the last of those goes.
 
-    ``memo_cap`` bounds each named memo table: a table exceeding the cap
-    is flushed whole when an operation that uses it starts (results are
-    recomputed identically, so only speed is affected).  Unique tables
-    are never flushed.
+    Memos are per model: :meth:`space` holds a model's constant rows and
+    its ``apply``, ``reduce`` and ``compile`` memos, the first two keyed
+    on the ids of their operand edges (``reduce`` on the edge itself for
+    an uncomplemented result); :meth:`cache` holds the
+    model-free tables, keyed on edges.  An id key (the diamond table's
+    too) is sound only because no edge is ever dropped from the unique
+    tables while the manager lives, so no id is reused by another edge:
+    anything that reclaims edges must clear every space's memos in the
+    same step.
+
+    ``memo_cap`` bounds each memo: a memo exceeding the cap is flushed
+    whole when an operation that uses it starts (results are recomputed
+    identically, so only speed is affected).  Unique tables and constant
+    rows are never flushed.
     """
 
     def __init__(self, memo_cap: int | None = None):
         self.memo_cap = memo_cap
-        # (lo edge, hi edge) -> bare edge to the diamond; keys hash by
-        # identity
-        self._diamonds: dict[tuple[Edge, Edge], Edge] = {}
-        # (letter, child edge) -> edge
-        self._edges: dict[tuple[Letter, Edge], Edge] = {}
+        # id(lo) << 64 | id(hi) -> bare edge to the diamond; the node
+        # holds both children, so neither id is reused while it lives
+        self._diamonds: dict[int, Edge] = {}
+        # letter -> child edge -> the letter's link over it; a letter's
+        # table is made on its first link
+        self._links: dict[Letter, dict[Edge, Edge]] = {}
+        self._spaces: dict[object, Space] = {}
         self._caches: dict[str, dict] = {}
         self.counters: dict[str, int] = {}
         # the one weak reference every edge of this manager stores
@@ -184,18 +223,22 @@ class Manager:
 
     def edge(self, letter: Letter, child: Edge) -> Edge:
         """Intern ``letter`` over the edge ``child``."""
-        key = (letter, child)
-        found = self._edges.get(key)
-        if found is None:
-            # a foreign child is never a key here, so checking on a miss
-            # catches every one
+        links = self._links.get(letter)
+        if links is None:
             if letter is None:
                 raise ValueError(
                     "bare edges come only from diamond(), zero and one")
+            if letter not in ALPHABET:
+                raise ValueError(f"{letter!r} is not a letter")
+            links = self._links[letter] = {}
+        found = links.get(child)
+        if found is None:
+            # a foreign child is never a key here, so checking on a miss
+            # catches every one
             if child.owner is not self._ref:
                 raise ManagerMismatchError(
                     "child belongs to another manager")
-            found = self._edges[key] = Edge(
+            found = links[child] = Edge(
                 letter, child, child.node, child.arity + (letter is not N),
                 self._ref)
         return found
@@ -203,10 +246,11 @@ class Manager:
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
         """The bare edge to the interned diamond with children
         ``lo``/``hi`` (no reduction)."""
-        key = (lo, hi)
+        key = id(lo) << 64 | id(hi)
         found = self._diamonds.get(key)
         if found is None:
-            # every key passed these checks, so a hit needs neither
+            # every key passed these checks, so a hit needs neither: a
+            # foreign edge is alive, so its id is no key's
             if lo.owner is not self._ref or hi.owner is not self._ref:
                 raise ManagerMismatchError(
                     "children belong to another manager")
@@ -219,14 +263,27 @@ class Manager:
                 None, None, Node(lo, hi, None, arity), arity, self._ref)
         return found
 
+    def space(self, model) -> Space:
+        """The tables of ``model`` in this manager, made on first use."""
+        found = self._spaces.get(model)
+        if found is None:
+            found = self._spaces[model] = Space()
+        return found
+
+    def memo(self, table: dict) -> dict:
+        """``table``, flushed first if it has outgrown ``memo_cap``; an
+        operation calls this once, when it starts."""
+        if self.memo_cap is not None and len(table) > self.memo_cap:
+            table.clear()
+        return table
+
     def cache(self, name: str) -> dict:
-        """A named memo table, created on first use."""
+        """A named model-free memo table (``tt_mask``, ``signature``,
+        ``count``), created on first use."""
         table = self._caches.get(name)
         if table is None:
             table = self._caches[name] = {}
-        elif self.memo_cap is not None and len(table) > self.memo_cap:
-            table.clear()
-        return table
+        return self.memo(table)
 
     def bump(self, counter: str, amount: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + amount
@@ -238,8 +295,8 @@ class Manager:
         return len(self._diamonds)
 
     def __repr__(self):
-        return (f"<Manager diamonds={len(self._diamonds)} "
-                f"edges={len(self._edges)}>")
+        links = sum(map(len, self._links.values()))
+        return f"<Manager diamonds={len(self._diamonds)} edges={links}>"
 
 
 def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:

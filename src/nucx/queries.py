@@ -18,7 +18,7 @@ import itertools
 import operator
 from typing import Iterator, Optional
 
-from .graph import Edge, FuncHandle, ManagerMismatchError
+from .graph import FuncHandle, ManagerMismatchError
 from .letters import N
 from .reduction import cofactors, constant, descend, require_model
 
@@ -52,15 +52,17 @@ def count_sat(handle: FuncHandle) -> int:
     """Number of satisfying valuations (exact, arbitrary precision)."""
     model = require_model(handle)
 
-    def split(edge: Edge):
+    def split(item):
+        edge = item[0]
         if edge.letter is N:
-            return None, edge.child
+            return None, (edge.child,)
         if edge.letter is None and edge.node.lo is None:
             return edge.node.value
-        return cofactors(model, edge)
+        lo, hi = cofactors(model, edge)
+        return (lo,), (hi,)
 
-    return descend(handle.manager.cache("count"), handle.edge, split,
-                   operator.add, lambda edge, v: (1 << edge.arity) - v)
+    return descend(handle.manager.cache("count"), (handle.edge,), split,
+                   operator.add, lambda item, v: (1 << item[0].arity) - v)
 
 
 def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:

@@ -60,8 +60,8 @@ class ModelSpec:
     normal form would break; construction enforces this.
 
     Models are interned like edges: constructing an existing model
-    returns the existing instance, so ``==`` is ``is`` and every memo key
-    holding a model hashes by identity.
+    returns the existing instance, so ``==`` is ``is`` and a manager
+    finds a model's table space (``Manager.space``) by identity.
     """
 
     letters: frozenset[Letter]
@@ -218,31 +218,33 @@ def constant(model: ModelSpec, manager: Manager, value: int,
     Built bottom-up through :func:`cons_diamond`, so it is whatever
     chain (or diamond tree, for letterless models) the model reduces
     constants to; recognizing a constant is then an identity check
-    against this edge.
+    against this edge.  Each is kept in a row of the model's space,
+    indexed by arity, that ``memo_cap`` never flushes.
     """
-    cache = manager.cache("const")
-    found = cache.get((model, value, arity))
-    if found is not None:
-        return found
+    space = manager.space(model)
+    row = space.ones if value else space.zeros
+    if 0 <= arity < len(row):
+        return row[arity]
     if arity < 0:
         raise ArityError(f"negative arity {arity}")
-    # build upward from the highest arity already cached
-    level = arity
-    while level and (model, value, level - 1) not in cache:
-        level -= 1
-    found = cache.get((model, value, level - 1))
-    for level in range(level, arity + 1):
+    # the row holds every arity below its length: build upward from it
+    for level in range(len(row), arity + 1):
         manager.bump("const_steps")
         if level:
-            found = cons_diamond(model, manager, found, found)
+            found = cons_diamond(model, manager, row[-1], row[-1])
         elif not value:
             found = manager.zero
         elif model.negation:
             found = push_neg(manager.zero)
         else:
             found = manager.one
-        cache[model, value, level] = found
-    return found
+        row.append(found)
+    if space.chains is None and len(space.zeros) > 1 and len(space.ones) > 1:
+        # the constructor picks a constant's letter from the model and
+        # the value alone, so arity 1 decides every arity above it
+        space.chains = (space.zeros[1].node.lo is None
+                        and space.ones[1].node.lo is None)
+    return row[arity]
 
 
 def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
@@ -331,35 +333,49 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     return elim_letter(model, letter, edge.child)
 
 
-def descend(memo: dict, root, split, join, flip=None):
+#: Stack markers of ``descend``: the item below is ready to join or flip.
+_JOIN = object()
+_FLIP = object()
+
+
+def descend(memo: dict, root: tuple, split, join, flip=None):
     """Memoized post-order walk on an explicit stack.
 
-    ``split(key)`` returns the key's value (a leaf, not memoized), a pair
-    of keys ``(k0, k1)`` whose value is ``join(v0, v1)``, or ``(None,
-    k)`` whose value is ``flip(key, v)``.  Values still being computed
-    live on the stack, so a walk is only bounded by memory, and only
-    finished non-leaf values are written to ``memo``.
+    A work item is a tuple whose first element is its memo key.
+    ``split(item)`` returns the item's value (a leaf, not memoized), a
+    pair of items ``(i0, i1)`` whose value is ``join(v0, v1)``, or
+    ``(None, i)`` whose value is ``flip(item, v)``.  Values still being
+    computed live on the stack, so a walk is only bounded by memory;
+    only finished non-leaf values are written to ``memo``, under their
+    keys, and each item is dropped once its value is.
     """
     values = []
-    stack = [(root, None)]       # (key, parts); parts None: not split yet
+    stack = [root]
+    push = stack.append
     while stack:
-        key, parts = stack.pop()
-        if parts is None:
-            found = memo.get(key)
-            if found is None:
-                found = split(key)
-                if type(found) is tuple:
-                    k0, k1 = found
-                    stack.append((key, found))
-                    stack.append((k1, None))
-                    if k0 is not None:
-                        stack.append((k0, None))
-                    continue
-        elif parts[0] is None:
-            found = memo[key] = flip(key, values.pop())
-        else:
+        item = stack.pop()
+        if item is _JOIN:
+            item = stack.pop()
             hi = values.pop()
-            found = memo[key] = join(values.pop(), hi)
+            found = memo[item[0]] = join(values.pop(), hi)
+        elif item is _FLIP:
+            item = stack.pop()
+            found = memo[item[0]] = flip(item, values.pop())
+        else:
+            found = memo.get(item[0])
+            if found is None:
+                found = split(item)
+                if type(found) is tuple:
+                    i0, i1 = found
+                    push(item)
+                    if i0 is None:
+                        push(_FLIP)
+                        push(i1)
+                    else:
+                        push(_JOIN)
+                        push(i1)
+                        push(i0)
+                    continue
         values.append(found)
     return values[0]
 
@@ -368,25 +384,31 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     """The ``model``-canonical graph of ``edge``'s function, complemented
     when ``parity`` is 1, rebuilt through :func:`cons_diamond`.  A
     complement mark toggles the result's root mark in a complement-bearing
-    model and flips the parity in a mark-free one."""
+    model and flips the parity in a mark-free one.  Memoized in the
+    model's space on the edge itself, or on its ``id`` (an int, never
+    equal to an edge) for the complement."""
     manager = edge.manager
+    negation = model.negation
 
-    def split(key):
-        _, edge, parity = key
-        if not model.negation:
+    def split(item):
+        _, edge, parity = item
+        if not negation:
             while edge.letter is N:
                 edge = edge.child
                 parity ^= 1
         if parity:
             manager.bump("negb_recursions")
         if edge.letter is N:
-            return None, (model, edge.child, parity)
+            edge = edge.child
+            return None, (id(edge) if parity else edge, edge, parity)
         if edge.letter is None and edge.node.lo is None:
             return constant(model, manager, edge.node.value ^ parity, 0)
         lo, hi = cofactors(model, edge)
-        return (model, lo, parity), (model, hi, parity)
+        return ((id(lo) if parity else lo, lo, parity),
+                (id(hi) if parity else hi, hi, parity))
 
-    return descend(manager.cache("reduce"), (model, edge, parity), split,
+    return descend(manager.memo(manager.space(model).reduce),
+                   (id(edge) if parity else edge, edge, parity), split,
                    partial(cons_diamond, model, manager),
                    lambda _, v: push_neg(v))
 
@@ -409,35 +431,36 @@ def compile_table(model: ModelSpec, table: TruthTable,
     The subtables of the last three variables are the bytes of the mask
     (little-endian, so byte ``j`` is the subtable of prefix ``j``; a
     table of arity 3 or less is one such chunk).  Each distinct chunk is
-    compiled by splitting on its leading variable, memoized on
-    ``(model, mask, arity)``.  Each level above pairs neighbouring edges
-    through ``cons_diamond``, once per distinct pair, up to the root.
-    The whole table is memoized as one root entry, so a repeated compile
-    costs one lookup and no memo key holds a mask wider than a byte
-    except a root's.
+    compiled by splitting on its leading variable.  Each level above
+    pairs neighbouring edges through ``cons_diamond``, once per distinct
+    pair, up to the root.  The model's ``compile`` memo holds the chunks
+    and their subtables, plus one root entry per table, so a repeated
+    compile costs one lookup.  A table of arity ``n`` and mask ``m`` is
+    keyed on ``m | 1 << 2**n``: the leading bit gives the arity, and a
+    key's two halves below it are the keys of its cofactors.
     """
-    memo = manager.cache("compile")
+    memo = manager.memo(manager.space(model).compile)
     arity = table.arity
-    root = (model, table.mask, arity)
+    root = table.mask | 1 << (1 << arity)
     edge = memo.get(root)
     if edge is not None:
         return FuncHandle(edge, model=model)
 
-    def split(key):
-        _, mask, arity = key
-        if arity == 0:
-            return constant(model, manager, mask, 0)
-        half = 1 << (arity - 1)
-        return ((model, mask & ((1 << half) - 1), arity - 1),
-                (model, mask >> half, arity - 1))
+    def split(item):
+        key = item[0]
+        if key < 4:
+            return constant(model, manager, key & 1, 0)
+        half = key.bit_length() >> 1
+        top = 1 << half
+        return (key & top - 1 | top,), (key >> half,)
 
     join = partial(cons_diamond, model, manager)
     if arity <= 3:
-        return FuncHandle(descend(memo, root, split, join), model=model)
+        return FuncHandle(descend(memo, (root,), split, join), model=model)
     chunks = table.mask.to_bytes(1 << (arity - 3), "little")
     # a hit skips the set-up of a walk; every small table pays for this
-    leaves = {chunk: memo.get((model, chunk, 3))
-              or descend(memo, (model, chunk, 3), split, join)
+    leaves = {chunk: memo.get(chunk | 256)
+              or descend(memo, (chunk | 256,), split, join)
               for chunk in dict.fromkeys(chunks)}
     level = list(map(leaves.__getitem__, chunks))
     while len(level) > 2:

@@ -14,6 +14,28 @@ def mgr():
     return Manager()
 
 
+def interned_links(manager: Manager) -> list:
+    """Every letter link a manager has interned, all letters together."""
+    return [edge for links in manager._links.values()
+            for edge in links.values()]
+
+
+def chain_texts(arity: int) -> dict[str, str]:
+    """The pair chain, parity and a sparse 3-CNF of ``arity`` variables."""
+    rng = random.Random(arity)
+    clauses = []
+    for _ in range(arity // 2):
+        start = rng.randrange(arity - 7)
+        a, b, c = rng.sample(range(start, start + 8), 3)
+        clauses.append(f"(~x{a} | x{b} | x{c})")
+    return {
+        "pair": " & ".join(f"(x{2 * i} | x{2 * i + 1})"
+                           for i in range(arity // 2)),
+        "parity": " ^ ".join(f"x{i}" for i in range(arity)),
+        "cnf": " & ".join(clauses),
+    }
+
+
 def example1_table():
     """x1 xor x2 xor (not-x0 and x3), the running 4-variable example."""
     bits = []

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import EXAMPLE1_EXPR, example1_table
+from conftest import (EXAMPLE1_EXPR, chain_texts, example1_table,
+                      interned_links)
 from nucx.connectives import (
     _apply,
     andb,
@@ -15,6 +16,7 @@ from nucx.connectives import (
 )
 from nucx.graph import (
     Manager,
+    dot_export,
     eval_handle,
     iter_edges,
     signature,
@@ -29,7 +31,7 @@ from nucx.oracle import (
     classify_top,
     tt_apply,
 )
-from nucx.queries import count_sat
+from nucx.queries import count_sat, is_sat, is_taut
 from nucx.reduction import (
     NUCX,
     PRESETS,
@@ -277,8 +279,7 @@ class TestApply:
                 manager.reset_counters()
                 apply(op, ha, hb)
                 assert manager.counters.get("negb_recursions", 0) <= bound
-                assert not any(N in e.word
-                               for e in manager._edges.values())
+                assert not any(N in e.word for e in interned_links(manager))
 
     def test_memoized_pair_count_within_size_product(self):
         rng = random.Random(5)
@@ -313,8 +314,9 @@ class TestApplyKeys:
                                   manager) for _ in range(2))
             apply("xor", a, b)
             apply("or", a, b)
-            memo = manager.cache("apply")
+            memo = manager.space(model).apply
             entries = len(memo)
+            assert entries
             manager.reset_counters()
             apply("xor", negb(a), b)
             andb(negb(a), negb(b))
@@ -344,10 +346,11 @@ class TestApplyKeys:
                 if marks & 2:
                     y = negb(y)
                 _apply(model, op, x.edge, y.edge)
-            return (dict(manager.counters), len(manager.cache("apply")),
-                    len(manager._edges), len(manager._diamonds))
+            return (dict(manager.counters), len(manager.space(model).apply),
+                    len(interned_links(manager)), len(manager))
 
         forward = run(range(12))
+        assert all(forward[1:])
         assert forward == run(reversed(range(12)))
         assert forward == run(rng.sample(range(12), 12))
 
@@ -364,7 +367,39 @@ class TestApplyKeys:
             hb = compile_table(model, fb, manager)
             for op in range(16):
                 _apply(model, op, ha.edge, hb.edge)
-        assert not any(e.letter is N for e in manager._edges.values())
+        assert not any(e.letter is N for e in interned_links(manager))
+
+
+class TestMemoCap:
+    """A memo past ``memo_cap`` is flushed when an operation starts; the
+    constant rows are no memo and are never flushed."""
+
+    @pytest.mark.parametrize("name", ["o-u", "o-nu", "o-nucx", "s"])
+    def test_flush_keeps_constant_rows_and_results(self, name):
+        model = PRESETS[name]
+        arity = 64
+        capped, free = Manager(memo_cap=0), Manager()
+        zero = constant(model, capped, 0, arity)
+        one = constant(model, capped, 1, arity)
+        space = capped.space(model)
+        for text in chain_texts(arity).values():
+            ast = parse_expr(text, arity)
+            a = build_expr(model, ast, arity, capped)
+            b = build_expr(model, ast, arity, free)
+            assert space.apply
+            assert dot_export(a) == dot_export(b)
+            assert count_sat(a) == count_sat(b)
+            never = apply("and", a, negb(a))
+            always = apply("or", negb(a), a)
+            assert never.edge is zero and not is_sat(never)
+            assert always.edge is one and is_taut(always)
+        # a rebuilt row would count its steps again
+        steps = capped.counters["const_steps"]
+        assert constant(model, capped, 0, arity) is zero
+        assert constant(model, capped, 1, arity) is one
+        assert capped.counters["const_steps"] == steps
+        assert space.zeros[arity] is zero and space.ones[arity] is one
+        assert len(space.apply) < len(free.space(model).apply)
 
 
 class TestBuildExpr:

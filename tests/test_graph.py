@@ -10,11 +10,13 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import example1_table, random_raw_edge
+from conftest import (chain_texts, example1_table, interned_links,
+                      random_raw_edge)
 from nucx.cli import parse_expr
 from nucx.connectives import (andb, apply, build_expr, cofactor, negb,
                               projection)
 from nucx.graph import (
+    Edge,
     FuncHandle,
     Manager,
     ManagerMismatchError,
@@ -88,16 +90,22 @@ class TestInterning:
     def test_no_bare_edge_from_edge(self, mgr):
         # bare edges come only from diamond(), zero and one
         own = mgr.diamond(mgr.zero, mgr.one)
-        edges = len(mgr._edges)
+        edges = len(interned_links(mgr))
         stray = Node(mgr.zero, mgr.one, None, 1)
         other = Manager()
         foreign = other.diamond(other.zero, other.one).node
         for target in (own.node, mgr.one.node, own, stray, foreign):
             with pytest.raises(ValueError):
                 mgr.edge(None, target)
-        assert len(mgr._edges) == edges
+        assert len(interned_links(mgr)) == edges
         assert mgr.diamond(mgr.zero, mgr.one) is own
         assert len(mgr) == 1
+
+    def test_only_letters_link(self, mgr):
+        for junk in ("U", 0, Node):
+            with pytest.raises(ValueError, match="is not a letter"):
+                mgr.edge(junk, mgr.zero)
+        assert interned_links(mgr) == []
 
 
 class TestPrepend:
@@ -426,3 +434,66 @@ class TestOwnership:
         other = Manager()
         with pytest.raises(ManagerMismatchError):
             cons_diamond(PRESETS["o-nucx"], mgr, other.zero, other.one)
+
+
+CHAIN_MODELS = ("o-u", "o-nu", "o-nucx", "s")
+
+
+def tracked_tuples() -> int:
+    return sum(type(obj) is tuple for obj in gc.get_objects())
+
+
+def check_tables_track_nothing_per_entry(arity: int) -> int:
+    """Build the chain families under ``CHAIN_MODELS`` at ``arity``,
+    count them and reduce them into ``o-nucx``; check that no entry of a unique table or memo allocated
+    an object for the cycle collector.  Returns the number of entries.
+
+    The ``apply``, ``compile`` and diamond keys are ints; a letter link
+    is keyed on its child, an edge the unique tables already hold, and
+    the ``reduce`` memo and the model-free caches on such edges or on
+    ints.  Tracked tuples may only grow by a constant."""
+    # warm up whatever the library makes once per process
+    build_expr(PRESETS["o-u"], parse_expr("x0 & ~x1 ^ x2", 3), 3, Manager())
+    gc.collect()
+    before = tracked_tuples()
+    handles = []
+    for text in chain_texts(arity).values():
+        for name in CHAIN_MODELS:
+            handle = build_expr(PRESETS[name], parse_expr(text, arity),
+                                arity, Manager())
+            count_sat(handle)
+            reduce(PRESETS["o-nucx"], handle)
+            handles.append(handle)
+    gc.collect()
+    grown = tracked_tuples() - before
+    assert grown < 64, f"{grown} more tracked tuples"
+    entries = 0
+    for handle in handles:
+        manager = handle.manager
+        unique = [manager._diamonds, *manager._links.values()]
+        interned = {id(manager.zero), id(manager.one)}
+        interned.update(id(edge) for table in unique
+                        for edge in table.values())
+        spaces = manager._spaces.values()
+        keyed_on_ints = [manager._diamonds]
+        for space in spaces:
+            keyed_on_ints += [space.apply, space.compile]
+        for table in keyed_on_ints:
+            assert all(type(key) is int for key in table)
+        reduce_memos = [space.reduce for space in spaces]
+        assert any(reduce_memos)
+        for table in (*manager._links.values(), *keyed_on_ints,
+                      *reduce_memos, *manager._caches.values()):
+            entries += len(table)
+            for key in table:
+                assert not gc.is_tracked(key) or (
+                    type(key) is Edge and id(key) in interned), key
+    return entries
+
+
+class TestTableKeys:
+    """Table entries hold no tuple key: the graphs of a long chain are
+    live data, and every tracked object is walked by each collection."""
+
+    def test_no_entry_allocates_a_tracked_object(self):
+        assert check_tables_track_nothing_per_entry(128) > 10_000

@@ -331,27 +331,31 @@ class TestDescend:
     def test_chain_deeper_than_recursion_limit(self):
         # the value of k is its bit length: one flip per halving
         memo = {}
-        split = lambda k: (None, k // 2) if k else 0
-        depth = descend(memo, 1 << 5000, split, None,
-                        lambda k, v: v + 1)
+        split = lambda item: (None, (item[0] // 2,)) if item[0] else 0
+        depth = descend(memo, (1 << 5000,), split, None,
+                        lambda item, v: v + 1)
         assert depth == 5001
         assert len(memo) == 5001
 
     def test_leaves_are_not_memoized(self):
         memo = {}
-        split = lambda k: (k - 1, k - 2) if k > 1 else k
-        assert descend(memo, 30, split, int.__add__) == 832040
+        def split(item):
+            k = item[0]
+            return ((k - 1,), (k - 2,)) if k > 1 else k
+
+        assert descend(memo, (30,), split, int.__add__) == 832040
         assert sorted(memo) == list(range(2, 31))
 
     def test_memo_hits_are_not_split(self):
         seen = []
 
-        def split(k):
+        def split(item):
+            k = item[0]
             seen.append(k)
-            return (k - 1, k - 1) if k else 1
+            return ((k - 1,), (k - 1,)) if k else 1
 
         memo = {3: 100}
-        assert descend(memo, 5, split, int.__add__) == 400
+        assert descend(memo, (5,), split, int.__add__) == 400
         assert seen == [5, 4]
 
 
@@ -472,14 +476,15 @@ def compile_top_down(model, table, manager):
     """Reference compile: split on the leading variable down to the
     constants, memoized on every subtable in a memo of its own."""
 
-    def split(key):
-        mask, arity = key
+    def split(item):
+        mask, arity = item[0]
         if arity == 0:
             return constant(model, manager, mask, 0)
         half = 1 << (arity - 1)
-        return (mask & ((1 << half) - 1), arity - 1), (mask >> half, arity - 1)
+        return ((mask & ((1 << half) - 1), arity - 1),), ((mask >> half,
+                                                           arity - 1),)
 
-    return descend({}, (table.mask, table.arity), split,
+    return descend({}, ((table.mask, table.arity),), split,
                    partial(cons_diamond, model, manager))
 
 
@@ -521,10 +526,11 @@ class TestLevelCompile:
 
     def test_repeated_compile_adds_no_entry(self):
         manager = Manager()
-        memo = manager.cache("compile")
+        memo = manager.space(NUCX).compile
         for table in REFERENCE_TABLES:
             first = compile_table(NUCX, table, manager)
             entries = len(memo)
+            assert entries or table.arity == 0
             assert compile_table(NUCX, table, manager).edge is first.edge
             assert len(memo) == entries
 
@@ -539,13 +545,21 @@ class TestLevelCompile:
             for model in models:
                 compile_table(model, table, manager)
                 roots.add((model, table.mask, arity))
-        memo = manager.cache("compile")
-        wide = {key for key in memo if key[2] > 3}
-        assert wide == {key for key in roots if key[2] > 3}
+
+        def table_of(key):
+            # a key is the mask under one leading bit at 2**arity
+            size = key.bit_length() - 1
+            arity = size.bit_length() - 1
+            assert size == 1 << arity
+            return key ^ 1 << size, arity
+
         for model in models:
-            chunks = [key for key in memo if key[0] is model and key[2] <= 3]
+            keys = [table_of(key) for key in manager.space(model).compile]
+            wide = {(model, mask, arity) for mask, arity in keys if arity > 3}
+            assert wide == {key for key in roots
+                            if key[0] is model and key[2] > 3}
+            chunks = [key for key in keys if key[1] <= 3]
             assert len(chunks) <= 256 + 16 + 4 + 2
-            assert all(key[1] < 1 << (1 << key[2]) for key in chunks)
 
 
 def reduced_edges(model, manager, max_arity):
