@@ -4,11 +4,17 @@ Every binary connective runs through one memoized apply core, after
 Brace, Rudell and Bryant (DAC 1990).  An operator is a 4-bit truth
 table whose bit ``2a+b`` is ``op(a, b)``; the terminal cases (an operand
 is a constant, or the operands are equal) are read off that table.
-Every other pair splits both operands on the leading variable and
-recombines the results through the normalized constructor, so results
-stay reduced.  The walk is ``reduction.descend``, which does not
-recurse; its memo is keyed on the table and two mark-free, id-ordered
-operands, so repeated subproblems across calls are free.
+Levels that both operands skip alike are one step, as in the classic
+BDD level skip: a common leading run of ``U`` under any table, and
+under xor also of mixed ``U``/``X`` levels (``X`` in the result) and,
+where the model has ``U``, of ``X``/``X`` levels (``U``).  The run is
+stripped in a pointer loop and interned over the result of the pair
+below it.  Every other pair splits both operands on the leading
+variable and recombines the results through the normalized
+constructor, so results stay reduced.  The walk is
+``reduction.descend``, which does not recurse; its memo is keyed on
+the table and two mark-free, id-ordered operands, so repeated
+subproblems across calls are free.
 
 A key is normalized as in complement-edge BDD packages: a leading
 complement mark on an operand is folded into the table instead of kept
@@ -27,7 +33,7 @@ from __future__ import annotations
 from functools import partial
 
 from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
-from .letters import N, X
+from .letters import N, U, X
 from .oracle import ArityError
 from .reduction import (
     ModelSpec,
@@ -43,6 +49,7 @@ from .reduction import (
 #: Operator truth tables: bit ``2a+b`` is ``op(a, b)``.
 _OPERATORS = {"and": 0b1000, "or": 0b1110, "xor": 0b0110, "implies": 0b1011}
 _AND = _OPERATORS["and"]
+_XOR = _OPERATORS["xor"]
 
 
 def _require_pair(a: FuncHandle, b: FuncHandle) -> ModelSpec:
@@ -77,12 +84,27 @@ def negb(handle: FuncHandle) -> FuncHandle:
     return FuncHandle(edge, model=model)
 
 
+def _intern_run(manager: Manager, letters: list, edge: Edge) -> Edge:
+    """``letters`` (outermost first) interned over ``edge``.  Each is
+    ``U`` or ``X``, which commute with the complement, so a leading mark
+    on ``edge`` goes above them all, where ``cons_diamond`` would pull
+    it one level at a time."""
+    mark = edge.letter is N
+    if mark:
+        edge = edge.child
+    for letter in reversed(letters):
+        edge = manager.edge(letter, edge)
+    return manager.edge(N, edge) if mark else edge
+
+
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``.
 
     Memoized in the model's space on ``(id(x) << 64 | id(y)) << 4 |
-    op``.  ``andb_pairs`` counts the splits of a top-level ``and``,
-    whatever table the normalized keys below it carry."""
+    op``; a run of skipped levels is one entry, and the levels inside
+    it get none.  ``andb_pairs`` counts the splits of a top-level
+    ``and``, whatever table the normalized keys below it carry; a run
+    step is no split."""
     manager = x.manager
     space = manager.space(model)
     negation = model.negation
@@ -98,6 +120,8 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # and needs no terminal test (at arity 0, ``chains`` may be unset and
     # every operand is a terminal).
     chains = space.chains
+    # a model without U has no run: two X levels would need it
+    runs = U in model.letters
 
     def pair(op: int, x: Edge, y: Edge) -> tuple:
         if x.letter is N:
@@ -119,6 +143,33 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             return push_neg(edge) if negation else rebuild(model, edge, 1)
         return (ones if table & 1 else zeros)[edge.arity]
 
+    def run(op: int, x: Edge, y: Edge, letters: list | None = None):
+        """Strip the leading levels that ``x`` and ``y`` skip alike: both
+        lead with ``U`` or, under xor, each with ``U`` or ``X``.  The
+        result leads with ``U`` there (``X`` for a mixed level), appended
+        to ``letters`` outermost first."""
+        xor = op == _XOR
+        while x is not y:
+            a, b = x.letter, y.letter
+            if a is U and b is U:
+                letter = U
+            elif xor and (a is U or a is X) and (b is U or b is X):
+                letter = U if a is b else X
+            else:
+                break
+            if letters is not None:
+                letters.append(letter)
+            x, y = x.child, y.child
+        return x, y
+
+    def flip(item, v: Edge) -> Edge:
+        _, op, x, y = item
+        if op & 1 and negation:     # split's complement step
+            return push_neg(v)
+        letters = []
+        run(op, x, y, letters)      # re-read the item's run
+        return _intern_run(manager, letters, v)
+
     def split(item):
         nonlocal pairs
         key, op, x, y = item
@@ -139,6 +190,10 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
                 return unary(op >> b & 1 | op >> 1 >> b & 2, x)
         if x is y:
             return unary(op & 1 | op >> 2 & 2, x)
+        if runs:
+            x0, y0 = run(op, x, y)
+            if x0 is not x:
+                return None, pair(op, x0, y0)
         if count:
             pairs += 1
         # the hi cofactor of X.c is ~c: fold the mark into the table
@@ -160,8 +215,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
         return pair(op, x0, y0), pair(op1, x1, y1)
 
     result = descend(manager.memo(space.apply), pair(op, x, y), split,
-                     partial(cons_diamond, model, manager),
-                     lambda _, v: push_neg(v))
+                     partial(cons_diamond, model, manager), flip)
     if pairs:
         manager.bump("andb_pairs", pairs)
     return result
@@ -183,16 +237,24 @@ def andb(a: FuncHandle, b: FuncHandle) -> FuncHandle:
 
 def projection(model: ModelSpec, manager: Manager, index: int,
                arity: int) -> FuncHandle:
-    """Canonical graph of the variable ``x<index>`` at the given arity,
-    built bottom-up through the normalized constructor."""
+    """Canonical graph of the variable ``x<index>`` at the given arity.
+
+    The level of ``x<index>`` is built through the normalized
+    constructor.  The ``index`` levels above it ignore their variable:
+    where the model has ``U`` they are ``U^index`` interned straight
+    over it, with a leading mark moved above them as ``cons_diamond``
+    would; other models pair the level with itself once per level."""
     if not 0 <= index < arity:
         raise ValueError(f"variable index {index} out of range for "
                          f"arity {arity}")
     rest = arity - index - 1
     edge = cons_diamond(model, manager, constant(model, manager, 0, rest),
                         constant(model, manager, 1, rest))
-    for _ in range(index):
-        edge = cons_diamond(model, manager, edge, edge)
+    if U in model.letters:
+        edge = _intern_run(manager, [U] * index, edge)
+    else:
+        for _ in range(index):
+            edge = cons_diamond(model, manager, edge, edge)
     return FuncHandle(edge, model=model)
 
 
@@ -201,28 +263,45 @@ def build_expr(model: ModelSpec, ast, arity: int,
     """Evaluate an expression tree to a reduced graph.
 
     Nodes are tuples: ``("const", 0|1)``, ``("var", i)``, ``("not", e)``
-    and ``("and"|"or"|"xor", e1, e2)``.  The walk is post-order, left
-    operand first, on an explicit stack, so a deep tree (a long flat
-    chain parses left-deep) cannot hit the recursion limit.
+    and ``("and"|"or"|"xor", e1, e2)``.  Each run of one associative
+    operator (a flat chain parses left-deep) is flattened into its
+    operands, which are evaluated left to right and then folded
+    pairwise, so its merges are balanced.  The walk is post-order on an
+    explicit stack, so a deep tree cannot hit the recursion limit.
     """
     values: list[FuncHandle] = []
-    stack = [(ast, False)]          # (node, operands already evaluated)
+    stack = [(ast, 0)]          # (node, its operand count once evaluated)
     while stack:
-        node, ready = stack.pop()
+        node, count = stack.pop()
         kind = node[0]
-        if kind == "const":
+        if count:
+            operands = values[-count:]
+            del values[-count:]
+            if kind == "not":
+                values.append(negb(operands[0]))
+                continue
+            while len(operands) > 1:
+                folded = [apply(kind, a, b)
+                          for a, b in zip(operands[::2], operands[1::2])]
+                operands = folded + operands[len(folded) * 2:]
+            values.append(operands[0])
+        elif kind == "const":
             values.append(FuncHandle(constant(model, manager, node[1], arity),
                                      model=model))
         elif kind == "var":
             values.append(projection(model, manager, node[1], arity))
         elif kind not in ("not", "and", "or", "xor"):
             raise ValueError(f"unknown expression node {kind!r}")
-        elif not ready:
-            stack.append((node, True))
-            stack.extend((operand, False) for operand in reversed(node[1:]))
-        elif kind == "not":
-            values.append(negb(values.pop()))
         else:
-            right = values.pop()
-            values.append(apply(kind, values.pop(), right))
+            operands = [node[1]]
+            if kind != "not":
+                operands, run = [], [node]
+                while run:
+                    part = run.pop()
+                    if part[0] == kind:
+                        run.extend(reversed(part[1:]))
+                    else:
+                        operands.append(part)
+            stack.append((node, len(operands)))
+            stack.extend((operand, 0) for operand in reversed(operands))
     return values[0]

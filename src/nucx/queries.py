@@ -5,9 +5,11 @@ constant of matching arity (O(n), amortized O(1) once the constant
 chain exists); equivalence is an identity check thanks to hash-consing.
 
 Counting, witness search and enumeration read letters only through
-``reduction.cofactors`` and none recurses: counting runs on
-``reduction.descend`` (a complement mark counts the complement, a
-terminal its value, anything else the sum over both cofactors),
+``reduction.cofactors`` (counting also takes a run of ``U`` in one
+step), and none recurses: counting runs on
+``reduction.descend`` (a complement mark counts the complement, a run
+of ``k`` ignored variables ``2^k`` times the count below it, a terminal
+its value, anything else the sum over both cofactors),
 ``any_sat`` descends to the least witness and ``all_sat`` enumerates
 in lexicographic order from an explicit stack.
 """
@@ -19,7 +21,7 @@ import operator
 from typing import Iterator, Optional
 
 from .graph import FuncHandle, ManagerMismatchError
-from .letters import N
+from .letters import N, U
 from .reduction import cofactors, constant, descend, require_model
 
 
@@ -52,17 +54,31 @@ def count_sat(handle: FuncHandle) -> int:
     """Number of satisfying valuations (exact, arbitrary precision)."""
     model = require_model(handle)
 
+    def skip(edge):
+        while edge.letter is U:
+            edge = edge.child
+        return edge
+
     def split(item):
         edge = item[0]
         if edge.letter is N:
             return None, (edge.child,)
+        if edge.letter is U:
+            return None, (skip(edge),)
         if edge.letter is None and edge.node.lo is None:
             return edge.node.value
         lo, hi = cofactors(model, edge)
         return (lo,), (hi,)
 
+    def flip(item, v):
+        edge = item[0]
+        if edge.letter is N:
+            return (1 << edge.arity) - v
+        # each ignored variable of the run doubles the count
+        return v << edge.arity - skip(edge).arity
+
     return descend(handle.manager.cache("count"), (handle.edge,), split,
-                   operator.add, lambda item, v: (1 << item[0].arity) - v)
+                   operator.add, flip)
 
 
 def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:

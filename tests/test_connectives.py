@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (EXAMPLE1_EXPR, chain_texts, example1_table,
                       interned_links)
@@ -39,6 +40,7 @@ from nucx.reduction import (
     cons_diamond,
     constant,
     parse_model,
+    reduce,
     valid_models,
 )
 from nucx.cli import parse_expr
@@ -370,6 +372,155 @@ class TestApplyKeys:
         assert not any(e.letter is N for e in interned_links(manager))
 
 
+def run_mask(arity, tail, xored, tail_mask):
+    """The mask of ``g ^ x_i ^ ...``: ``g`` is the table ``tail_mask``
+    of the last ``tail`` variables, and bit ``j`` of ``xored`` puts
+    ``x_{k-1-j}`` of the ``k = arity - tail`` leading ones in the xor."""
+    mask = 0
+    for i in range(1 << arity):
+        bit = tail_mask >> (i & (1 << tail) - 1) & 1
+        mask |= (bit ^ (i >> tail & xored).bit_count() & 1) << i
+    return mask
+
+
+def run_pairs(rng, count):
+    """Operand masks at arity 6-8 that lead with a long run of ignored or
+    xored variables over a small tail: equal, complementary, constant or
+    unrelated tails, so a run can end at a diamond, a mark, a constant
+    or an operand shared by both sides."""
+    for _ in range(count):
+        arity = rng.randint(6, 8)
+        tail = rng.randint(1, 3)
+        ones = (1 << (1 << tail)) - 1
+        gx = rng.getrandbits(1 << tail)
+        gy = rng.choice([gx, gx ^ ones, 0, ones, rng.getrandbits(1 << tail)])
+        prefix = arity - tail
+        xored = [rng.getrandbits(prefix) for _ in range(2)]
+        if rng.random() < 0.5:
+            xored[1] = xored[0] ^ rng.getrandbits(2) << rng.randrange(prefix)
+        yield (arity, run_mask(arity, tail, xored[0], gx),
+               run_mask(arity, tail, xored[1] & (1 << prefix) - 1, gy))
+
+
+class TestRuns:
+    """A common leading run of ``U`` (and, under xor, of ``U``/``X``) is
+    one apply step; its result must still be the compiled table's edge."""
+
+    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    def test_deep_runs_match_compiled_tables(self, model):
+        manager = Manager()
+        rng = random.Random(13)
+        for arity, ma, mb in run_pairs(rng, 10):
+            ones = (1 << (1 << arity)) - 1
+            x, y = (compile_table(model, TruthTable(arity, m), manager).edge
+                    for m in (ma, mb))
+            for op in range(16):
+                expected = compile_table(
+                    model, TruthTable(arity, table_mask(op, ma, mb, ones)),
+                    manager).edge
+                assert _apply(model, op, x, y) is expected, \
+                    f"table {op:#06b} on {ma:#x}, {mb:#x} at arity {arity}"
+
+    def test_xor_of_x_runs_needs_u(self):
+        # six X/X levels of an xor give six U levels: one run entry and
+        # one split of the tail where the model has U, six splits and
+        # the tail's where it has not
+        arity = 8
+        ones = (1 << (1 << arity)) - 1
+        ma = run_mask(arity, 2, 0b111111, 0b0110)
+        mb = run_mask(arity, 2, 0b111111, 0b1000)
+        for name, entries in (("o-nucx", 2), ("custom:u,x+neg", 2),
+                              ("custom:x+neg", 7)):
+            model = parse_model(name)
+            manager = Manager()
+            x, y = (compile_table(model, TruthTable(arity, m), manager).edge
+                    for m in (ma, mb))
+            expected = compile_table(model, TruthTable(arity, ma ^ mb),
+                                     manager).edge
+            assert _apply(model, 0b0110, x, y) is expected
+            assert len(manager.space(model).apply) == entries
+
+
+def evaluate(ast, valuation):
+    """The value of an expression tree at a valuation."""
+    kind = ast[0]
+    if kind == "const":
+        return ast[1]
+    if kind == "var":
+        return valuation[ast[1]]
+    if kind == "not":
+        return 1 - evaluate(ast[1], valuation)
+    a, b = evaluate(ast[1], valuation), evaluate(ast[2], valuation)
+    return {"and": a & b, "or": a | b, "xor": a ^ b}[kind]
+
+
+@st.composite
+def wide_exprs(draw):
+    """A random expression tree over a few variables of a wide arity."""
+    arity = draw(st.integers(200, 1000))
+    leaves = st.one_of(
+        st.tuples(st.just("var"), st.integers(0, arity - 1)),
+        st.tuples(st.just("const"), st.integers(0, 1)))
+    ast = draw(st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(["and", "or", "xor"]), sub, sub)),
+        max_leaves=16))
+    return arity, ast
+
+
+class TestLevelSkipping:
+    """A run of levels both operands skip costs one apply entry, however
+    long; projection interns its ``U`` run directly."""
+
+    @pytest.mark.parametrize("name", ["o-u", "o-nu", "o-nucx"])
+    def test_or_of_the_last_two_variables(self, name):
+        model = PRESETS[name]
+        n = 100_000
+        manager = Manager()
+        a = projection(model, manager, n - 2, n)
+        b = projection(model, manager, n - 1, n)
+        memo = manager.space(model).apply
+        entries = len(memo)
+        h = apply("or", a, b)
+        assert len(memo) - entries <= 4
+        assert count_sat(h) == 3 << (n - 2)
+        assert eval_handle(h, [0] * (n - 1) + [1]) == 1
+        assert eval_handle(h, [1] * (n - 2) + [0, 0]) == 0
+
+    @pytest.mark.parametrize("name,family", [
+        ("o-nucx", "parity"), ("o-u", "pair"), ("o-nucx", "pair")])
+    def test_flat_chain_memo(self, name, family):
+        # balanced merges of operands that share their U runs: at most
+        # 12 entries per variable (the flat xor under o-nucx one per
+        # merge), where a left-deep fold level by level made O(n^2);
+        # TestBuildExpr has the flat xor under o-u
+        n = 1200
+        model = PRESETS[name]
+        manager = Manager()
+        h = build_expr(model, parse_expr(chain_texts(n)[family], n), n,
+                       manager)
+        entries = len(manager.space(model).apply)
+        assert entries <= (n if (name, family) == ("o-nucx", "parity")
+                           else 12 * n)
+        assert count_sat(h) == (2 ** (n - 1) if family == "parity"
+                                else 3 ** (n // 2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_exprs(), st.integers(0, 2**32))
+    def test_wide_builds_agree_across_models(self, case, seed):
+        arity, ast = case
+        manager = Manager()
+        narrow = build_expr(PRESETS["o-u"], ast, arity, manager)
+        wide = build_expr(NUCX, ast, arity, manager)
+        assert reduce(NUCX, narrow).edge is wide.edge
+        rng = random.Random(seed)
+        for _ in range(8):
+            valuation = [rng.getrandbits(1) for _ in range(arity)]
+            expected = evaluate(ast, valuation)
+            assert eval_handle(narrow, valuation) == expected
+            assert eval_handle(wide, valuation) == expected
+
+
 class TestMemoCap:
     """A memo past ``memo_cap`` is flushed when an operation starts; the
     constant rows are no memo and are never flushed."""
@@ -471,8 +622,10 @@ class TestBuildExpr:
     def test_flat_chain_deeper_than_recursion_limit(self):
         # parses left-deep, one level per operator
         ast = parse_expr("^".join(f"x{i}" for i in range(1200)), 1200)
-        h = build_expr(PRESETS["o-u"], ast, 1200, Manager())
+        manager = Manager()
+        h = build_expr(PRESETS["o-u"], ast, 1200, manager)
         assert count_sat(h) == 2 ** 1199
+        assert len(manager.space(PRESETS["o-u"]).apply) <= 12 * 1200
         rng = random.Random(1200)
         for _ in range(20):
             valuation = [rng.getrandbits(1) for _ in range(1200)]
