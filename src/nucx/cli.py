@@ -138,7 +138,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A non-negative integer option: an arity, a count or a cap."""
+    """A non-negative integer option: an arity or a count."""
     try:
         value = int(text)
     except ValueError:
@@ -254,11 +254,13 @@ def _cmd_bench(args, out):
     # an empty table checks the arity before anything is printed or drawn
     TruthTable(args.arity, 0)
     models = _parse_models(args.models)
-    manager = Manager(memo_cap=args.memo_cap)
     violations = 0
     print(CSV_HEADER, file=out)
     for index in range(args.samples):
         seed = args.seed + index
+        # one manager per sample: memory is bounded by one sample, not
+        # by --samples
+        manager = Manager()
         table = TruthTable(args.arity,
                            random.Random(seed).getrandbits(1 << args.arity))
         for model in models:
@@ -334,8 +336,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=",".join(PRESETS))
-    p.add_argument("--memo-cap", type=_count, default=None,
-                   help="flush memo tables beyond this many entries")
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("translate",

@@ -214,7 +214,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             y0, y1 = cofactors(model, y)
         return pair(op, x0, y0), pair(op1, x1, y1)
 
-    result = descend(manager.memo(space.apply), pair(op, x, y), split,
+    result = descend(space.apply, pair(op, x, y), split,
                      partial(cons_diamond, model, manager), flip)
     if pairs:
         manager.bump("andb_pairs", pairs)

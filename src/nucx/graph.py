@@ -199,14 +199,11 @@ class Manager:
     anything that reclaims edges must clear every space's memos in the
     same step.
 
-    ``memo_cap`` bounds each memo: a memo exceeding the cap is flushed
-    whole when an operation that uses it starts (results are recomputed
-    identically, so only speed is affected).  Unique tables and constant
-    rows are never flushed.
+    Every memo lives as long as its manager: memory is given back by
+    dropping the manager.
     """
 
-    def __init__(self, memo_cap: int | None = None):
-        self.memo_cap = memo_cap
+    def __init__(self):
         # id(lo) << 64 | id(hi) -> bare edge to the diamond; the node
         # holds both children, so neither id is reused while it lives
         self._diamonds: dict[int, Edge] = {}
@@ -270,20 +267,13 @@ class Manager:
             found = self._spaces[model] = Space()
         return found
 
-    def memo(self, table: dict) -> dict:
-        """``table``, flushed first if it has outgrown ``memo_cap``; an
-        operation calls this once, when it starts."""
-        if self.memo_cap is not None and len(table) > self.memo_cap:
-            table.clear()
-        return table
-
     def cache(self, name: str) -> dict:
         """A named model-free memo table (``tt_mask``, ``signature``,
         ``count``), created on first use."""
         table = self._caches.get(name)
         if table is None:
             table = self._caches[name] = {}
-        return self.memo(table)
+        return table
 
     def bump(self, counter: str, amount: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + amount
@@ -322,7 +312,8 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
             if valuation[i]:
                 parity ^= 1
             i += 1
-        elif letter is not U and valuation[i] == letter.branch:
+        elif letter is not U and (not valuation[i]) != letter.branch:
+            # the entry's truth value picks the branch, as at a diamond
             return letter.const ^ parity
         else:
             i += 1

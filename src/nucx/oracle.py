@@ -14,6 +14,7 @@ function; ``apply_functor`` and ``graph.edge_mask`` both call it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -104,6 +105,10 @@ class TruthTable:
         if len(digits) != expected:
             raise ValueError(
                 f"arity {arity} needs {expected} hex digits, got {len(digits)}")
+        # int() would also take "0x", "_", a sign, spaces or other digits
+        if not re.fullmatch("[0-9A-Fa-f]*", digits):
+            raise ValueError(f"a hex table takes only the digits 0-9 and "
+                             f"A-F, got {digits[:16]!r}")
         value = int(digits, 16)
         if value >> size:
             raise ValueError(f"hex value {digits!r} too wide for arity {arity}")

@@ -10,8 +10,8 @@ step), and none recurses: counting runs on
 ``reduction.descend`` (a complement mark counts the complement, a run
 of ``k`` ignored variables ``2^k`` times the count below it, a terminal
 its value, anything else the sum over both cofactors),
-``any_sat`` descends to the least witness and ``all_sat`` enumerates
-in lexicographic order from an explicit stack.
+``all_sat`` enumerates in lexicographic order from an explicit stack
+over one shared path, and ``any_sat`` is its first valuation.
 """
 
 from __future__ import annotations
@@ -83,48 +83,44 @@ def count_sat(handle: FuncHandle) -> int:
 
 def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:
     """The lexicographically least satisfying valuation, with ``x0``
-    most significant, or ``None`` for the zero constant.
-
-    One root-to-terminal descent that takes the ``x = 0`` cofactor
-    unless it is the zero constant, so the witness is the same under
-    every model.
-    """
-    model = require_model(handle)
-    manager = handle.manager
-    edge = handle.edge
-    if edge is constant(model, manager, 0, edge.arity):
-        return None
-    out: list[int] = []
-    while edge.arity:
-        lo, hi = cofactors(model, edge)
-        if lo is constant(model, manager, 0, lo.arity):
-            out.append(1)
-            edge = hi
-        else:
-            out.append(0)
-            edge = lo
-    return tuple(out)
+    most significant, or ``None`` for the zero constant: the first
+    valuation of :func:`all_sat`, so the same under every model."""
+    return next(all_sat(handle), None)
 
 
 def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
     """Lazily yield every satisfying valuation exactly once, in
-    lexicographic order; total work O(n * count)."""
+    lexicographic order.
+
+    The walk keeps one path of bits, cut back when it resumes a pending
+    ``x = 1`` branch, so it holds O(n) state and each valuation costs
+    O(n) steps beyond the one before it.
+    """
     model = require_model(handle)
     manager = handle.manager
 
     def walk() -> Iterator[tuple[int, ...]]:
-        stack = [((), handle.edge)]
-        while stack:
-            prefix, edge = stack.pop()
+        path: list[int] = []
+        # (depth, hi): the pending x = 1 branch at path[depth]; the walk
+        # takes each x = 0 branch at once
+        pending = []
+        edge = handle.edge
+        while True:
             arity = edge.arity
-            if edge is constant(model, manager, 0, arity):
-                continue
             if edge is constant(model, manager, 1, arity):
+                prefix = tuple(path)
                 yield from (prefix + suffix for suffix in
                             itertools.product((0, 1), repeat=arity))
+            elif edge is not constant(model, manager, 0, arity):
+                lo, hi = cofactors(model, edge)
+                pending.append((len(path), hi))
+                path.append(0)
+                edge = lo
                 continue
-            lo, hi = cofactors(model, edge)
-            stack.append((prefix + (1,), hi))
-            stack.append((prefix + (0,), lo))
+            if not pending:
+                return
+            depth, edge = pending.pop()
+            del path[depth:]
+            path.append(1)
 
     return walk()

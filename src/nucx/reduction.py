@@ -219,7 +219,7 @@ def constant(model: ModelSpec, manager: Manager, value: int,
     chain (or diamond tree, for letterless models) the model reduces
     constants to; recognizing a constant is then an identity check
     against this edge.  Each is kept in a row of the model's space,
-    indexed by arity, that ``memo_cap`` never flushes.
+    indexed by arity, for as long as the manager lives.
     """
     space = manager.space(model)
     row = space.ones if value else space.zeros
@@ -407,7 +407,7 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
         return ((id(lo) if parity else lo, lo, parity),
                 (id(hi) if parity else hi, hi, parity))
 
-    return descend(manager.memo(manager.space(model).reduce),
+    return descend(manager.space(model).reduce,
                    (id(edge) if parity else edge, edge, parity), split,
                    partial(cons_diamond, model, manager),
                    lambda _, v: push_neg(v))
@@ -439,7 +439,7 @@ def compile_table(model: ModelSpec, table: TruthTable,
     keyed on ``m | 1 << 2**n``: the leading bit gives the arity, and a
     key's two halves below it are the keys of its cofactors.
     """
-    memo = manager.memo(manager.space(model).compile)
+    memo = manager.space(model).compile
     arity = table.arity
     root = table.mask | 1 << (1 << arity)
     edge = memo.get(root)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -350,19 +351,42 @@ class TestBench:
         assert lines[-1] == "violations=0"
         assert len(lines) == 2 + 4 * 6
 
-    @pytest.mark.parametrize("option", ["--samples", "--memo-cap"])
-    def test_negative_counts_are_usage_errors(self, option, capsys):
-        assert invoke("bench", "--arity", "3", option, "-4") == (1, "")
+    def test_negative_counts_are_usage_errors(self, capsys):
+        assert invoke("bench", "--arity", "3", "--samples", "-4") == (1, "")
         assert capsys.readouterr().err == (
-            f"usage error: argument {option}: expected a non-negative "
-            f"integer, got '-4'\n")
+            "usage error: argument --samples: expected a non-negative "
+            "integer, got '-4'\n")
 
-    def test_memo_cap_only_affects_speed(self):
-        argv = ("bench", "--arity", "5", "--samples", "3", "--seed", "2",
-                "--models", "o-u,o-nucx")
-        _, uncapped = invoke(*argv)
-        _, capped = invoke(*argv, "--memo-cap", "64")
-        assert capped == uncapped
+    def test_no_memo_cap_option(self, capsys):
+        assert invoke("bench", "--arity", "3", "--memo-cap", "4") == (1, "")
+        assert capsys.readouterr().err.startswith(
+            "usage error: unrecognized arguments: --memo-cap 4")
+
+    def test_samples_are_independent(self):
+        argv = ("bench", "--arity", "5", "--models", "o-u,o-nucx")
+        code, out = invoke(*argv, "--samples", "3", "--seed", "2")
+        header, *rows, verdict = out.splitlines()
+        singles = []
+        for seed in ("2", "3", "4"):
+            one = invoke(*argv, "--samples", "1", "--seed", seed)
+            assert one[0] == code == 0
+            assert one[1].splitlines()[0] == header
+            assert one[1].splitlines()[-1] == verdict == "violations=0"
+            singles += one[1].splitlines()[1:-1]
+        assert rows == singles
+
+    def test_memory_does_not_grow_with_samples(self):
+        # each sample runs in its own manager, dropped before the next
+        peaks = []
+        for samples in ("2", "8"):
+            tracemalloc.start()
+            try:
+                invoke("bench", "--arity", "12", "--seed", "0",
+                       "--samples", samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestTranslate:
@@ -401,6 +425,16 @@ class TestExitCodes:
 
     def test_bad_hex(self):
         assert invoke("compile", "--tt", "ZZ", "--arity", "3")[0] == 1
+
+    @pytest.mark.parametrize("digits", ["0x6A", "6_AB", " 6AB", "+6AB"])
+    def test_hex_with_a_prefix_sign_or_separator(self, digits, capsys):
+        assert invoke("compile", "--tt", digits, "--arity", "4") == (1, "")
+        assert invoke("equiv", "--tt", "06AB", "--tt2", digits,
+                      "--arity", "4") == (1, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error: a hex table takes only")
+                   for line in err)
 
     def test_help_exits_zero(self):
         assert invoke("--help")[0] == 0

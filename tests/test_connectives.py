@@ -65,13 +65,10 @@ def table_mask(op, ma, mb, ones):
     return result
 
 
-def check_every_table(model, arities, memo_cap=200_000):
+def check_every_table(model, arities):
     """``_apply`` of each of the 16 tables on every pair of functions of
-    each arity returns the compiled edge of the expected function.
-
-    The memo cap bounds the apply memo of an arity-3 sweep (65,536
-    pairs per table); a flush only costs time."""
-    manager = Manager(memo_cap=memo_cap)
+    each arity returns the compiled edge of the expected function."""
+    manager = Manager()
     for arity in arities:
         ones = (1 << (1 << arity)) - 1
         edges = [compile_table(model, TruthTable(arity, mask), manager).edge
@@ -521,34 +518,45 @@ class TestLevelSkipping:
             assert eval_handle(wide, valuation) == expected
 
 
-class TestMemoCap:
-    """A memo past ``memo_cap`` is flushed when an operation starts; the
-    constant rows are no memo and are never flushed."""
+class TestClearedMemos:
+    """Clearing a model's memos between operations changes no result;
+    the constant rows are no memo and stay."""
 
     @pytest.mark.parametrize("name", ["o-u", "o-nu", "o-nucx", "s"])
-    def test_flush_keeps_constant_rows_and_results(self, name):
+    def test_clearing_keeps_constant_rows_and_results(self, name):
         model = PRESETS[name]
         arity = 64
-        capped, free = Manager(memo_cap=0), Manager()
-        zero = constant(model, capped, 0, arity)
-        one = constant(model, capped, 1, arity)
-        space = capped.space(model)
+        cleared, free = Manager(), Manager()
+        zero = constant(model, cleared, 0, arity)
+        one = constant(model, cleared, 1, arity)
+        space = cleared.space(model)
+
+        def clear():
+            space.apply.clear()
+            space.reduce.clear()
+            space.compile.clear()
+
         for text in chain_texts(arity).values():
             ast = parse_expr(text, arity)
-            a = build_expr(model, ast, arity, capped)
+            clear()
+            a = build_expr(model, ast, arity, cleared)
             b = build_expr(model, ast, arity, free)
             assert space.apply
             assert dot_export(a) == dot_export(b)
             assert count_sat(a) == count_sat(b)
-            never = apply("and", a, negb(a))
-            always = apply("or", negb(a), a)
+            clear()
+            complement = negb(a)
+            clear()
+            never = apply("and", a, complement)
+            clear()
+            always = apply("or", complement, a)
             assert never.edge is zero and not is_sat(never)
             assert always.edge is one and is_taut(always)
         # a rebuilt row would count its steps again
-        steps = capped.counters["const_steps"]
-        assert constant(model, capped, 0, arity) is zero
-        assert constant(model, capped, 1, arity) is one
-        assert capped.counters["const_steps"] == steps
+        steps = cleared.counters["const_steps"]
+        assert constant(model, cleared, 0, arity) is zero
+        assert constant(model, cleared, 1, arity) is one
+        assert cleared.counters["const_steps"] == steps
         assert space.zeros[arity] is zero and space.ones[arity] is one
         assert len(space.apply) < len(free.space(model).apply)
 

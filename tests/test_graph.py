@@ -158,6 +158,18 @@ class TestEval:
         with pytest.raises(ArityError):
             eval_handle(FuncHandle(mgr.zero), (0,))
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_reads_entries_by_truth_value(self, name):
+        # 2 counts as 1 at every kind of level, as in tt_eval
+        model = PRESETS[name]
+        manager = Manager()
+        for arity in range(4):
+            for mask in range(1 << (1 << arity)):
+                table = TruthTable(arity, mask)
+                h = compile_table(model, table, manager)
+                for v in itertools.product((0, 1, 2), repeat=arity):
+                    assert eval_handle(h, v) == tt_eval(table, v), (mask, v)
+
     @given(st.integers(0, 2**32), st.integers(0, 5))
     def test_agrees_with_truth_table(self, seed, arity):
         rng = random.Random(seed)
@@ -378,6 +390,11 @@ class TestOwnership:
     """A handle or the manager keeps a graph alive; a bare edge does
     not.  Edges refer to their manager weakly, so reference counting
     alone frees a dropped manager and its graph."""
+
+    def test_no_memo_cap(self):
+        # memos live as long as their manager; dropping it frees them
+        with pytest.raises(TypeError):
+            Manager(memo_cap=0)
 
     def test_handle_keeps_its_manager_alive(self):
         with no_cycle_collector():

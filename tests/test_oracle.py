@@ -268,6 +268,7 @@ class TestHexForm:
         f = TruthTable.from_hex(3, "6A")
         assert f.bits == (0, 1, 1, 0, 1, 0, 1, 0)
         assert f.to_hex() == "6A"
+        assert TruthTable.from_hex(3, "6a") == f
 
     def test_roundtrip(self):
         for n in range(4):
@@ -278,6 +279,14 @@ class TestHexForm:
     def test_digit_count_enforced(self):
         with pytest.raises(ValueError):
             TruthTable.from_hex(3, "6")
+
+    @pytest.mark.parametrize("digits", [
+        "0x6A", "0X6A", "6_AB", " 6AB", "6AB ", "+6AB", "-6AB", "6\u0663AB"])
+    def test_only_hex_digits(self, digits):
+        # each has the 4 characters of arity 4, and int(_, 16) reads
+        # each as a number
+        with pytest.raises(ValueError, match="only the digits"):
+            TruthTable.from_hex(4, digits)
 
     def test_arity_limit(self):
         with pytest.raises(OracleLimitError):

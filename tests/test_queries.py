@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -262,3 +263,18 @@ class TestDeeperThanRecursionLimit:
         witnesses = all_sat(h)
         assert next(witnesses) == (1,) + (0,) * 1198 + (1,)
         assert next(witnesses) == (1,) + (0,) * 1197 + (1, 1)
+
+
+@pytest.mark.parametrize("name", ["o-u", "o-nucx"])
+def test_first_witness_holds_one_path(name):
+    # a tuple per pending branch would hold O(n^2) bits: about 61 MB here
+    arity = 4000
+    h = projection(PRESETS[name], Manager(), arity - 1, arity)
+    tracemalloc.start()
+    try:
+        witness = next(all_sat(h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == (0,) * (arity - 1) + (1,)
+    assert peak < 2 << 20

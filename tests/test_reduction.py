@@ -519,8 +519,10 @@ class TestLevelCompile:
 
     @pytest.mark.parametrize("name,model", ALL_MODELS)
     def test_agrees_with_top_down_without_memo(self, name, model):
-        manager = Manager(memo_cap=0)
+        manager = Manager()
+        memo = manager.space(model).compile
         for table in REFERENCE_TABLES[::3]:
+            memo.clear()
             edge = compile_table(model, table, manager).edge
             assert edge is compile_top_down(model, table, manager), table
 
