@@ -41,9 +41,7 @@ from .reduction import (
     cons_diamond,
     constant,
     elim_letter,
-    is_stable,
     lattice_leq,
-    neg_conjugate,
     parse_model,
     push_neg,
     reduce,

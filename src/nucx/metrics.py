@@ -1,9 +1,8 @@
 """Size accounting and compression-bound verdicts.
 
-Node counts follow one declared convention throughout: reachable
-diamonds plus reachable terminals.  Letters are tallied separately
+Sizes are reachable diamonds, with letters tallied separately
 (complement marks apart from elementary letters) because their storage
-cost is representation-dependent.
+cost is representation-dependent.  ``node_count`` adds the terminals.
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ class SizeReport:
         """Letter-free-equivalent size proxy: diamonds plus elementary
         letters (every letter stands for one expanded node)."""
         return self.diamonds + self.letters
-
-    @property
-    def labels_within_bound(self) -> bool:
-        """Total letters never exceed (2*diamonds + 1) * arity: one word
-        per edge, at most ``arity`` elementary letters per word."""
-        return self.letters <= (2 * self.diamonds + 1) * self.arity
 
     def csv_row(self, seed: int | str = "-") -> str:
         return (f"{self.model},{self.arity},{seed},"
@@ -73,21 +66,39 @@ def node_count(handle: FuncHandle) -> int:
 
 @dataclass(frozen=True)
 class BoundVerdict:
-    """Measured check of the size inequalities between two comparable
-    models (``coarse`` less expressive than ``fine``).
+    """Measured check of the size bounds between two comparable models
+    (``coarse`` at most as expressive as ``fine``) on one function of
+    arity n, in ``measure``'s diamonds (``_d``) and fine letters:
 
-    ``lower_ok``: fine_nodes <= coarse_nodes.
-    ``upper_ok``: coarse_nodes <= (n+1)/2 * (fine_nodes + 1), compared
-    rationally as 2*coarse <= (n+1)*(fine+1).
-    ``factor2_ok``: coarse_nodes <= 2*fine_nodes, only when the fine
-    model is exactly the coarse one plus complement edges.
+    ``lower_ok``: fine_d <= coarse_d;
+    ``upper_ok``: coarse_d <= k*(fine_d + fine_letters) + 2n, where k is
+    2 when only the fine model has the complement mark, else 1;
+    ``factor2_ok``: coarse_d <= 2*fine_d, only when the fine model is the
+    coarse one plus the mark.
+
+    Proof sketch.  A letter is introduced exactly where its pattern fits,
+    so a diamond stands for a function (up to complement, under the mark)
+    that no letter of its model fits; at level i it is a constant or a
+    cofactor of the root on x0..x(i-1).  Lower: no coarse letter fits
+    where no fine letter does, so distinct fine diamonds have distinct
+    coarse ones.  Upper: a coarse diamond is on one of two constant
+    chains of at most n diamonds, or is a cofactor g that the fine graph
+    reaches at a letter or a diamond under some parity of marks.
+    Position and parity fix g, and the parity matters only when the fine
+    model alone has the mark (hence k).  Factor 2: equal alphabets closed
+    under conjugation fit g iff they fit not-g, so a fine diamond stands
+    for at most two coarse ones.  Linear in n: at most 2*d + 1 words (the
+    root's, two per diamond) of at most n letters each give fine_letters
+    <= (2*fine_d + 1)*n, so coarse_d <= k*(2n+1)*fine_d + (k+2)*n, that
+    is (2n+1)*fine_d + 3n when k is 1.
     """
 
     arity: int
-    coarse_model: str
-    fine_model: str
-    coarse_nodes: int
-    fine_nodes: int
+    coarse_model: ModelSpec
+    fine_model: ModelSpec
+    coarse_diamonds: int
+    fine_diamonds: int
+    fine_letters: int
     lower_ok: bool
     upper_ok: bool
     negation_pair: bool
@@ -95,33 +106,35 @@ class BoundVerdict:
 
     @property
     def ok(self) -> bool:
-        checks = [self.lower_ok, self.upper_ok]
-        if self.factor2_ok is not None:
-            checks.append(self.factor2_ok)
-        return all(checks)
+        return (self.lower_ok and self.upper_ok
+                and self.factor2_ok is not False)
+
+
+def bound_verdict(coarse: ModelSpec, fine: ModelSpec,
+                  coarse_size: SizeReport,
+                  fine_size: SizeReport) -> BoundVerdict:
+    """Test the size bounds on the measures of one function compiled
+    under two comparable models."""
+    if not lattice_leq(coarse, fine):
+        raise ValueError(
+            f"models {coarse.name} and {fine.name} are not comparable")
+    coarse_d, fine_d = coarse_size.diamonds, fine_size.diamonds
+    letters, n = fine_size.letters, fine_size.arity
+    k = 2 if fine.negation and not coarse.negation else 1
+    negation_pair = k == 2 and coarse.letters == fine.letters
+    return BoundVerdict(
+        n, coarse, fine, coarse_d, fine_d, letters,
+        lower_ok=fine_d <= coarse_d,
+        upper_ok=coarse_d <= k * (fine_d + letters) + 2 * n,
+        negation_pair=negation_pair,
+        factor2_ok=(coarse_d <= 2 * fine_d) if negation_pair else None)
 
 
 def check_bounds(table: TruthTable, coarse: ModelSpec, fine: ModelSpec,
                  manager: Manager | None = None) -> BoundVerdict:
     """Compile ``table`` under both models and test the size bounds."""
-    if not lattice_leq(coarse, fine):
-        raise ValueError(
-            f"models {coarse.name} and {fine.name} are not comparable")
     if manager is None:
         manager = Manager()
-    n_coarse = node_count(compile_table(coarse, table, manager))
-    n_fine = node_count(compile_table(fine, table, manager))
-    n = table.arity
-    negation_pair = (coarse.letters == fine.letters
-                     and fine.negation and not coarse.negation)
-    return BoundVerdict(
-        arity=n,
-        coarse_model=coarse.name,
-        fine_model=fine.name,
-        coarse_nodes=n_coarse,
-        fine_nodes=n_fine,
-        lower_ok=n_fine <= n_coarse,
-        upper_ok=2 * n_coarse <= (n + 1) * (n_fine + 1),
-        negation_pair=negation_pair,
-        factor2_ok=(n_coarse <= 2 * n_fine) if negation_pair else None,
-    )
+    return bound_verdict(coarse, fine,
+                         measure(compile_table(coarse, table, manager)),
+                         measure(compile_table(fine, table, manager)))

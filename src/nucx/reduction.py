@@ -36,13 +36,6 @@ from .letters import C00, C01, C10, C11, ELEMENTARY, N, U, X, Letter, from_token
 from .oracle import ArityError, TruthTable
 
 
-def neg_conjugate(letter: Letter) -> Letter:
-    """The letter ``l'`` with ``l . N`` equivalent to ``N . l'``."""
-    if not letter.elementary:
-        raise ValueError("the complement mark has no conjugate")
-    return letter.conjugate
-
-
 def _letters_stable(letters: frozenset[Letter]) -> bool:
     return all(l.conjugate in letters for l in letters)
 
@@ -57,7 +50,10 @@ class ModelSpec:
 
     Complement-bearing alphabets must be closed under conjugation,
     otherwise marks could not be pushed to the front of words and the
-    normal form would break; construction enforces this.
+    normal form would break; construction enforces this.  A mark-free
+    alphabet drops ``X``: ``cons_diamond`` only sees that two children
+    are complements when one is the mark over the other, and a mark-free
+    model never builds a mark, so ``custom:u,x`` is ``o-u``.
 
     Models are interned like edges: constructing an existing model
     returns the existing instance, so ``==`` is ``is`` and a manager
@@ -70,6 +66,8 @@ class ModelSpec:
     def __new__(cls, letters, negation: bool = False):
         letters = frozenset(letters)
         negation = bool(negation)
+        if not negation:
+            letters -= {X}
         found = _MODELS.get((letters, negation))
         if found is not None:
             return found
@@ -114,11 +112,6 @@ def require_model(handle: FuncHandle) -> ModelSpec:
     return handle.model
 
 
-def is_stable(model: ModelSpec) -> bool:
-    """True iff every letter's conjugate is also in the alphabet."""
-    return _letters_stable(model.letters)
-
-
 def _model(tokens: str, negation: bool = False) -> ModelSpec:
     letters = frozenset(from_token(t) for t in tokens.split(",") if t)
     return ModelSpec(letters, negation)
@@ -143,20 +136,25 @@ _PRESET_BY_VALUE = {m: name for name, m in PRESETS.items()}
 
 NUCX = PRESETS["o-nucx"]
 
-#: Covering edges of the model lattice restricted to the presets
-#: (less expressive -> more expressive).
-HASSE_EDGES: tuple[tuple[str, str], ...] = (
-    ("s", "o-u"),
-    ("s", "o-c10"),
-    ("s", "s-n"),
-    ("o-u", "o-nu"),
-    ("o-u", "o-uc10"),
-    ("o-c10", "o-uc10"),
-    ("o-uc10", "o-uc0"),
-    ("s-n", "o-nu"),
-    ("o-nu", "o-nucx"),
-    ("o-uc0", "o-nucx"),
-)
+
+def lattice_leq(a: ModelSpec, b: ModelSpec) -> bool:
+    """Is ``b`` at least as expressive as ``a``?  The one statement of
+    the model order: ``HASSE_EDGES`` and ``metrics.check_bounds`` read
+    it."""
+    return a.letters <= b.letters and (b.negation or not a.negation)
+
+
+def _below(a: ModelSpec, b: ModelSpec) -> bool:
+    return a is not b and lattice_leq(a, b)
+
+
+#: The covering relation of ``lattice_leq`` on the presets (less
+#: expressive -> more expressive), in ``PRESETS`` order.
+HASSE_EDGES: tuple[tuple[str, str], ...] = tuple(
+    (low, high)
+    for low, a in PRESETS.items() for high, b in PRESETS.items()
+    if _below(a, b)
+    and not any(_below(a, c) and _below(c, b) for c in PRESETS.values()))
 
 
 def parse_model(name: str) -> ModelSpec:
@@ -175,29 +173,19 @@ def parse_model(name: str) -> ModelSpec:
 
 
 def valid_models() -> list[ModelSpec]:
-    """Every model of the class: each subset of the elementary letters,
-    without and with the complement mark where the subset is closed
-    under conjugation (80 models).
-
-    Not all 80 reduce differently.  ``cons_diamond`` can only see that
-    its children are complements when one is the mark over the other,
-    and a mark-free model never builds a mark, so it never introduces
-    ``X``: each of the 32 mark-free models with ``X`` builds exactly the
-    graphs of its twin without ``X`` (``custom:u,x`` those of ``o-u``).
-    A count of distinct models must not count them twice."""
+    """Every distinct model of the class (48): each subset of the
+    elementary letters without ``X`` (a mark-free model never builds
+    ``X``; see ``ModelSpec``), and each subset closed under conjugation
+    with the complement mark."""
     models = []
     for bits in range(1 << len(ELEMENTARY)):
         letters = frozenset(letter for i, letter in enumerate(ELEMENTARY)
                             if bits >> i & 1)
-        models.append(ModelSpec(letters))
+        if X not in letters:
+            models.append(ModelSpec(letters))
         if _letters_stable(letters):
             models.append(ModelSpec(letters, True))
     return models
-
-
-def lattice_leq(a: ModelSpec, b: ModelSpec) -> bool:
-    """Is ``b`` at least as expressive as ``a``?"""
-    return a.letters <= b.letters and (b.negation or not a.negation)
 
 
 def push_neg(edge: Edge) -> Edge:
@@ -268,9 +256,9 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     if U in letters and e1 is e0:
         return manager.edge(U, e0)
     # compared structurally: interning the complement of e0 would leave
-    # an unreachable edge behind
-    if X in letters and (e1.letter is N and e1.child is e0
-                         or e0.letter is N and e0.child is e1):
+    # an unreachable edge behind.  Only a complement-bearing model has
+    # X, and a mark on e0 was pulled above the node.
+    if X in letters and e1.letter is N and e1.child is e0:
         return manager.edge(X, e0)
     # A child that ends at a diamond cannot be a constant that a check
     # below compares against, so its checks are skipped without building
@@ -280,7 +268,7 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     # value compared here the model has a letter matching that pair (the
     # check's own, or C00 for C01 in a complement-bearing model, whose
     # alphabet is closed under conjugation and whose constant 1 is the
-    # mark over the constant 0).  Tested for all 80 models.
+    # mark over the constant 0).  Tested for all 48 models.
     arity = e0.arity
     if e1.node.lo is None:
         if C11 in letters and e1 is constant(model, manager, 1, arity):

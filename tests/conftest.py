@@ -3,8 +3,9 @@ import random
 import pytest
 
 from nucx.graph import Manager
-from nucx.letters import C00, C01, C10, C11, N, U, X
+from nucx.letters import C00, C01, C10, C11, ELEMENTARY, N, U, X, from_token
 from nucx.oracle import TruthTable
+from nucx.reduction import ModelSpec, parse_model
 
 ELEMENTARY_LETTERS = (U, X, C00, C01, C10, C11)
 
@@ -12,6 +13,46 @@ ELEMENTARY_LETTERS = (U, X, C00, C01, C10, C11)
 @pytest.fixture
 def mgr():
     return Manager()
+
+
+def model_param(letters: frozenset, negation: bool = False):
+    """The model an alphabet spells, as a pytest param named after the
+    spelling: a mark-free alphabet with ``X`` is its twin without ``X``
+    (``custom:U,X`` is ``o-u``) but keeps its own id."""
+    model = ModelSpec(letters, negation)
+    name = model.name
+    if model.letters != letters:
+        tokens = ",".join(l.token for l in ELEMENTARY if l in letters)
+        name = f"custom:{tokens}"
+    return pytest.param(model, id=f"ModelSpec({name!r})")
+
+
+def custom_param(name: str):
+    """``model_param`` of a CLI spelling such as ``custom:u,x+neg``."""
+    body = name[len("custom:"):]
+    negation = body.endswith("+neg")
+    letters = frozenset(from_token(t)
+                        for t in body.removesuffix("+neg").split(",") if t)
+    param = model_param(letters, negation)
+    assert param.values[0] is parse_model(name)
+    return param
+
+
+def model_spellings(mark_free_only: bool = False) -> list:
+    """Every alphabet spelling of the model class (80): each subset of
+    the elementary letters, and each subset closed under conjugation with
+    the complement mark.  They name the 48 distinct models of
+    ``valid_models()``; the other 32 are the mark-free spellings with
+    ``X``, which the CLI still accepts."""
+    params = []
+    for bits in range(1 << len(ELEMENTARY)):
+        letters = frozenset(letter for i, letter in enumerate(ELEMENTARY)
+                            if bits >> i & 1)
+        params.append(model_param(letters))
+        if not mark_free_only and all(l.conjugate in letters
+                                      for l in letters):
+            params.append(model_param(letters, True))
+    return params
 
 
 def interned_links(manager: Manager) -> list:

@@ -351,6 +351,12 @@ class TestBench:
         assert lines[-1] == "violations=0"
         assert len(lines) == 2 + 4 * 6
 
+    @pytest.mark.parametrize("arity", range(1, 5))
+    def test_every_preset_pair_holds_its_bounds(self, arity):
+        code, out = invoke("bench", "--arity", str(arity), "--samples",
+                           "20", "--seed", "0")
+        assert (code, out.splitlines()[-1]) == (0, "violations=0")
+
     def test_negative_counts_are_usage_errors(self, capsys):
         assert invoke("bench", "--arity", "3", "--samples", "-4") == (1, "")
         assert capsys.readouterr().err == (

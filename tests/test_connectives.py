@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (EXAMPLE1_EXPR, chain_texts, example1_table,
-                      interned_links)
+from conftest import (EXAMPLE1_EXPR, chain_texts, custom_param,
+                      example1_table, interned_links, model_spellings)
 from nucx.connectives import (
     _apply,
     andb,
@@ -41,13 +41,11 @@ from nucx.reduction import (
     constant,
     parse_model,
     reduce,
-    valid_models,
 )
 from nucx.cli import parse_expr
 
 ALL_MODELS = list(PRESETS.items())
 MARK_FREE_MODELS = [(n, m) for n, m in ALL_MODELS if not m.negation]
-VALID_MODELS = valid_models()
 
 
 def compile_bits(model, bits, manager):
@@ -299,7 +297,7 @@ class TestApplyKeys:
     """The apply memo is keyed on mark-free, id-ordered operands and a
     4-bit table; these pin what that normalization must keep."""
 
-    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    @pytest.mark.parametrize("model", model_spellings())
     def test_every_table_on_every_pair(self, model):
         check_every_table(model, range(3))
 
@@ -353,8 +351,7 @@ class TestApplyKeys:
         assert forward == run(reversed(range(12)))
         assert forward == run(rng.sample(range(12), 12))
 
-    @pytest.mark.parametrize(
-        "model", [m for m in VALID_MODELS if not m.negation], ids=repr)
+    @pytest.mark.parametrize("model", model_spellings(mark_free_only=True))
     def test_mark_free_models_intern_no_mark(self, model):
         manager = Manager()
         rng = random.Random(31)
@@ -403,7 +400,7 @@ class TestRuns:
     """A common leading run of ``U`` (and, under xor, of ``U``/``X``) is
     one apply step; its result must still be the compiled table's edge."""
 
-    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    @pytest.mark.parametrize("model", model_spellings())
     def test_deep_runs_match_compiled_tables(self, model):
         manager = Manager()
         rng = random.Random(13)
@@ -588,10 +585,11 @@ class TestBuildExpr:
         with pytest.raises(ValueError):
             build_expr(NUCX, ("var", 5), 4, mgr)
 
-    @pytest.mark.parametrize("model", [m for _, m in ALL_MODELS] + [
-        parse_model(name) for name in ("custom:x", "custom:c00,c11",
-                                       "custom:u,x+neg", "custom:c00,c01+neg")],
-        ids=repr)
+    @pytest.mark.parametrize("model", [
+        pytest.param(m, id=repr(m)) for _, m in ALL_MODELS] + [
+        custom_param(name) for name in (
+            "custom:x", "custom:c01,c11", "custom:c00,c11", "custom:u,x+neg",
+            "custom:c00,c01+neg")])
     def test_projection_matches_compiled_table(self, model):
         manager = Manager()
         for arity in range(1, 11):

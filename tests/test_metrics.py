@@ -1,12 +1,26 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import example1_table
 from nucx.graph import Manager
-from nucx.metrics import CSV_HEADER, check_bounds, measure, node_count
+from nucx.metrics import (
+    CSV_HEADER,
+    bound_verdict,
+    check_bounds,
+    measure,
+    node_count,
+)
 from nucx.oracle import TruthTable
-from nucx.reduction import HASSE_EDGES, NUCX, PRESETS, compile_table
+from nucx.reduction import (
+    HASSE_EDGES,
+    NUCX,
+    PRESETS,
+    compile_table,
+    lattice_leq,
+    valid_models,
+)
 
 ALL_MODELS = list(PRESETS.items())
 
@@ -68,13 +82,15 @@ class TestMeasure:
             arity = rng.randint(0, 6)
             table = TruthTable(arity, rng.getrandbits(1 << arity))
             report = measure(compile_table(model, table, manager))
-            assert report.labels_within_bound
+            # one word per edge, at most ``arity`` letters per word
+            assert report.letters <= (2 * report.diamonds + 1) * arity
 
 
 class TestCheckBounds:
     def test_equal_models_touch_the_lower_bound(self, mgr):
         verdict = check_bounds(example1_table(), NUCX, NUCX, mgr)
-        assert verdict.coarse_nodes == verdict.fine_nodes
+        assert verdict.coarse_diamonds == verdict.fine_diamonds == 1
+        assert verdict.fine_letters == 6
         assert verdict.ok
         assert verdict.factor2_ok is None
 
@@ -82,6 +98,11 @@ class TestCheckBounds:
         with pytest.raises(ValueError):
             check_bounds(example1_table(), PRESETS["o-nu"],
                          PRESETS["o-uc10"], mgr)
+
+    def test_incomparable_rejected_without_compiling(self, mgr):
+        sizes = measure(compile_table(NUCX, example1_table(), mgr))
+        with pytest.raises(ValueError):
+            bound_verdict(PRESETS["o-uc10"], PRESETS["o-nu"], sizes, sizes)
 
     def test_chain_pair_on_random_functions(self):
         manager = Manager()
@@ -115,3 +136,73 @@ class TestCheckBounds:
                 a = node_count(compile_table(PRESETS[first], table, manager))
                 b = node_count(compile_table(PRESETS[second], table, manager))
                 assert 2 * a <= (n + 1) * (b + 1)
+
+
+def sweep_bounds(arity: int) -> int:
+    """Check the size bounds of every comparable pair of the 48 models
+    on every function of ``arity``; return the number of verdicts.
+    Tables are measured 4,096 at a time, one manager per model, so
+    memory stays bounded at arity 4."""
+    models = valid_models()
+    pairs = [(a, b) for a, b in itertools.permutations(models, 2)
+             if lattice_leq(a, b)]
+    assert len(pairs) == 426
+    checks = 0
+    total = 1 << (1 << arity)
+    for start in range(0, total, 4096):
+        tables = [TruthTable(arity, mask)
+                  for mask in range(start, min(start + 4096, total))]
+        sizes = {}
+        for model in models:
+            manager = Manager()
+            sizes[model] = [measure(compile_table(model, table, manager))
+                            for table in tables]
+        for coarse, fine in pairs:
+            for c, f in zip(sizes[coarse], sizes[fine]):
+                verdict = bound_verdict(coarse, fine, c, f)
+                assert verdict.ok, verdict
+            checks += len(tables)
+    return checks
+
+
+class TestBoundsHold:
+    """The bounds of ``BoundVerdict`` over the whole class; CI runs
+    ``sweep_bounds(4)``."""
+
+    def test_every_function_of_arity_3(self):
+        assert sweep_bounds(3) == 426 * 256
+
+    def test_x0_at_arity_1(self):
+        # the old upper bound 2*coarse <= (n+1)*(fine+1) on diamonds
+        # plus terminals failed here: s has 3 nodes, o-nucx 1
+        table = TruthTable.projection(1, 0)
+        verdict = check_bounds(table, PRESETS["s"], NUCX)
+        assert verdict.ok
+        assert (verdict.coarse_diamonds, verdict.fine_diamonds) == (1, 0)
+        for coarse, fine in itertools.permutations(valid_models(), 2):
+            if lattice_leq(coarse, fine):
+                assert check_bounds(table, coarse, fine).ok, (coarse, fine)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_parity(self, n):
+        mask = 0
+        for row in range(1 << n):
+            mask |= (row.bit_count() & 1) << row
+        table = TruthTable(n, mask)
+        manager = Manager()
+        for coarse, fine in itertools.permutations(PRESETS.values(), 2):
+            if lattice_leq(coarse, fine):
+                verdict = check_bounds(table, coarse, fine, manager)
+                assert verdict.ok, verdict
+        assert check_bounds(table, PRESETS["s"], NUCX,
+                            manager).fine_diamonds == 0
+
+    def test_marks_double_the_upper_bound(self):
+        # a mark-free coarse diamond tells f from not-f, so without the
+        # factor k = 2 the upper bound fails on s against s-n
+        table = TruthTable(9, random.Random(2).getrandbits(512))
+        verdict = check_bounds(table, PRESETS["s"], PRESETS["s-n"])
+        assert (verdict.coarse_diamonds, verdict.fine_diamonds,
+                verdict.fine_letters) == (142, 122, 0)
+        assert verdict.coarse_diamonds > verdict.fine_diamonds + 2 * 9
+        assert verdict.ok

@@ -4,17 +4,19 @@ import tracemalloc
 
 import pytest
 
-from conftest import example1_table
+from conftest import custom_param, example1_table
 from nucx.connectives import apply, negb, projection
 from nucx.graph import Manager, eval_handle
 from nucx.oracle import TruthTable, tt_eval
 from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
-from nucx.reduction import NUCX, PRESETS, compile_table, parse_model, reduce
+from nucx.reduction import NUCX, PRESETS, compile_table, reduce
 
 ALL_MODELS = list(PRESETS.items())
-WITNESS_MODELS = [m for _, m in ALL_MODELS] + [
-    parse_model(name) for name in ("custom:x", "custom:c00,c11",
-                                   "custom:u,x+neg", "custom:c00,c01+neg")]
+WITNESS_PARAMS = [pytest.param(m, id=repr(m)) for _, m in ALL_MODELS] + [
+    custom_param(name) for name in ("custom:x", "custom:c01,c11",
+                                    "custom:c00,c11", "custom:u,x+neg",
+                                    "custom:c00,c01+neg")]
+WITNESS_MODELS = [param.values[0] for param in WITNESS_PARAMS]
 #: every non-zero function of arity <= 3, as (arity, mask)
 NONZERO = [(arity, mask) for arity in range(4)
            for mask in range(1, 1 << (1 << arity))]
@@ -165,7 +167,7 @@ class TestAnySat:
 
 
 class TestLeastWitness:
-    @pytest.mark.parametrize("model", WITNESS_MODELS, ids=repr)
+    @pytest.mark.parametrize("model", WITNESS_PARAMS)
     def test_any_sat_is_first_of_all_sat(self, model):
         manager = Manager()
         for arity, mask in NONZERO:

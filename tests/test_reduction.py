@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import example1_table, random_raw_edge
+from conftest import example1_table, model_spellings, random_raw_edge
 from nucx import reduction
 from nucx.graph import (
     FuncHandle,
@@ -32,9 +32,7 @@ from nucx.reduction import (
     constant,
     descend,
     elim_letter,
-    is_stable,
     lattice_leq,
-    neg_conjugate,
     parse_model,
     push_neg,
     reduce,
@@ -55,22 +53,24 @@ class TestConjugation:
     def test_table(self):
         pairs = {U: U, X: X, C00: C01, C01: C00, C10: C11, C11: C10}
         for letter, expected in pairs.items():
-            assert neg_conjugate(letter) is expected
+            assert letter.conjugate is expected
 
     def test_involution(self):
         for letter in ELEMENTARY:
-            assert neg_conjugate(neg_conjugate(letter)) is letter
+            assert letter.conjugate.conjugate is letter
 
     def test_mark_rejected(self):
+        assert N.conjugate is None
         with pytest.raises(ValueError):
-            neg_conjugate(N)
+            ModelSpec(frozenset({N}), True)
 
 
 class TestModelSpec:
     def test_stability_examples(self):
-        assert not is_stable(ModelSpec(frozenset({U, C10})))
-        assert is_stable(ModelSpec(frozenset({U, C10, C11})))
-        assert is_stable(ModelSpec(frozenset()))
+        # test_unstable_negation_rejected has the unclosed case
+        assert ModelSpec(frozenset({U, C10})).letters == {U, C10}
+        assert ModelSpec(frozenset({U, C10, C11}), True).negation
+        assert ModelSpec(frozenset(), True) is PRESETS["s-n"]
 
     def test_unstable_negation_rejected(self):
         with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ class TestModelInterning:
             assert pickle.loads(pickle.dumps(model)) is model
 
     def test_threads_get_one_instance(self):
-        key = (frozenset({X, C10}), False)
+        key = (frozenset({C00, C11}), False)
         original = reduction._MODELS[key]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -184,18 +184,57 @@ class TestModelInterning:
 
 class TestValidModels:
     def test_the_whole_class(self):
-        assert len(VALID_MODELS) == 80
-        assert len(set(VALID_MODELS)) == 80
+        assert len(VALID_MODELS) == 48
+        assert len(set(VALID_MODELS)) == 48
         assert set(PRESETS.values()) <= set(VALID_MODELS)
         assert sum(m.negation for m in VALID_MODELS) == 16
+        spellings = [param.values[0] for param in model_spellings()]
+        assert len(spellings) == 80
+        assert set(spellings) == set(VALID_MODELS)
         for model in VALID_MODELS:
-            assert not model.negation or is_stable(model)
+            if model.negation:
+                assert {l.conjugate for l in model.letters} == model.letters
+            else:
+                assert X not in model.letters
 
-    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    def test_mark_free_x_spellings_are_their_twins(self):
+        assert ModelSpec(frozenset({U, X})) is PRESETS["o-u"]
+        assert parse_model("custom:x") is PRESETS["s"]
+        assert parse_model("custom:x,c10,c11+neg") is not parse_model(
+            "custom:c10,c11+neg")
+        for bits in range(1 << len(ELEMENTARY)):
+            letters = frozenset(letter for i, letter in enumerate(ELEMENTARY)
+                                if bits >> i & 1)
+            twin = ModelSpec(letters - {X})
+            assert ModelSpec(letters) is twin
+            assert twin in VALID_MODELS
+
+    def test_distinct_models_compile_distinctly(self):
+        # every function of arity <= 3 at once: one key per model
+        manager = Manager()
+        tables = [TruthTable(n, mask)
+                  for n in range(4) for mask in range(1 << (1 << n))]
+        keys = {tuple(compile_table(model, table, manager).edge
+                      for table in tables)
+                for model in VALID_MODELS}
+        assert len(keys) == len(VALID_MODELS) == 48
+
+    def test_nucx_is_the_most_expressive(self):
+        manager = Manager()
+        for n in range(4):
+            for mask in range(1 << (1 << n)):
+                table = TruthTable(n, mask)
+                least = len(diamonds_of(compile_table(NUCX, table,
+                                                      manager).edge))
+                for model in VALID_MODELS:
+                    edge = compile_table(model, table, manager).edge
+                    assert len(diamonds_of(edge)) >= least, (model, mask)
+
+    @pytest.mark.parametrize("model", model_spellings())
     def test_certify_canonicity(self, model):
         certify_canonicity(model, 3)
 
-    @pytest.mark.parametrize("model", VALID_MODELS, ids=repr)
+    @pytest.mark.parametrize("model", model_spellings())
     def test_compared_constants_end_at_a_terminal(self, model):
         # ``cons_diamond`` skips the canalizing checks for a child that
         # ends at a diamond; that is sound because every constant a check
@@ -221,7 +260,7 @@ class TestValidModels:
                       for arity in range(1, 31)}
             assert len(shapes) == 1, model
             chains += shapes == {(True, True)}
-        assert chains == 64
+        assert chains == 39
 
 
 class TestLattice:
@@ -236,6 +275,30 @@ class TestLattice:
         for low, high in HASSE_EDGES:
             assert lattice_leq(PRESETS[low], PRESETS[high])
             assert not lattice_leq(PRESETS[high], PRESETS[low])
+
+    def test_hasse_edges_are_the_covering_relation(self):
+        # the transitive reduction of the strict order: its closure is
+        # the order, and no edge follows from the others
+        def closure(edges):
+            closed = set(edges)
+            while True:
+                more = {(a, d) for a, b in closed for c, d in closed
+                        if b == c} - closed
+                if not more:
+                    return closed
+                closed |= more
+
+        order = {(low, high)
+                 for low, a in PRESETS.items() for high, b in PRESETS.items()
+                 if a is not b and lattice_leq(a, b)}
+        edges = set(HASSE_EDGES)
+        assert len(HASSE_EDGES) == len(edges) == 14
+        assert closure(edges) == order
+        for edge in edges:
+            assert edge not in closure(edges - {edge}), edge
+        assert {("o-uc0", "o-uc"), ("o-nuc", "o-nucx")} <= edges
+        assert ("o-nu", "o-nucx") not in edges
+        assert ("o-uc0", "o-nucx") not in edges
 
 
 class TestPushNeg:
