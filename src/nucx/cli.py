@@ -27,7 +27,7 @@ from .connectives import build_expr, negb
 from .graph import FuncHandle, Manager, dot_export, signature
 from .letters import from_token
 from .metrics import CSV_HEADER, bound_verdict, measure
-from .oracle import TruthTable
+from .oracle import COMBINATORS, TruthTable
 from .queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
 from .reduction import (
     PRESETS,
@@ -339,8 +339,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("translate",
                        help="carry a reduction letter between combinators")
     p.add_argument("--from", dest="source", required=True,
-                   choices=["s", "d+", "d-"])
-    p.add_argument("--to", required=True, choices=["s", "d+", "d-"])
+                   choices=COMBINATORS)
+    p.add_argument("--to", required=True, choices=COMBINATORS)
     p.add_argument("--letter", required=True)
     p.set_defaults(handler=_cmd_translate)
 

@@ -11,10 +11,10 @@ where the model has ``U``, of ``X``/``X`` levels (``U``).  The run is
 stripped in a pointer loop and interned over the result of the pair
 below it.  Every other pair splits both operands on the leading
 variable and recombines the results through the normalized
-constructor, so results stay reduced.  The walk is
-``reduction.descend``, which does not recurse; its memo is keyed on
-the table and two mark-free, id-ordered operands, so repeated
-subproblems across calls are free.
+constructor, so results stay reduced.  The walk is one loop over an
+explicit stack of pending splits, complements and runs, so it does not
+recurse; its memo is keyed on the table and two mark-free, id-ordered
+operands, so repeated subproblems across calls are free.
 
 A key is normalized as in complement-edge BDD packages: a leading
 complement mark on an operand is folded into the table instead of kept
@@ -30,8 +30,6 @@ in mark-free models it is ``reduction.rebuild`` with parity 1.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
 from .letters import N, U, X
 from .oracle import ArityError
@@ -40,7 +38,6 @@ from .reduction import (
     cofactors,
     cons_diamond,
     constant,
-    descend,
     push_neg,
     rebuild,
     require_model,
@@ -50,6 +47,9 @@ from .reduction import (
 _OPERATORS = {"and": 0b1000, "or": 0b1110, "xor": 0b0110, "implies": 0b1011}
 _AND = _OPERATORS["and"]
 _XOR = _OPERATORS["xor"]
+
+#: Frame kinds on the apply core's stack.
+_SPLIT, _JOIN, _NEG, _RUN = range(4)
 
 
 def _require_pair(a: FuncHandle, b: FuncHandle) -> ModelSpec:
@@ -107,6 +107,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     step is no split."""
     manager = x.manager
     space = manager.space(model)
+    memo = space.apply
     negation = model.negation
     count = op == _AND
     pairs = 0
@@ -123,18 +124,6 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # a model without U has no run: two X levels would need it
     runs = U in model.letters
 
-    def pair(op: int, x: Edge, y: Edge) -> tuple:
-        if x.letter is N:
-            x = x.child
-            op = op >> 2 & 3 | (op & 3) << 2
-        if y.letter is N:
-            y = y.child
-            op = op >> 1 & 5 | op << 1 & 10
-        if id(y) < id(x):
-            x, y = y, x
-            op = op & 9 | op >> 1 & 2 | op << 1 & 4
-        return (id(x) << 64 | id(y)) << 4 | op, op, x, y
-
     def unary(table: int, edge: Edge) -> Edge:
         """``v -> bit v of table`` applied to ``edge``."""
         if table == 0b10:
@@ -143,82 +132,115 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             return push_neg(edge) if negation else rebuild(model, edge, 1)
         return (ones if table & 1 else zeros)[edge.arity]
 
-    def run(op: int, x: Edge, y: Edge, letters: list | None = None):
-        """Strip the leading levels that ``x`` and ``y`` skip alike: both
-        lead with ``U`` or, under xor, each with ``U`` or ``X``.  The
-        result leads with ``U`` there (``X`` for a mixed level), appended
-        to ``letters`` outermost first."""
-        xor = op == _XOR
-        while x is not y:
-            a, b = x.letter, y.letter
-            if a is U and b is U:
-                letter = U
-            elif xor and (a is U or a is X) and (b is U or b is X):
-                letter = U if a is b else X
-            else:
-                break
-            if letters is not None:
-                letters.append(letter)
-            x, y = x.child, y.child
-        return x, y
-
-    def flip(item, v: Edge) -> Edge:
-        _, op, x, y = item
-        if op & 1 and negation:     # split's complement step
-            return push_neg(v)
-        letters = []
-        run(op, x, y, letters)      # re-read the item's run
-        return _intern_run(manager, letters, v)
-
-    def split(item):
-        nonlocal pairs
-        key, op, x, y = item
+    # Pending work, innermost last, each frame tagged by its kind: a
+    # split whose lo half is being computed and whose hi pair comes next,
+    # a join of the hi half's value under ``lo``, a complement of the
+    # value below, or a run interned over it.  All but a split write the
+    # memo under ``key`` once their value is in.
+    stack = []
+    while True:
+        # the pair (op, x, y) to compute: fold its marks into the table
+        # and order its operands by id, then look it up
+        if x.letter is N:
+            x = x.child
+            op = op >> 2 & 3 | (op & 3) << 2
+        if y.letter is N:
+            y = y.child
+            op = op >> 1 & 5 | op << 1 & 10
+        i = id(x)
+        j = id(y)
+        if j < i:
+            x, y, i, j = y, x, j, i
+            op = op & 9 | op >> 1 & 2 | op << 1 & 4
+        key = (i << 64 | j) << 4 | op
+        value = memo.get(key)
         # x is y is a leaf below; its key's table depends on the order the
         # operands came in, so it must not be memoized through a flip
-        if op & 1 and negation and x is not y:
-            return None, (key ^ 15, op ^ 15, x, y)
-        if not chains or x.node.lo is None or y.node.lo is None:
-            zero = zeros[x.arity]
-            one = ones[x.arity]
-            a = 0 if x is zero else 1 if x is one else None
-            b = 0 if y is zero else 1 if y is one else None
-            if a is not None:
-                if b is not None:
-                    return one if op >> 2 * a + b & 1 else zero
-                return unary(op >> 2 * a & 3, y)
-            if b is not None:
-                return unary(op >> b & 1 | op >> 1 >> b & 2, x)
-        if x is y:
-            return unary(op & 1 | op >> 2 & 2, x)
-        if runs:
-            x0, y0 = run(op, x, y)
-            if x0 is not x:
-                return None, pair(op, x0, y0)
-        if count:
-            pairs += 1
-        # the hi cofactor of X.c is ~c: fold the mark into the table
-        op1 = op
-        if x.letter is None:
-            x0, x1 = x.node.lo, x.node.hi
-        elif x.letter is X:
-            x0 = x1 = x.child
-            op1 = op1 >> 2 & 3 | (op1 & 3) << 2
+        if value is None and op & 1 and negation and i != j:
+            stack.append((_NEG, key))
+            key ^= 15
+            op ^= 15
+            value = memo.get(key)
+        if value is None:
+            # a leaf: a constant operand or equal operands, read off the
+            # table and never memoized
+            if not chains or x.node.lo is None or y.node.lo is None:
+                zero = zeros[x.arity]
+                one = ones[x.arity]
+                a = 0 if x is zero else 1 if x is one else None
+                b = 0 if y is zero else 1 if y is one else None
+                if a is not None and b is not None:
+                    value = one if op >> 2 * a + b & 1 else zero
+                elif a is not None:
+                    value = unary(op >> 2 * a & 3, y)
+                elif b is not None:
+                    value = unary(op >> b & 1 | op >> 1 >> b & 2, x)
+            if value is None and i == j:
+                value = unary(op & 1 | op >> 2 & 2, x)
+        if value is None:
+            # strip the leading levels both skip alike: both lead with U
+            # or, under xor, each with U or X; the result leads with U
+            # there (X for a mixed level)
+            if runs:
+                letters = None
+                while x is not y:
+                    a, b = x.letter, y.letter
+                    if a is U and b is U:
+                        letter = U
+                    elif (op == _XOR and (a is U or a is X)
+                          and (b is U or b is X)):
+                        letter = U if a is b else X
+                    else:
+                        break
+                    if letters is None:
+                        letters = []
+                    letters.append(letter)
+                    x, y = x.child, y.child
+                if letters is not None:
+                    stack.append((_RUN, key, letters))
+                    continue
+            if count:
+                pairs += 1
+            # split on the leading variable: the hi cofactor of X.c is
+            # ~c, so its mark goes into the hi pair's table
+            op1 = op
+            if x.letter is None:
+                x0, x1 = x.node.lo, x.node.hi
+            elif x.letter is X:
+                x0 = x1 = x.child
+                op1 = op1 >> 2 & 3 | (op1 & 3) << 2
+            else:
+                x0, x1 = cofactors(model, x)
+            if y.letter is None:
+                y0, y1 = y.node.lo, y.node.hi
+            elif y.letter is X:
+                y0 = y1 = y.child
+                op1 = op1 >> 1 & 5 | op1 << 1 & 10
+            else:
+                y0, y1 = cofactors(model, y)
+            stack.append((_SPLIT, key, op1, x1, y1))
+            x, y = x0, y0
+            continue
+        # hand the value up until a split needs its hi half next
+        while stack:
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _SPLIT:
+                _, key, op, x, y = frame
+                stack.append((_JOIN, key, value))
+                break
+            if tag == _NEG:
+                value = push_neg(value)
+            elif tag == _RUN:
+                value = _intern_run(manager, frame[2], value)
+            else:
+                value = cons_diamond(model, manager, frame[2], value)
+            memo[frame[1]] = value
         else:
-            x0, x1 = cofactors(model, x)
-        if y.letter is None:
-            y0, y1 = y.node.lo, y.node.hi
-        elif y.letter is X:
-            y0 = y1 = y.child
-            op1 = op1 >> 1 & 5 | op1 << 1 & 10
-        else:
-            y0, y1 = cofactors(model, y)
-        return pair(op, x0, y0), pair(op1, x1, y1)
-
-    result = descend(space.apply, pair(op, x, y), split,
-                     partial(cons_diamond, model, manager), flip)
+            break
     if pairs:
         manager.bump("andb_pairs", pairs)
-    return result
+    return value
 
 
 def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:

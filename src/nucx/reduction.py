@@ -7,10 +7,10 @@ the model whose pattern matches, so graphs built bottom-up through it
 are reduced by construction.  ``reduce`` re-normalizes arbitrary raw
 graphs (including graphs reduced under another model) by eliminating
 every letter back to its diamond pattern and rebuilding.
-Every memoized descent, here and in the connectives and queries, runs
-on ``descend``, a walk on an explicit stack, and ``compile_table`` builds
-level by level in a loop, so none can hit the interpreter's recursion
-limit.
+``rebuild``, ``compile_table``'s chunks and ``count_sat`` run on
+``descend``, a memoized walk on an explicit stack; the apply core is one
+such loop of its own, and ``compile_table`` builds the levels above its
+chunks in a loop, so none can hit the interpreter's recursion limit.
 
 Letter introduction priority is fixed globally:
 
@@ -29,11 +29,11 @@ of a word and never twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .graph import Edge, FuncHandle, Manager, to_truth_table
 from .letters import C00, C01, C10, C11, ELEMENTARY, N, U, X, Letter, from_token
-from .oracle import ArityError, TruthTable
+from .oracle import COMBINATORS, ArityError, TruthTable
 
 
 def _letters_stable(letters: frozenset[Letter]) -> bool:
@@ -88,8 +88,10 @@ class ModelSpec:
     def __reduce__(self):
         return ModelSpec, (self.letters, self.negation)
 
-    @property
+    @cached_property
     def name(self) -> str:
+        """The preset's name, else ``custom:<tokens>`` (``+neg`` with
+        the mark); made on first use, once the presets are named."""
         preset = _PRESET_BY_VALUE.get(self)
         if preset is not None:
             return preset
@@ -310,7 +312,9 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
 
     The one place that reads a letter's meaning: every diagram-side
     descent (reduction, negation, the connectives and the queries) goes
-    through it.  Constants come out in ``model``'s canonical form.
+    through it, except that the apply core splits ``X`` inline to fold
+    its mark into the key, and both it and ``count_sat`` step over runs
+    inline.  Constants come out in ``model``'s canonical form.
     """
     letter = edge.letter
     if letter is None:
@@ -473,7 +477,7 @@ def translate_letter(source: str, target: str, letter: Letter) -> Letter:
     source = source.lower()
     target = target.lower()
     for comb in (source, target):
-        if comb not in ("s", "d+", "d-"):
+        if comb not in COMBINATORS:
             raise ValueError(f"unknown combinator {comb!r}")
     if source == "d+":
         letter = _DPOS_TO_S[letter]

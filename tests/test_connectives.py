@@ -366,6 +366,49 @@ class TestApplyKeys:
         assert not any(e.letter is N for e in interned_links(manager))
 
 
+def fold(model, manager, ast, arity):
+    """An expression built one connective call at a time, operands
+    first, as a user (or ``perfbench``'s ``apply-chain``) would."""
+    kind = ast[0]
+    if kind == "var":
+        return projection(model, manager, ast[1], arity)
+    if kind == "not":
+        return negb(fold(model, manager, ast[1], arity))
+    return apply(kind, fold(model, manager, ast[1], arity),
+                 fold(model, manager, ast[2], arity))
+
+
+class TestKernelWork:
+    """The work of the apply core on left-deep chains, pinned exactly:
+    a change to how the core walks must not change what it memoizes,
+    splits or interns."""
+
+    # apply entries, andb_pairs, diamonds, links
+    WORK = {
+        ("pair", "o-u"): (1520, 992, 1088, 3601),
+        ("pair", "o-nu"): (1552, 992, 1088, 3602),
+        ("pair", "o-nucx"): (1552, 992, 496, 4194),
+        ("parity", "o-u"): (3969, 0, 4096, 2144),
+        ("parity", "o-nu"): (4032, 0, 2080, 4161),
+        ("parity", "o-nucx"): (63, 0, 0, 4225),
+        ("cnf", "o-u"): (2653, 1587, 1713, 5538),
+        ("cnf", "o-nu"): (3524, 1587, 1688, 5589),
+        ("cnf", "o-nucx"): (2897, 1587, 993, 7699),
+    }
+
+    @pytest.mark.parametrize("family,name", list(WORK))
+    def test_left_deep_chain(self, family, name):
+        arity = 64
+        model = PRESETS[name]
+        manager = Manager()
+        fold(model, manager, parse_expr(chain_texts(arity)[family], arity),
+             arity)
+        work = (len(manager.space(model).apply),
+                manager.counters.get("andb_pairs", 0), len(manager),
+                len(interned_links(manager)))
+        assert work == self.WORK[family, name]
+
+
 def run_mask(arity, tail, xored, tail_mask):
     """The mask of ``g ^ x_i ^ ...``: ``g`` is the table ``tail_mask``
     of the last ``tail`` variables, and bit ``j`` of ``xored`` puts
@@ -450,7 +493,11 @@ def evaluate(ast, valuation):
 
 @st.composite
 def wide_exprs(draw):
-    """A random expression tree over a few variables of a wide arity."""
+    """A random expression over a few variables of a wide arity: a
+    random tree of up to 16 leaves, then steps that each combine any two
+    of its subterms or of the steps before, reused as the same tuple, so
+    operands are often equal, complementary or share their parts.  The
+    expression has at most 64 leaves, counted with repeats."""
     arity = draw(st.integers(200, 1000))
     leaves = st.one_of(
         st.tuples(st.just("var"), st.integers(0, arity - 1)),
@@ -459,7 +506,26 @@ def wide_exprs(draw):
         st.tuples(st.just("not"), sub),
         st.tuples(st.sampled_from(["and", "or", "xor"]), sub, sub)),
         max_leaves=16))
-    return arity, ast
+    nodes = []      # (subterm, its leaves), each after its parts
+
+    def visit(node):
+        count = (1 if node[0] in ("var", "const")
+                 else sum(visit(part) for part in node[1:]))
+        nodes.append((node, count))
+        return count
+
+    visit(ast)
+    steps = st.tuples(st.sampled_from(["not", "and", "or", "xor"]),
+                      st.integers(0, 63), st.integers(0, 63))
+    # the latest node is nodes[~0], so steps that shrink to 0 build on it
+    for kind, p, q in draw(st.lists(steps, max_size=16)):
+        a, m = nodes[~(p % len(nodes))]
+        b, n = nodes[~(q % len(nodes))]
+        if kind == "not":
+            nodes.append((("not", a), m))
+        elif m + n <= 64:
+            nodes.append(((kind, a, b), m + n))
+    return arity, nodes[-1][0]
 
 
 class TestLevelSkipping:
@@ -502,17 +568,23 @@ class TestLevelSkipping:
     @settings(max_examples=30, deadline=None)
     @given(wide_exprs(), st.integers(0, 2**32))
     def test_wide_builds_agree_across_models(self, case, seed):
+        # o-nu is the chain model where the complement flip of a key
+        # meets the U run step
         arity, ast = case
         manager = Manager()
-        narrow = build_expr(PRESETS["o-u"], ast, arity, manager)
         wide = build_expr(NUCX, ast, arity, manager)
-        assert reduce(NUCX, narrow).edge is wide.edge
+        narrow = [build_expr(PRESETS[name], ast, arity, manager)
+                  for name in ("o-u", "o-nu")]
+        for handle in (wide, *narrow):
+            assert reduce(handle.model, handle).edge is handle.edge
+        for handle in narrow:
+            assert reduce(NUCX, handle).edge is wide.edge
         rng = random.Random(seed)
         for _ in range(8):
             valuation = [rng.getrandbits(1) for _ in range(arity)]
             expected = evaluate(ast, valuation)
-            assert eval_handle(narrow, valuation) == expected
-            assert eval_handle(wide, valuation) == expected
+            for handle in (wide, *narrow):
+                assert eval_handle(handle, valuation) == expected
 
 
 class TestClearedMemos:

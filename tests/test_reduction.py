@@ -127,6 +127,11 @@ class TestModelInterning:
         assert parse_model(first.name) is first
         assert first is not parse_model("custom:x,c10,c11+neg")
 
+    def test_names_are_computed_once(self):
+        for model in VALID_MODELS:
+            assert model.name is model.name
+            assert parse_model(model.name) is model
+
     def test_equality_is_identity(self):
         model = parse_model("custom:u,x")
         assert model == parse_model("custom:x,u")
