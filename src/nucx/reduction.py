@@ -7,10 +7,12 @@ the model whose pattern matches, so graphs built bottom-up through it
 are reduced by construction.  ``reduce`` re-normalizes arbitrary raw
 graphs (including graphs reduced under another model) by eliminating
 every letter back to its diamond pattern and rebuilding.
-``rebuild``, ``compile_table``'s chunks and ``count_sat`` run on
-``descend``, a memoized walk on an explicit stack; the apply core is one
-such loop of its own, and ``compile_table`` builds the levels above its
-chunks in a loop, so none can hit the interpreter's recursion limit.
+``rebuild`` (every ``reduce``, and negation in a mark-free model) and
+the apply core are each one loop of their own on an explicit stack;
+``compile_table``'s chunks and ``count_sat`` run on ``descend``, a
+generic memoized walk on one, and ``compile_table`` builds the levels
+above its chunks in a loop, so none can hit the interpreter's recursion
+limit.
 
 Letter introduction priority is fixed globally:
 
@@ -331,7 +333,9 @@ _FLIP = object()
 
 
 def descend(memo: dict, root: tuple, split, join, flip=None):
-    """Memoized post-order walk on an explicit stack.
+    """Memoized post-order walk on an explicit stack, for
+    ``compile_table``'s byte chunks and ``count_sat``; ``rebuild`` and
+    the apply core have loops of their own, with no callback per item.
 
     A work item is a tuple whose first element is its memo key.
     ``split(item)`` returns the item's value (a leaf, not memoized), a
@@ -372,37 +376,76 @@ def descend(memo: dict, root: tuple, split, join, flip=None):
     return values[0]
 
 
+#: Frame kinds on ``rebuild``'s stack.
+_SPLIT, _JOIN, _NEG = range(3)
+
+
 def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     """The ``model``-canonical graph of ``edge``'s function, complemented
     when ``parity`` is 1, rebuilt through :func:`cons_diamond`.  A
     complement mark toggles the result's root mark in a complement-bearing
     model and flips the parity in a mark-free one.  Memoized in the
     model's space on the edge itself, or on its ``id`` (an int, never
-    equal to an edge) for the complement."""
+    equal to an edge) for the complement; terminals are not memoized.
+
+    One loop on an explicit stack, as the apply core is: a diamond's
+    children and a leading mark are read inline, every other letter
+    through :func:`cofactors`, and both halves are joined lo first.
+    ``negb_recursions`` counts the memo misses under parity 1."""
     manager = edge.manager
+    memo = manager.space(model).reduce
     negation = model.negation
-
-    def split(item):
-        _, edge, parity = item
-        if not negation:
-            while edge.letter is N:
+    flips = 0
+    # Pending work, innermost last: a split whose lo half is being
+    # computed and whose hi edge comes next, a join of the hi half's
+    # value under ``lo``, or a complement of the value below.  A join or
+    # a complement writes the memo under ``key`` once its value is in.
+    stack = []
+    while True:
+        # the key is taken before a mark-free model strips the marks
+        key = id(edge) if parity else edge
+        value = memo.get(key)
+        if value is None:
+            if not negation:
+                while edge.letter is N:
+                    edge = edge.child
+                    parity ^= 1
+            if parity:
+                flips += 1
+            letter = edge.letter
+            if letter is N:
+                stack.append((_NEG, key))
                 edge = edge.child
-                parity ^= 1
-        if parity:
-            manager.bump("negb_recursions")
-        if edge.letter is N:
-            edge = edge.child
-            return None, (id(edge) if parity else edge, edge, parity)
-        if edge.letter is None and edge.node.lo is None:
-            return constant(model, manager, edge.node.value ^ parity, 0)
-        lo, hi = cofactors(model, edge)
-        return ((id(lo) if parity else lo, lo, parity),
-                (id(hi) if parity else hi, hi, parity))
-
-    return descend(manager.space(model).reduce,
-                   (id(edge) if parity else edge, edge, parity), split,
-                   partial(cons_diamond, model, manager),
-                   lambda _, v: push_neg(v))
+                continue
+            if letter is None:
+                node = edge.node
+                lo, hi = node.lo, node.hi
+            else:
+                lo, hi = cofactors(model, edge)
+            if lo is not None:
+                stack.append((_SPLIT, key, hi, parity))
+                edge = lo
+                continue
+            # a terminal: a leaf, never memoized
+            value = constant(model, manager, node.value ^ parity, 0)
+        # hand the value up until a split needs its hi half next
+        while stack:
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _SPLIT:
+                _, key, edge, parity = frame
+                stack.append((_JOIN, key, value))
+                break
+            if tag == _NEG:
+                value = push_neg(value)
+            else:
+                value = cons_diamond(model, manager, frame[2], value)
+            memo[frame[1]] = value
+        else:
+            break
+    if flips:
+        manager.bump("negb_recursions", flips)
+    return value
 
 
 def reduce(model: ModelSpec, handle: FuncHandle) -> FuncHandle:

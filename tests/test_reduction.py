@@ -10,8 +10,10 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import example1_table, model_spellings, random_raw_edge
+from conftest import (example1_table, interned_links, model_spellings,
+                      random_raw_edge)
 from nucx import reduction
+from nucx.connectives import negb, projection
 from nucx.graph import (
     FuncHandle,
     Manager,
@@ -21,6 +23,7 @@ from nucx.graph import (
 )
 from nucx.letters import C00, C01, C10, C11, ELEMENTARY, N, U, X
 from nucx.oracle import ArityError, TruthTable, tt_apply
+from nucx.queries import count_sat
 from nucx.reduction import (
     HASSE_EDGES,
     NUCX,
@@ -486,6 +489,78 @@ class TestReduce:
                 if model.negation:
                     assert flipped.edge is push_neg(handle.edge)
                 assert flipped.edge is not handle.edge
+
+    def test_rebuild_deeper_than_recursion_limit(self):
+        arity = 5000
+        manager = Manager()
+        x0 = projection(PRESETS["s"], manager, 0, arity)
+        flipped = negb(x0)
+        assert count_sat(flipped) == 2 ** (arity - 1)
+        assert negb(flipped).edge is x0.edge
+        model = PRESETS["o-u"]
+        last = projection(NUCX, manager, arity - 1, arity)
+        assert count_sat(reduce(model, last)) == 2 ** (arity - 1)
+        # the U run is stepped one level at a time
+        assert len(manager.space(model).reduce) == arity
+
+
+class TestRebuildWork:
+    """The work of ``rebuild`` on seeded arity-10 tables, pinned exactly:
+    a change to how it walks must not change what it memoizes, interns
+    or counts."""
+
+    # reduce entries, negb_recursions, const_steps, diamonds, links
+    REDUCE = {
+        "s": (684, 358, 18, 1054, 423),
+        "s-n": (680, 0, 18, 965, 662),
+        "o-u": (680, 354, 18, 1035, 439),
+        "o-nu": (676, 0, 18, 953, 668),
+        "o-c10": (684, 358, 18, 1032, 445),
+        "o-uc10": (680, 354, 18, 1016, 458),
+        "o-nuc10c11": (676, 0, 18, 933, 688),
+        "o-uc0": (680, 354, 18, 1000, 474),
+        "o-uc": (680, 354, 20, 975, 500),
+        "o-nuc": (676, 0, 20, 916, 635),
+        "o-nucx": (676, 0, 10, 454, 423),
+    }
+    NEGATE = {
+        "s": (600, 608, 2, 1022, 0),
+        "o-u": (600, 608, 2, 998, 24),
+        "o-c10": (600, 608, 5, 999, 23),
+        "o-uc10": (600, 608, 5, 978, 44),
+        "o-uc0": (600, 608, 6, 958, 65),
+        "o-uc": (600, 608, 10, 924, 100),
+    }
+
+    @staticmethod
+    def tables():
+        rng = random.Random(10)
+        return [TruthTable(10, rng.getrandbits(1 << 10)) for _ in range(3)]
+
+    @staticmethod
+    def work(model, manager):
+        return (len(manager.space(model).reduce),
+                manager.counters.get("negb_recursions", 0),
+                manager.counters.get("const_steps", 0), len(manager),
+                len(interned_links(manager)))
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_reduce_from_nucx(self, name):
+        model = PRESETS[name]
+        manager = Manager()
+        for table in self.tables():
+            reduce(model, compile_table(NUCX, table, manager))
+        assert self.work(model, manager) == self.REDUCE[name]
+
+    @pytest.mark.parametrize(
+        "name", [name for name, model in PRESETS.items()
+                 if not model.negation])
+    def test_negate_mark_free(self, name):
+        model = PRESETS[name]
+        manager = Manager()
+        for table in self.tables():
+            negb(compile_table(model, table, manager))
+        assert self.work(model, manager) == self.NEGATE[name]
 
 
 class TestCompile:
