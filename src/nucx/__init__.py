@@ -7,11 +7,13 @@ most expressive model combines all of them with constant-time negation.
 
 from .connectives import andb, apply, build_expr, cofactor, negb
 from .graph import (
+    SIGNATURE_LIMIT,
     Edge,
     FuncHandle,
     Manager,
     ManagerMismatchError,
     Node,
+    SignatureLimitError,
     dot_export,
     eval_handle,
     signature,

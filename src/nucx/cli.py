@@ -363,10 +363,6 @@ def run(argv=None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # the tree ``signature`` of a deep diagram
-        print("error: input nested too deeply", file=sys.stderr)
-        return 1
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2

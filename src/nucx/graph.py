@@ -297,22 +297,25 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
             f"valuation length {len(valuation)} != arity {edge.arity}")
     parity = 0
     i = 0
+    # most steps are at a diamond or on a run of U
     while True:
         letter = edge.letter
-        if letter is N:
-            parity ^= 1
-        elif letter is None:
+        if letter is None:
             node = edge.node
             if node.lo is None:
                 return node.value ^ parity
             edge = node.hi if valuation[i] else node.lo
             i += 1
             continue
+        if letter is U:
+            i += 1
+        elif letter is N:
+            parity ^= 1
         elif letter is X:
             if valuation[i]:
                 parity ^= 1
             i += 1
-        elif letter is not U and (not valuation[i]) != letter.branch:
+        elif (not valuation[i]) != letter.branch:
             # the entry's truth value picks the branch, as at a diamond
             return letter.const ^ parity
         else:
@@ -361,24 +364,69 @@ def _label(edge: Edge) -> str:
     return ".".join(tokens)
 
 
+#: The longest tree signature, in characters, that ``signature`` builds.
+#: The tree form repeats every shared subgraph, so its length can be
+#: exponential in the DAG's size (``x0`` under ``s`` at arity 1,200).
+SIGNATURE_LIMIT = 1 << 22
+
+
+class SignatureLimitError(ValueError):
+    """A tree signature would be longer than :data:`SIGNATURE_LIMIT`."""
+
+
 def signature_of_edge(edge: Edge) -> str:
     """Deterministic text form: ``[tokens]target`` with ``e`` for the
-    empty word, ``0``/``1`` terminals, ``(lo,hi)`` diamonds."""
+    empty word, ``0``/``1`` terminals, ``(lo,hi)`` diamonds.  Raises
+    :class:`SignatureLimitError` once one text (the whole or a part)
+    passes :data:`SIGNATURE_LIMIT` characters."""
     return _signature(edge, edge.manager.cache("signature"))
 
 
+#: Stack marker of ``_signature``: the edge below has both halves cached.
+_READY = object()
+
+
 def _signature(edge: Edge, cache: dict) -> str:
+    # A post-order walk on an explicit stack.  An edge to a diamond is
+    # written at once when both halves are cached; otherwise it is
+    # pushed once, under the marker, with its missing halves above it.
+    # The walk below one half meets only edges of lower arity than the
+    # other, so no edge is written twice (a diamond whose halves are one
+    # edge pushes it once).
     found = cache.get(edge)
     if found is not None:
         return found
-    word = _label(edge) or "e"
-    node = edge.node
-    if node.lo is None:
-        target = "01"[node.value]
-    else:
-        target = f"({_signature(node.lo, cache)},{_signature(node.hi, cache)})"
-    text = cache[edge] = f"[{word}]{target}"
-    return text
+    get = cache.get
+    stack = [edge]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        edge = pop()
+        if edge is _READY:
+            edge = pop()
+            node = edge.node
+            lo, hi = cache[node.lo], cache[node.hi]
+        else:
+            node = edge.node
+            if node.lo is None:
+                cache[edge] = f"[{_label(edge) or 'e'}]{'01'[node.value]}"
+                continue
+            lo, hi = get(node.lo), get(node.hi)
+            if lo is None or hi is None:
+                push(edge)
+                push(_READY)
+                if hi is None and node.hi is not node.lo:
+                    push(node.hi)
+                if lo is None:
+                    push(node.lo)
+                continue
+        text = f"[{_label(edge) or 'e'}]({lo},{hi})"
+        if len(text) > SIGNATURE_LIMIT:
+            raise SignatureLimitError(
+                f"the tree signature is longer than "
+                f"{SIGNATURE_LIMIT:,} characters")
+        cache[edge] = text
+    return cache[edge]
 
 
 def signature(handle: FuncHandle) -> str:
@@ -414,26 +462,29 @@ def dot_export(handle: FuncHandle) -> str:
         "digraph dd {",
         '  root [shape=invtriangle, label="", height=0.2, width=0.3];',
     ]
+    append = lines.append
     stack = [("root", handle.edge, "solid")]
+    push = stack.append
+    pop = stack.pop
     while stack:
-        source, edge, style = stack.pop()
+        source, edge, style = pop()
         node = edge.node
         target = ids.get(node)
         if target is None:
             if node.lo is None:
                 target = f"t{node.value}"
-                lines.append(f'  {target} [shape=box, label="{node.value}"];')
+                append(f'  {target} [shape=box, label="{node.value}"];')
             else:
                 target = f"n{diamonds}"
                 diamonds += 1
-                lines.append(f'  {target} [shape=diamond, label=""];')
-                stack.append((target, node.hi, "solid"))
-                stack.append((target, node.lo, "dashed"))
+                append(f'  {target} [shape=diamond, label=""];')
+                push((target, node.hi, "solid"))
+                push((target, node.lo, "dashed"))
             ids[node] = target
-        label = _label(edge)
-        attrs = f'style={style}'
-        if label:
-            attrs += f', label="{label}"'
-        lines.append(f"  {source} -> {target} [{attrs}];")
-    lines.append("}")
+        if edge.letter is None:
+            append(f"  {source} -> {target} [style={style}];")
+        else:
+            append(f'  {source} -> {target} '
+                   f'[style={style}, label="{_label(edge)}"];')
+    append("}")
     return "\n".join(lines) + "\n"

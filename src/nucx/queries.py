@@ -5,24 +5,24 @@ constant of matching arity (O(n), amortized O(1) once the constant
 chain exists); equivalence is an identity check thanks to hash-consing.
 
 Counting, witness search and enumeration read letters only through
-``reduction.cofactors`` (counting also takes a run of ``U`` in one
-step), and none recurses: counting runs on
-``reduction.descend`` (a complement mark counts the complement, a run
-of ``k`` ignored variables ``2^k`` times the count below it, a terminal
-its value, anything else the sum over both cofactors),
-``all_sat`` enumerates in lexicographic order from an explicit stack
-over one shared path, and ``any_sat`` is its first valuation.
+``reduction.cofactors``, apart from the steps each loop takes inline,
+and none recurses.  ``count_sat`` is one loop on an explicit stack of
+its own: a terminal counts its value, a complement mark the complement
+of the count below it, a run of ``k`` ignored variables ``2^k`` times
+the count below it (one shift), and anything else the sum over both
+cofactors.  ``all_sat`` enumerates in lexicographic order from an
+explicit stack over one shared path, and ``any_sat`` is its first
+valuation.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Iterator, Optional
 
 from .graph import FuncHandle, ManagerMismatchError
 from .letters import N, U
-from .reduction import cofactors, constant, descend, require_model
+from .reduction import cofactors, constant, require_model
 
 
 def is_sat(handle: FuncHandle) -> bool:
@@ -50,35 +50,73 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
     return a.edge is b.edge
 
 
+#: Frame kinds on ``count_sat``'s stack.
+_SPLIT, _JOIN, _NEG, _SHIFT = range(4)
+
+
 def count_sat(handle: FuncHandle) -> int:
-    """Number of satisfying valuations (exact, arbitrary precision)."""
+    """Number of satisfying valuations (exact, arbitrary precision).
+
+    Memoized per manager in the ``count`` cache, keyed on the edge;
+    terminals are not memoized, and neither are the inner links of a
+    ``U`` run, which is taken in one step."""
     model = require_model(handle)
-
-    def skip(edge):
-        while edge.letter is U:
-            edge = edge.child
-        return edge
-
-    def split(item):
-        edge = item[0]
-        if edge.letter is N:
-            return None, (edge.child,)
-        if edge.letter is U:
-            return None, (skip(edge),)
-        if edge.letter is None and edge.node.lo is None:
-            return edge.node.value
-        lo, hi = cofactors(model, edge)
-        return (lo,), (hi,)
-
-    def flip(item, v):
-        edge = item[0]
-        if edge.letter is N:
-            return (1 << edge.arity) - v
-        # each ignored variable of the run doubles the count
-        return v << edge.arity - skip(edge).arity
-
-    return descend(handle.manager.cache("count"), (handle.edge,), split,
-                   operator.add, flip)
+    memo = handle.manager.cache("count")
+    edge = handle.edge
+    # Pending work, innermost last, as (kind, edge, extra): a split whose
+    # lo half is being counted and whose hi edge comes next, a join of
+    # the hi half's count with the lo count, a complement, or a shift by
+    # the length of a run.  All but a split write the memo under their
+    # edge once its count is in.
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    while True:
+        value = memo.get(edge)
+        if value is None:
+            letter = edge.letter
+            if letter is None:
+                node = edge.node
+                lo = node.lo
+                if lo is not None:
+                    push((_SPLIT, edge, node.hi))
+                    edge = lo
+                    continue
+                # a terminal: a leaf, never memoized
+                value = node.value
+            elif letter is N:
+                push((_NEG, edge, None))
+                edge = edge.child
+                continue
+            elif letter is U:
+                below = edge.child
+                while below.letter is U:
+                    below = below.child
+                # each ignored variable of the run doubles the count
+                push((_SHIFT, edge, edge.arity - below.arity))
+                edge = below
+                continue
+            else:
+                lo, hi = cofactors(model, edge)
+                push((_SPLIT, edge, hi))
+                edge = lo
+                continue
+        # hand the count up until a split needs its hi half next
+        while stack:
+            kind, key, extra = pop()
+            if kind == _SPLIT:
+                push((_JOIN, key, value))
+                edge = extra
+                break
+            if kind == _JOIN:
+                value += extra
+            elif kind == _SHIFT:
+                value <<= extra
+            else:
+                value = (1 << key.arity) - value
+            memo[key] = value
+        else:
+            return value
 
 
 def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:
@@ -100,6 +138,13 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
     manager = handle.manager
 
     def walk() -> Iterator[tuple[int, ...]]:
+        # both constant rows reach the root's arity, so each step is two
+        # identity checks against the rows
+        arity = handle.edge.arity
+        constant(model, manager, 1, arity)
+        constant(model, manager, 0, arity)
+        space = manager.space(model)
+        zeros, ones = space.zeros, space.ones
         path: list[int] = []
         # (depth, hi): the pending x = 1 branch at path[depth]; the walk
         # takes each x = 0 branch at once
@@ -107,11 +152,11 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
         edge = handle.edge
         while True:
             arity = edge.arity
-            if edge is constant(model, manager, 1, arity):
+            if edge is ones[arity]:
                 prefix = tuple(path)
                 yield from (prefix + suffix for suffix in
                             itertools.product((0, 1), repeat=arity))
-            elif edge is not constant(model, manager, 0, arity):
+            elif edge is not zeros[arity]:
                 lo, hi = cofactors(model, edge)
                 pending.append((len(path), hi))
                 path.append(0)

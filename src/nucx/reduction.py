@@ -9,10 +9,9 @@ graphs (including graphs reduced under another model) by eliminating
 every letter back to its diamond pattern and rebuilding.
 ``rebuild`` (every ``reduce``, and negation in a mark-free model) and
 the apply core are each one loop of their own on an explicit stack;
-``compile_table``'s chunks and ``count_sat`` run on ``descend``, a
-generic memoized walk on one, and ``compile_table`` builds the levels
-above its chunks in a loop, so none can hit the interpreter's recursion
-limit.
+only ``compile_table``'s chunks run on ``descend``, a generic memoized
+walk on one, and ``compile_table`` builds the levels above its chunks
+in a loop, so none can hit the interpreter's recursion limit.
 
 Letter introduction priority is fixed globally:
 
@@ -315,8 +314,9 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     The one place that reads a letter's meaning: every diagram-side
     descent (reduction, negation, the connectives and the queries) goes
     through it, except that the apply core splits ``X`` inline to fold
-    its mark into the key, and both it and ``count_sat`` step over runs
-    inline.  Constants come out in ``model``'s canonical form.
+    its mark into the key, both it and ``count_sat`` step over runs
+    inline, and ``count_sat`` counts a mark as the complement of the
+    count below it.  Constants come out in ``model``'s canonical form.
     """
     letter = edge.letter
     if letter is None:
@@ -327,36 +327,31 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     return elim_letter(model, letter, edge.child)
 
 
-#: Stack markers of ``descend``: the item below is ready to join or flip.
-_JOIN = object()
-_FLIP = object()
+#: Stack marker of ``descend``: the item below is ready to join.
+_READY = object()
 
 
-def descend(memo: dict, root: tuple, split, join, flip=None):
+def descend(memo: dict, root: tuple, split, join):
     """Memoized post-order walk on an explicit stack, for
-    ``compile_table``'s byte chunks and ``count_sat``; ``rebuild`` and
-    the apply core have loops of their own, with no callback per item.
+    ``compile_table``'s byte chunks; ``rebuild``, the apply core and
+    ``count_sat`` have loops of their own, with no callback per item.
 
     A work item is a tuple whose first element is its memo key.
-    ``split(item)`` returns the item's value (a leaf, not memoized), a
-    pair of items ``(i0, i1)`` whose value is ``join(v0, v1)``, or
-    ``(None, i)`` whose value is ``flip(item, v)``.  Values still being
-    computed live on the stack, so a walk is only bounded by memory;
-    only finished non-leaf values are written to ``memo``, under their
-    keys, and each item is dropped once its value is.
+    ``split(item)`` returns the item's value (a leaf, not memoized) or a
+    pair of items ``(i0, i1)`` whose value is ``join(v0, v1)``.  Values
+    still being computed live on the stack, so a walk is only bounded by
+    memory; only finished non-leaf values are written to ``memo``, under
+    their keys, and each item is dropped once its value is.
     """
     values = []
     stack = [root]
     push = stack.append
     while stack:
         item = stack.pop()
-        if item is _JOIN:
+        if item is _READY:
             item = stack.pop()
             hi = values.pop()
             found = memo[item[0]] = join(values.pop(), hi)
-        elif item is _FLIP:
-            item = stack.pop()
-            found = memo[item[0]] = flip(item, values.pop())
         else:
             found = memo.get(item[0])
             if found is None:
@@ -364,13 +359,9 @@ def descend(memo: dict, root: tuple, split, join, flip=None):
                 if type(found) is tuple:
                     i0, i1 = found
                     push(item)
-                    if i0 is None:
-                        push(_FLIP)
-                        push(i1)
-                    else:
-                        push(_JOIN)
-                        push(i1)
-                        push(i0)
+                    push(_READY)
+                    push(i1)
+                    push(i0)
                     continue
         values.append(found)
     return values[0]

@@ -474,6 +474,14 @@ class TestExitCodes:
         assert code == 0
         assert f"model={model}\narity=1200\n" in out
 
+    def test_over_long_signature_is_an_error(self, capsys):
+        # x0 under s at arity 1,200: a tree signature of 2**1200 leaves
+        assert invoke("compile", "--model", "s", "--expr", "x0",
+                      "--arity", "1200") == (1, "")
+        assert capsys.readouterr().err == (
+            "error: the tree signature is longer than 4,194,304 "
+            "characters\n")
+
     def test_closed_stdout_exits_quietly(self):
         # 2**62 valuations: the reader closes the pipe long before the end
         env = dict(os.environ, PYTHONPATH=SRC)

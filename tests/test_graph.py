@@ -12,15 +12,18 @@ from hypothesis import given, strategies as st
 
 from conftest import (chain_texts, example1_table, interned_links,
                       random_raw_edge)
+from nucx import graph
 from nucx.cli import parse_expr
 from nucx.connectives import (andb, apply, build_expr, cofactor, negb,
                               projection)
 from nucx.graph import (
+    SIGNATURE_LIMIT,
     Edge,
     FuncHandle,
     Manager,
     ManagerMismatchError,
     Node,
+    SignatureLimitError,
     dot_export,
     edge_mask,
     eval_handle,
@@ -220,6 +223,37 @@ class TestSignature:
         assert signature(FuncHandle(example1_edge(mgr))) == \
             "[e]([X.X.X]0,[X.X.U]0)"
 
+    def test_and_chain_deeper_than_recursion_limit(self):
+        # 1,200 diamonds, each over the U run of the constant 0
+        model = PRESETS["o-u"]
+        manager = Manager()
+        edge = manager.one
+        for k in range(1200):
+            edge = cons_diamond(model, manager,
+                                constant(model, manager, 0, k), edge)
+        expected = "".join(f"[e]([{'.'.join('U' * k)}]0,"
+                           for k in range(1199, 0, -1))
+        expected += "[e]([e]0,[e]1)" + ")" * 1199
+        assert len(expected) == 1448406
+        assert signature(FuncHandle(edge, model=model)) == expected
+
+    def test_exponential_text_is_refused(self):
+        # x0 under s repeats both constant trees: 2**1200 leaves
+        h = projection(PRESETS["s"], Manager(), 0, 1200)
+        with pytest.raises(SignatureLimitError, match="4,194,304"):
+            signature(h)
+        assert max(map(len, h.manager.cache("signature").values())) \
+            <= SIGNATURE_LIMIT
+
+    def test_limit_bounds_each_text(self, mgr, monkeypatch):
+        text = "[e]([X.X.X]0,[X.X.U]0)"
+        monkeypatch.setattr(graph, "SIGNATURE_LIMIT", len(text))
+        assert signature(FuncHandle(example1_edge(mgr))) == text
+        monkeypatch.setattr(graph, "SIGNATURE_LIMIT", len(text) - 1)
+        fresh = Manager()
+        with pytest.raises(SignatureLimitError):
+            signature(FuncHandle(example1_edge(fresh)))
+
     def test_repr_shows_word_node_kind_and_arity(self, mgr):
         handle = FuncHandle(chain(mgr, [N, X]), model=PRESETS["o-nucx"])
         assert repr(handle) == \
@@ -288,6 +322,25 @@ class TestDotExport:
         assert arrows == (
             "root>n0 n0>n1 n1>n2 n2>n3 n3>t0 n3>t1 n2>n4 n4>t1 n4>t0 "
             "n1>n5 n5>n4 n5>n3 n0>n6 n6>n7 n7>t0 n7>t1 n6>n8 n8>t1 n8>t0")
+
+    def test_letters_and_marks_text_is_pinned(self, mgr):
+        # bare edges to diamonds, words, and a mark on a diamond's hi edge
+        h = compile_table(PRESETS["o-nucx"], TruthTable(4, 0xd38a), mgr)
+        assert dot_export(h) == (
+            'digraph dd {\n'
+            '  root [shape=invtriangle, label="", height=0.2, width=0.3];\n'
+            '  n0 [shape=diamond, label=""];\n'
+            '  root -> n0 [style=solid];\n'
+            '  n1 [shape=diamond, label=""];\n'
+            '  n0 -> n1 [style=dashed];\n'
+            '  t0 [shape=box, label="0"];\n'
+            '  n1 -> t0 [style=dashed, label="U.X"];\n'
+            '  n1 -> t0 [style=solid, label="C00.X"];\n'
+            '  n2 [shape=diamond, label=""];\n'
+            '  n0 -> n2 [style=solid, label="N"];\n'
+            '  n2 -> t0 [style=dashed, label="X.U"];\n'
+            '  n2 -> t0 [style=solid, label="C10.X"];\n'
+            '}\n')
 
     def test_styles_and_labels(self, mgr):
         text = dot_export(FuncHandle(example1_edge(mgr)))

@@ -5,7 +5,8 @@ import tracemalloc
 import pytest
 
 from conftest import custom_param, example1_table
-from nucx.connectives import apply, negb, projection
+from nucx.cli import parse_expr
+from nucx.connectives import apply, build_expr, negb, projection
 from nucx.graph import Manager, eval_handle
 from nucx.oracle import TruthTable, tt_eval
 from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
@@ -131,6 +132,40 @@ class TestCountSat:
             assert count_sat(negb(h)) == (1 << arity) - count_sat(h)
 
 
+class TestQueryWork:
+    """The work of ``count_sat`` on seeded graphs, pinned exactly: a
+    change to how it walks must not change what it memoizes."""
+
+    EXPRS = ("(x0 | x31) & ~(x5 ^ x20)",
+             " & ".join(f"(x{2 * i} | x{2 * i + 1})" for i in range(16)),
+             "x3 ^ x9 ^ (~x14 & x30)")
+    # count entries after counting every graph, per model
+    ENTRIES = {
+        "s": 1358, "s-n": 859, "o-u": 1188, "o-nu": 774, "o-c10": 1358,
+        "o-uc10": 1188, "o-nuc10c11": 774, "o-uc0": 1188, "o-uc": 1188,
+        "o-nuc": 789, "o-nucx": 789,
+    }
+    # three arity-10 tables and EXPRS at arity 32, then their negations
+    COUNTS = (502, 540, 506, 1610612736, 43046721, 2147483648,
+              522, 484, 518, 2684354560, 4251920575, 2147483648)
+
+    @classmethod
+    def handles(cls, model, manager):
+        rng = random.Random(18)
+        found = [compiled(model, TruthTable(10, rng.getrandbits(1 << 10)),
+                          manager) for _ in range(3)]
+        found += [build_expr(model, parse_expr(text, 32), 32, manager)
+                  for text in cls.EXPRS]
+        return found + [negb(h) for h in found]
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_count_entries_and_counts(self, name):
+        manager = Manager()
+        handles = self.handles(PRESETS[name], manager)
+        assert tuple(count_sat(h) for h in handles) == self.COUNTS
+        assert len(manager.cache("count")) == self.ENTRIES[name]
+
+
 class TestAnySat:
     def test_unsat(self, mgr):
         assert any_sat(compiled(NUCX, TruthTable.constant(2, 0), mgr)) is None
@@ -219,7 +254,8 @@ class TestAllSat:
 
 
 class TestDeeperThanRecursionLimit:
-    """Arity 1200: every descent runs on an explicit stack."""
+    """Arity 1200: every descent runs on an explicit stack.  ``s`` has no
+    letters, so its diamond chains are the deepest of these inputs."""
 
     ARITY = 1200
 
@@ -228,7 +264,7 @@ class TestDeeperThanRecursionLimit:
         return apply("xor", projection(model, manager, 0, self.ARITY),
                      projection(model, manager, last, self.ARITY))
 
-    @pytest.mark.parametrize("name", ["o-u", "o-nucx"])
+    @pytest.mark.parametrize("name", ["o-u", "o-nucx", "s"])
     def test_count_and_complement(self, name):
         manager = Manager()
         h = self.xor_ends(PRESETS[name], manager)
@@ -239,7 +275,7 @@ class TestDeeperThanRecursionLimit:
             assert count_sat(negb(f)) == 2 ** self.ARITY - count_sat(f)
         assert count_sat(g) == 2 ** 1198
 
-    @pytest.mark.parametrize("name", ["o-u", "o-nucx"])
+    @pytest.mark.parametrize("name", ["o-u", "o-nucx", "s"])
     def test_eval_matches_expression(self, name):
         h = self.xor_ends(PRESETS[name], Manager())
         rng = random.Random(1200)
@@ -256,7 +292,7 @@ class TestDeeperThanRecursionLimit:
         direct = self.xor_ends(PRESETS[target], manager)
         assert reduce(PRESETS[target], source).edge is direct.edge
 
-    @pytest.mark.parametrize("name", ["o-u", "o-nucx"])
+    @pytest.mark.parametrize("name", ["o-u", "o-nucx", "s"])
     def test_all_sat_first_witness(self, name):
         manager = Manager()
         model = PRESETS[name]

@@ -400,11 +400,11 @@ class TestElim:
 
 class TestDescend:
     def test_chain_deeper_than_recursion_limit(self):
-        # the value of k is its bit length: one flip per halving
+        # the value of k is its bit length: one join per halving, whose
+        # hi half is the leaf 0
         memo = {}
-        split = lambda item: (None, (item[0] // 2,)) if item[0] else 0
-        depth = descend(memo, (1 << 5000,), split, None,
-                        lambda item, v: v + 1)
+        split = lambda item: ((item[0] // 2,), (0,)) if item[0] else 0
+        depth = descend(memo, (1 << 5000,), split, lambda v0, v1: v0 + 1)
         assert depth == 5001
         assert len(memo) == 5001
 
