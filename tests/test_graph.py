@@ -5,6 +5,7 @@ import gc
 import itertools
 import random
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -223,29 +224,72 @@ class TestSignature:
         assert signature(FuncHandle(example1_edge(mgr))) == \
             "[e]([X.X.X]0,[X.X.U]0)"
 
-    def test_and_chain_deeper_than_recursion_limit(self):
-        # 1,200 diamonds, each over the U run of the constant 0
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_matches_the_recursive_tree_expansion(self, name):
+        # random tables share subgraphs, so the walk writes diamonds
+        # whole, open, and again from the span of an open one
+        def expand(edge):
+            tokens = []
+            while edge.letter is not None:
+                tokens.append(edge.letter.token)
+                edge = edge.child
+            node = edge.node
+            body = ("01"[node.value] if node.lo is None
+                    else f"({expand(node.lo)},{expand(node.hi)})")
+            return f"[{'.'.join(tokens) or 'e'}]{body}"
+
+        rng = random.Random(18)
+        manager = Manager()
+        for arity in (3, 6, 9):
+            for _ in range(4):
+                table = TruthTable(arity, rng.getrandbits(1 << arity))
+                h = compile_table(PRESETS[name], table, manager)
+                assert signature(h) == expand(h.edge)
+
+    @staticmethod
+    def and_chain(n):
+        # n diamonds, each over the U run of the constant 0
         model = PRESETS["o-u"]
         manager = Manager()
         edge = manager.one
-        for k in range(1200):
+        for k in range(n):
             edge = cons_diamond(model, manager,
                                 constant(model, manager, 0, k), edge)
+        return FuncHandle(edge, model=model)
+
+    def test_and_chain_deeper_than_recursion_limit(self):
         expected = "".join(f"[e]([{'.'.join('U' * k)}]0,"
                            for k in range(1199, 0, -1))
         expected += "[e]([e]0,[e]1)" + ")" * 1199
         assert len(expected) == 1448406
-        assert signature(FuncHandle(edge, model=model)) == expected
+        assert signature(self.and_chain(1200)) == expected
+
+    def test_memory_is_linear_in_the_text(self):
+        # keeping the text of every level would hold about n**3 / 3
+        # characters (577M here) for a text of about n**2
+        h = self.and_chain(1200)
+        tracemalloc.start()
+        try:
+            text = signature(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 1448406
+        assert peak < 4 * len(text)
 
     def test_exponential_text_is_refused(self):
         # x0 under s repeats both constant trees: 2**1200 leaves
         h = projection(PRESETS["s"], Manager(), 0, 1200)
-        with pytest.raises(SignatureLimitError, match="4,194,304"):
-            signature(h)
-        assert max(map(len, h.manager.cache("signature").values())) \
-            <= SIGNATURE_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(SignatureLimitError, match="4,194,304"):
+                signature(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * SIGNATURE_LIMIT
 
-    def test_limit_bounds_each_text(self, mgr, monkeypatch):
+    def test_limit_bounds_the_text(self, mgr, monkeypatch):
         text = "[e]([X.X.X]0,[X.X.U]0)"
         monkeypatch.setattr(graph, "SIGNATURE_LIMIT", len(text))
         assert signature(FuncHandle(example1_edge(mgr))) == text
