@@ -9,12 +9,16 @@ BDD level skip: a common leading run of ``U`` under any table, and
 under xor also of mixed ``U``/``X`` levels (``X`` in the result) and,
 where the model has ``U``, of ``X``/``X`` levels (``U``).  The run is
 stripped in a pointer loop and interned over the result of the pair
-below it.  Every other pair splits both operands on the leading
+below it in one ``Manager.chain`` call, as ``projection`` interns its
+``U`` run.  Every other pair splits both operands on the leading
 variable and recombines the results through the normalized
-constructor, so results stay reduced.  The walk is one loop over an
-explicit stack of pending splits, complements and runs, so it does not
-recurse; its memo is keyed on the table and two mark-free, id-ordered
-operands, so repeated subproblems across calls are free.
+constructor, so results stay reduced.  The split reads a diamond's
+children and the cofactors of ``U`` and ``X`` inline; only the
+canalizing letters go through ``reduction.cofactors``.  The walk is
+one loop over an explicit stack of pending splits, complements and
+runs, so it does not recurse; its memo is keyed on the table and two
+mark-free, id-ordered operands, so repeated subproblems across calls
+are free.
 
 A key is normalized as in complement-edge BDD packages: a leading
 complement mark on an operand is folded into the table instead of kept
@@ -85,16 +89,13 @@ def negb(handle: FuncHandle) -> FuncHandle:
 
 
 def _intern_run(manager: Manager, letters: list, edge: Edge) -> Edge:
-    """``letters`` (outermost first) interned over ``edge``.  Each is
-    ``U`` or ``X``, which commute with the complement, so a leading mark
-    on ``edge`` goes above them all, where ``cons_diamond`` would pull
-    it one level at a time."""
-    mark = edge.letter is N
-    if mark:
-        edge = edge.child
-    for letter in reversed(letters):
-        edge = manager.edge(letter, edge)
-    return manager.edge(N, edge) if mark else edge
+    """``letters`` (outermost first) interned over ``edge`` in one
+    ``Manager.chain`` call.  Each is ``U`` or ``X``, which commute with
+    the complement, so a leading mark on ``edge`` goes above them all,
+    where ``cons_diamond`` would pull it one level at a time."""
+    if edge.letter is N:
+        return manager.edge(N, manager.chain(letters, edge.child))
+    return manager.chain(letters, edge)
 
 
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
@@ -201,19 +202,26 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
                     continue
             if count:
                 pairs += 1
-            # split on the leading variable: the hi cofactor of X.c is
-            # ~c, so its mark goes into the hi pair's table
+            # split on the leading variable: both cofactors of U.c are
+            # c, and the hi cofactor of X.c is ~c, so its mark goes into
+            # the hi pair's table
             op1 = op
-            if x.letter is None:
+            a = x.letter
+            if a is None:
                 x0, x1 = x.node.lo, x.node.hi
-            elif x.letter is X:
+            elif a is U:
+                x0 = x1 = x.child
+            elif a is X:
                 x0 = x1 = x.child
                 op1 = op1 >> 2 & 3 | (op1 & 3) << 2
             else:
                 x0, x1 = cofactors(model, x)
-            if y.letter is None:
+            b = y.letter
+            if b is None:
                 y0, y1 = y.node.lo, y.node.hi
-            elif y.letter is X:
+            elif b is U:
+                y0 = y1 = y.child
+            elif b is X:
                 y0 = y1 = y.child
                 op1 = op1 >> 1 & 5 | op1 << 1 & 10
             else:

@@ -4,10 +4,11 @@ Every node and edge lives inside exactly one :class:`Manager`, which
 interns structurally equal objects to a single identity.  After
 interning, equality of subgraphs *is* identity (``is``), which is what
 the reduction engine, the memo tables and the equivalence query rely on.
-The two term constructors are the manager's: ``Manager.edge(letter,
-child)`` puts a letter over an edge, and ``Manager.diamond(lo, hi)``
-returns the bare edge to a Shannon diamond; the bare edges to the
-terminals are ``Manager.zero`` and ``Manager.one``.  Neither constructor
+The term constructors are the manager's: ``Manager.edge(letter,
+child)`` puts a letter over an edge, ``Manager.chain(letters, child)``
+puts a whole word over one in a single loop, and ``Manager.diamond(lo,
+hi)`` returns the bare edge to a Shannon diamond; the bare edges to the
+terminals are ``Manager.zero`` and ``Manager.one``.  None of them
 normalizes; the reduced constructor is ``reduction.cons_diamond``.
 
 Structure of a graph:
@@ -172,18 +173,20 @@ class Space:
 class Manager:
     """Interning and memoization authority for one diagram universe.
 
-    :meth:`edge` and :meth:`diamond` are the only graph constructors.
-    Each diamond and each link of a letter chain is stored once, so words
-    share their suffixes.  The links of each letter are one table keyed
-    on the child edge.  A diamond is one entry of the diamond table,
-    keyed on the ids of its two children and mapping straight to the
-    bare edge of its node, so a diamond that exists costs one lookup.  A
-    manager is a single-owner mutable object: all access to it and to
-    its graphs, reads included, must be serialized by the caller, since
-    complementing an edge may intern a new one and every query fills
-    memo tables.  Graphs from different managers must never be mixed;
-    both constructors raise :class:`ManagerMismatchError` when asked to
-    intern over a child of another manager.
+    :meth:`edge`, :meth:`chain` and :meth:`diamond` are the only graph
+    constructors; :meth:`chain` makes exactly the links of one
+    :meth:`edge` call per letter.  Each diamond and each link of a
+    letter chain is stored once, so words share their suffixes.  The
+    links of each letter are one table keyed on the child edge.  A
+    diamond is one entry of the diamond table, keyed on the ids of its
+    two children and mapping straight to the bare edge of its node, so a
+    diamond that exists costs one lookup.  A manager is a single-owner
+    mutable object: all access to it and to its graphs, reads included,
+    must be serialized by the caller, since complementing an edge may
+    intern a new one and every query fills memo tables.  Graphs from
+    different managers must never be mixed; every constructor raises
+    :class:`ManagerMismatchError` when asked to intern over a child of
+    another manager.
 
     The manager keeps its whole graph alive, and so does every
     :class:`FuncHandle` to it; its edges refer back to it only weakly,
@@ -218,16 +221,21 @@ class Manager:
         self.zero = Edge(None, None, Node(None, None, 0, 0), 0, self._ref)
         self.one = Edge(None, None, Node(None, None, 1, 0), 0, self._ref)
 
+    def _new_links(self, letter: Letter) -> dict[Edge, Edge]:
+        """The link table of ``letter``, made on its first link."""
+        if letter is None:
+            raise ValueError(
+                "bare edges come only from diamond(), zero and one")
+        if letter not in ALPHABET:
+            raise ValueError(f"{letter!r} is not a letter")
+        links = self._links[letter] = {}
+        return links
+
     def edge(self, letter: Letter, child: Edge) -> Edge:
         """Intern ``letter`` over the edge ``child``."""
         links = self._links.get(letter)
         if links is None:
-            if letter is None:
-                raise ValueError(
-                    "bare edges come only from diamond(), zero and one")
-            if letter not in ALPHABET:
-                raise ValueError(f"{letter!r} is not a letter")
-            links = self._links[letter] = {}
+            links = self._new_links(letter)
         found = links.get(child)
         if found is None:
             # a foreign child is never a key here, so checking on a miss
@@ -239,6 +247,34 @@ class Manager:
                 letter, child, child.node, child.arity + (letter is not N),
                 self._ref)
         return found
+
+    def chain(self, letters: Sequence[Letter], child: Edge) -> Edge:
+        """Intern the word ``letters``, outermost first, over the edge
+        ``child``: the edge, and the links, that one :meth:`edge` call
+        per letter from the innermost out would give, in one loop that
+        reads a letter's table once per run of that letter.  A child of
+        another manager raises :class:`ManagerMismatchError`, even under
+        the empty word."""
+        if child.owner is not self._ref:
+            raise ManagerMismatchError("child belongs to another manager")
+        ref = self._ref
+        tables = self._links
+        node = child.node
+        arity = child.arity
+        last = links = None
+        for letter in reversed(letters):
+            if letter is not last or links is None:
+                links = tables.get(letter)
+                if links is None:
+                    links = self._new_links(letter)
+                last = letter
+                step = letter is not N
+            arity += step
+            found = links.get(child)
+            if found is None:
+                found = links[child] = Edge(letter, child, node, arity, ref)
+            child = found
+        return child
 
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
         """The bare edge to the interned diamond with children
@@ -331,20 +367,40 @@ def edge_mask(edge: Edge) -> int:
 
 
 def _edge_mask(edge: Edge, cache: dict) -> int:
-    found = cache.get(edge)
+    # A post-order walk on an explicit stack.  A diamond is done once
+    # both halves are in ``cache``; until then its missing halves go on
+    # top of it.  An edge pushed twice is done twice, to the same mask.
+    get = cache.get
+    found = get(edge)
     if found is not None:
         return found
-    node = edge.node
-    if node.lo is None:
-        mask = node.value
-    else:
-        size = 1 << node.lo.arity
-        mask = _edge_mask(node.lo, cache) | _edge_mask(node.hi, cache) << size
-    arity = node.arity
-    for letter in reversed(edge.word):
-        mask = letter_mask(letter, mask, arity)
-        arity += letter is not N
-    cache[edge] = mask
+    stack = [edge]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        edge = stack[-1]
+        node = edge.node
+        lo = node.lo
+        if lo is None:
+            mask = node.value
+        else:
+            hi = node.hi
+            a = get(lo)
+            b = get(hi)
+            if a is None or b is None:
+                if b is None:
+                    push(hi)
+                if a is None:
+                    push(lo)
+                continue
+            mask = a | b << (1 << lo.arity)
+        pop()
+        if edge.letter is not None:
+            arity = node.arity
+            for letter in reversed(edge.word):
+                mask = letter_mask(letter, mask, arity)
+                arity += letter is not N
+        cache[edge] = mask
     return mask
 
 

@@ -8,10 +8,9 @@ are reduced by construction.  ``reduce`` re-normalizes arbitrary raw
 graphs (including graphs reduced under another model) by eliminating
 every letter back to its diamond pattern and rebuilding.
 ``rebuild`` (every ``reduce``, and negation in a mark-free model) and
-the apply core are each one loop of their own on an explicit stack;
-only ``compile_table``'s chunks run on ``descend``, a generic memoized
-walk on one, and ``compile_table`` builds the levels above its chunks
-in a loop, so none can hit the interpreter's recursion limit.
+the apply core are each one loop of their own on an explicit stack, and
+``compile_table`` builds its chunks and the levels above them level by
+level, so none can hit the interpreter's recursion limit.
 
 Letter introduction priority is fixed globally:
 
@@ -313,10 +312,12 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
 
     The one place that reads a letter's meaning: every diagram-side
     descent (reduction, negation, the connectives and the queries) goes
-    through it, except that the apply core splits ``X`` inline to fold
-    its mark into the key, both it and ``count_sat`` step over runs
-    inline, and ``count_sat`` counts a mark as the complement of the
-    count below it.  Constants come out in ``model``'s canonical form.
+    through it, except that the apply core splits ``U`` and ``X``
+    inline (``X`` to fold its mark into the key), so only canalizing
+    letters reach this from there, both it and ``count_sat`` step over
+    runs inline, and ``count_sat`` counts a mark as the complement of
+    the count below it.  Constants come out in ``model``'s canonical
+    form.
     """
     letter = edge.letter
     if letter is None:
@@ -325,46 +326,6 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
         lo, hi = cofactors(model, edge.child)
         return push_neg(lo), push_neg(hi)
     return elim_letter(model, letter, edge.child)
-
-
-#: Stack marker of ``descend``: the item below is ready to join.
-_READY = object()
-
-
-def descend(memo: dict, root: tuple, split, join):
-    """Memoized post-order walk on an explicit stack, for
-    ``compile_table``'s byte chunks; ``rebuild``, the apply core and
-    ``count_sat`` have loops of their own, with no callback per item.
-
-    A work item is a tuple whose first element is its memo key.
-    ``split(item)`` returns the item's value (a leaf, not memoized) or a
-    pair of items ``(i0, i1)`` whose value is ``join(v0, v1)``.  Values
-    still being computed live on the stack, so a walk is only bounded by
-    memory; only finished non-leaf values are written to ``memo``, under
-    their keys, and each item is dropped once its value is.
-    """
-    values = []
-    stack = [root]
-    push = stack.append
-    while stack:
-        item = stack.pop()
-        if item is _READY:
-            item = stack.pop()
-            hi = values.pop()
-            found = memo[item[0]] = join(values.pop(), hi)
-        else:
-            found = memo.get(item[0])
-            if found is None:
-                found = split(item)
-                if type(found) is tuple:
-                    i0, i1 = found
-                    push(item)
-                    push(_READY)
-                    push(i1)
-                    push(i0)
-                    continue
-        values.append(found)
-    return values[0]
 
 
 #: Frame kinds on ``rebuild``'s stack.
@@ -456,14 +417,18 @@ def compile_table(model: ModelSpec, table: TruthTable,
 
     The subtables of the last three variables are the bytes of the mask
     (little-endian, so byte ``j`` is the subtable of prefix ``j``; a
-    table of arity 3 or less is one such chunk).  Each distinct chunk is
-    compiled by splitting on its leading variable.  Each level above
-    pairs neighbouring edges through ``cons_diamond``, once per distinct
-    pair, up to the root.  The model's ``compile`` memo holds the chunks
-    and their subtables, plus one root entry per table, so a repeated
-    compile costs one lookup.  A table of arity ``n`` and mask ``m`` is
-    keyed on ``m | 1 << 2**n``: the leading bit gives the arity, and a
-    key's two halves below it are the keys of its cofactors.
+    table of arity 3 or less is one such chunk).  The distinct subtables
+    of the distinct chunks that are not yet memoized are found level by
+    level down from the chunks, and built level by level up, arity 1
+    first, each through ``cons_diamond`` over its two halves (a
+    memoized subtable is not split, and arity 0 is a terminal).  Each
+    level above the chunks pairs neighbouring edges through
+    ``cons_diamond``, once per distinct pair, up to the root.  The
+    model's ``compile`` memo holds the chunks and their subtables of
+    arity 1 and up, plus one root entry per table, so a repeated compile
+    costs one lookup.  A table of arity ``n`` and mask ``m`` is keyed on
+    ``m | 1 << 2**n``: the leading bit gives the arity, and a key's two
+    halves below it are the keys of its cofactors.
     """
     memo = manager.space(model).compile
     arity = table.arity
@@ -471,24 +436,46 @@ def compile_table(model: ModelSpec, table: TruthTable,
     edge = memo.get(root)
     if edge is not None:
         return FuncHandle(edge, model=model)
-
-    def split(item):
-        key = item[0]
-        if key < 4:
-            return constant(model, manager, key & 1, 0)
-        half = key.bit_length() >> 1
-        top = 1 << half
-        return (key & top - 1 | top,), (key >> half,)
-
-    join = partial(cons_diamond, model, manager)
+    if root < 4:
+        # arity 0: a terminal, never memoized
+        return FuncHandle(constant(model, manager, root & 1, 0),
+                          model=model)
     if arity <= 3:
-        return FuncHandle(descend(memo, (root,), split, join), model=model)
-    chunks = table.mask.to_bytes(1 << (arity - 3), "little")
-    # a hit skips the set-up of a walk; every small table pays for this
-    leaves = {chunk: memo.get(chunk | 256)
-              or descend(memo, (chunk | 256,), split, join)
-              for chunk in dict.fromkeys(chunks)}
-    level = list(map(leaves.__getitem__, chunks))
+        chunks = None
+        missing = [root]
+    else:
+        chunks = table.mask.to_bytes(1 << (arity - 3), "little")
+        missing = [key for key in dict.fromkeys(chunk | 256
+                                                for chunk in chunks)
+                   if key not in memo]
+    # the subtables that are not memoized, with the keys of their two
+    # halves, level by level down from the chunks: a memoized one is not
+    # split, and arity 0 is a leaf
+    levels = []
+    while missing:
+        level = []
+        below = {}
+        for key in missing:
+            half = key.bit_length() >> 1
+            top = 1 << half
+            lo = key & top - 1 | top
+            hi = key >> half
+            level.append((key, lo, hi))
+            for part in (lo, hi):
+                if part > 3 and part not in memo:
+                    below[part] = None
+        levels.append(level)
+        missing = below
+    for level in reversed(levels):
+        for key, lo, hi in level:
+            memo[key] = cons_diamond(
+                model, manager,
+                memo[lo] if lo > 3 else constant(model, manager, lo & 1, 0),
+                memo[hi] if hi > 3 else constant(model, manager, hi & 1, 0))
+    if chunks is None:
+        return FuncHandle(memo[root], model=model)
+    level = [memo[chunk | 256] for chunk in chunks]
+    join = partial(cons_diamond, model, manager)
     while len(level) > 2:
         pairs = list(zip(level[::2], level[1::2]))
         made = {pair: join(*pair) for pair in dict.fromkeys(pairs)}

@@ -409,6 +409,87 @@ class TestKernelWork:
         assert work == self.WORK[family, name]
 
 
+def build_family(name, family, arity):
+    """Diamonds, links, apply entries and ``andb_pairs`` of a fresh
+    manager after ``build_expr`` of a ``chain_texts`` family."""
+    model = PRESETS[name]
+    manager = Manager()
+    build_expr(model, parse_expr(chain_texts(arity)[family], arity), arity,
+               manager)
+    return (len(manager), len(interned_links(manager)),
+            len(manager.space(model).apply),
+            manager.counters.get("andb_pairs", 0))
+
+
+class TestApplyWork:
+    """The work of balanced builds through ``build_expr``, pinned exactly
+    under every preset: projections and the apply core must intern,
+    memoize and split just what they did."""
+
+    # diamonds, links, apply entries, andb_pairs at arity 40
+    WORK = {
+        ("parity", "s"): (1804, 0, 865, 0),
+        ("parity", "s-n"): (1640, 165, 904, 0),
+        ("parity", "o-u"): (288, 1516, 242, 0),
+        ("parity", "o-nu"): (164, 1641, 281, 0),
+        ("parity", "o-c10"): (1744, 60, 865, 0),
+        ("parity", "o-uc10"): (268, 1536, 242, 0),
+        ("parity", "o-nuc10c11"): (124, 1681, 281, 0),
+        ("parity", "o-uc0"): (228, 1576, 242, 0),
+        ("parity", "o-uc"): (228, 1576, 242, 0),
+        ("parity", "o-nuc"): (124, 1681, 281, 0),
+        ("parity", "o-nucx"): (0, 1681, 39, 0),
+        ("pair", "s"): (1713, 0, 813, 413),
+        ("pair", "s-n"): (1673, 41, 833, 413),
+        ("pair", "o-u"): (164, 1549, 190, 104),
+        ("pair", "o-nu"): (164, 1550, 210, 104),
+        ("pair", "o-c10"): (1673, 40, 813, 413),
+        ("pair", "o-uc10"): (164, 1549, 190, 104),
+        ("pair", "o-nuc10c11"): (104, 1610, 210, 104),
+        ("pair", "o-uc0"): (72, 1641, 190, 104),
+        ("pair", "o-uc"): (52, 1661, 190, 104),
+        ("pair", "o-nuc"): (52, 1662, 210, 104),
+        ("pair", "o-nucx"): (52, 1662, 210, 104),
+        ("cnf", "s"): (2511, 0, 1520, 753),
+        ("cnf", "s-n"): (2154, 259, 1750, 753),
+        ("cnf", "o-u"): (389, 2122, 592, 302),
+        ("cnf", "o-nu"): (373, 2040, 822, 302),
+        ("cnf", "o-c10"): (2424, 87, 1520, 753),
+        ("cnf", "o-uc10"): (342, 2169, 592, 302),
+        ("cnf", "o-nuc10c11"): (280, 2133, 822, 302),
+        ("cnf", "o-uc0"): (245, 2266, 592, 302),
+        ("cnf", "o-uc"): (189, 2322, 592, 302),
+        ("cnf", "o-nuc"): (189, 2416, 677, 302),
+        ("cnf", "o-nucx"): (189, 2416, 677, 302),
+    }
+
+    @pytest.mark.parametrize("family,name", list(WORK))
+    def test_balanced_build(self, family, name):
+        assert build_family(name, family, 40) == self.WORK[family, name]
+
+
+class TestCountGuards:
+    """Exact counts of the flat xor and the pair chain at n and 2n.
+    Diamonds and apply entries grow at most 2.5x per doubling; links
+    still grow 4x (one link per letter of each U run), so they are
+    pinned but not yet bounded."""
+
+    # diamonds, links, apply entries at n = 150 and n = 300
+    COUNTS = {
+        ("parity", "o-u"): ((1416, 22017, 1258), (3132, 88884, 2823)),
+        ("parity", "o-nucx"): ((0, 22801, 149), (0, 90601, 299)),
+        ("pair", "o-u"): ((783, 22222, 979), (1716, 89368, 2190)),
+        ("pair", "o-nucx"): ((279, 22727, 1054), (633, 90452, 2340)),
+    }
+
+    @pytest.mark.parametrize("family,name", list(COUNTS))
+    def test_doubling(self, family, name):
+        small, large = (build_family(name, family, n)[:3] for n in (150, 300))
+        assert (small, large) == self.COUNTS[family, name]
+        for before, after in ((small[0], large[0]), (small[2], large[2])):
+            assert after <= 2.5 * before
+
+
 def run_mask(arity, tail, xored, tail_mask):
     """The mask of ``g ^ x_i ^ ...``: ``g`` is the table ``tail_mask``
     of the last ``tail`` variables, and bit ``j`` of ``xored`` puts

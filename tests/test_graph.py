@@ -34,7 +34,8 @@ from nucx.graph import (
 )
 from nucx.letters import C10, N, U, X
 from nucx.metrics import check_bounds, measure, node_count
-from nucx.oracle import ArityError, OracleLimitError, TruthTable, tt_eval
+from nucx.oracle import (ArityError, OracleLimitError, TruthTable,
+                         letter_mask, tt_eval)
 from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
 from nucx.reduction import (PRESETS, certify_canonicity, compile_table,
                             cons_diamond, constant, elim_letter,
@@ -141,6 +142,63 @@ class TestPrepend:
         assert e.letter is None and e.child is None
 
 
+class TestChain:
+    """``Manager.chain`` interns a word in one call: the very edge, and
+    the very links, that one ``edge`` call per letter would give."""
+
+    WORDS = ([U], [N], [U, U, U], [X, U, U, N, C10], [N, U, U, X, X, X, U],
+             [C10, C10, N, U], [U] * 40 + [X] * 3 + [U] * 5)
+
+    @staticmethod
+    def children(manager):
+        zero, one = manager.zero, manager.one
+        diamond = manager.diamond(manager.edge(U, zero), manager.edge(X, one))
+        return [zero, one, diamond, manager.edge(N, diamond),
+                manager.edge(U, diamond)]
+
+    @staticmethod
+    def by_edges(manager, word, child):
+        for letter in reversed(word):
+            child = manager.edge(letter, child)
+        return child
+
+    def test_same_edge_and_links_as_edge_calls(self):
+        chained, stepped = Manager(), Manager()
+        for word in self.WORDS:
+            for a, b in zip(self.children(chained), self.children(stepped)):
+                edge = chained.chain(word, a)
+                assert edge.word == self.by_edges(stepped, word, b).word
+                assert edge.arity == a.arity + sum(l is not N for l in word)
+                assert edge.node is a.node
+                links = len(interned_links(chained))
+                assert self.by_edges(chained, word, a) is edge
+                assert len(interned_links(chained)) == links
+        assert sorted(map(repr, interned_links(chained))) == \
+            sorted(map(repr, interned_links(stepped)))
+        assert repr(chained) == repr(stepped)
+
+    def test_empty_word_is_the_child(self, mgr):
+        for child in self.children(mgr):
+            assert mgr.chain([], child) is child
+            assert mgr.chain((), child) is child
+
+    def test_mark_adds_no_arity(self, mgr):
+        edge = mgr.chain([N, U, N], mgr.zero)
+        assert edge.arity == 1 and edge.word == (N, U, N)
+
+    def test_foreign_child(self, mgr):
+        other = Manager()
+        with pytest.raises(ManagerMismatchError):
+            mgr.chain([U, U], other.zero)
+        assert interned_links(mgr) == []
+
+    def test_only_letters_link(self, mgr):
+        for junk, message in (("U", "is not a letter"),
+                              (0, "is not a letter"), (None, "bare edges")):
+            with pytest.raises(ValueError, match=message):
+                mgr.chain([U, junk, U], mgr.zero)
+
+
 class TestEval:
     def test_constant_chain(self, mgr):
         h = FuncHandle(chain(mgr, [U, U]))
@@ -207,6 +265,46 @@ class TestToTruthTable:
             edge = mgr.edge(U, edge)
         with pytest.raises(OracleLimitError):
             to_truth_table(FuncHandle(edge))
+
+
+def reference_edge_mask(edge, cache):
+    """The recursive truth-table walk: memoized on the root and on every
+    diamond child, with each word read through ``letter_mask``."""
+    found = cache.get(edge)
+    if found is not None:
+        return found
+    node = edge.node
+    if node.lo is None:
+        mask = node.value
+    else:
+        mask = (reference_edge_mask(node.lo, cache)
+                | reference_edge_mask(node.hi, cache) << (1 << node.lo.arity))
+    arity = node.arity
+    for letter in reversed(edge.word):
+        mask = letter_mask(letter, mask, arity)
+        arity += letter is not N
+    cache[edge] = mask
+    return mask
+
+
+class TestEdgeMask:
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_cache_matches_the_recursive_walk(self, name):
+        # compiled tables and their negations, sharing one cache, so
+        # later walks stop at the entries of earlier ones
+        model = PRESETS[name]
+        manager = Manager()
+        rng = random.Random(12)
+        expected = {}
+        for arity in (0, 1, 3, 6, 9, 12):
+            for _ in range(3):
+                table = TruthTable(arity, rng.getrandbits(1 << arity))
+                handle = compile_table(model, table, manager)
+                for h in (handle, negb(handle)):
+                    assert edge_mask(h.edge) == \
+                        reference_edge_mask(h.edge, expected)
+                    assert manager.cache("tt_mask") == expected
+                assert to_truth_table(handle) == table
 
 
 class TestSignature:

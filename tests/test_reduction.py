@@ -5,7 +5,6 @@ import pickle
 import random
 import sys
 import threading
-from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +32,6 @@ from nucx.reduction import (
     compile_table,
     cons_diamond,
     constant,
-    descend,
     elim_letter,
     lattice_leq,
     parse_model,
@@ -398,36 +396,36 @@ class TestElim:
             assert cons_diamond(model, mgr, lo, hi) is handle.edge
 
 
-class TestDescend:
-    def test_chain_deeper_than_recursion_limit(self):
-        # the value of k is its bit length: one join per halving, whose
-        # hi half is the leaf 0
-        memo = {}
-        split = lambda item: ((item[0] // 2,), (0,)) if item[0] else 0
-        depth = descend(memo, (1 << 5000,), split, lambda v0, v1: v0 + 1)
-        assert depth == 5001
-        assert len(memo) == 5001
+class TestChunkMemo:
+    """The chunk subtables ``compile_table`` memoizes: every one of
+    arity 1 and up, none of arity 0, and none below a memoized one."""
 
-    def test_leaves_are_not_memoized(self):
-        memo = {}
-        def split(item):
-            k = item[0]
-            return ((k - 1,), (k - 2,)) if k > 1 else k
-
-        assert descend(memo, (30,), split, int.__add__) == 832040
-        assert sorted(memo) == list(range(2, 31))
+    @pytest.mark.parametrize("name,model", ALL_MODELS)
+    def test_leaves_are_not_memoized(self, name, model):
+        manager = Manager()
+        memo = manager.space(model).compile
+        rng = random.Random(30)
+        for arity in range(7):
+            compile_table(model, TruthTable(arity, rng.getrandbits(
+                1 << arity)), manager)
+        assert memo and min(memo) >= 4
+        compile_table(model, TruthTable(0, 1), manager)
+        compile_table(model, TruthTable(0, 0), manager)
+        assert min(memo) >= 4
 
     def test_memo_hits_are_not_split(self):
-        seen = []
-
-        def split(item):
-            k = item[0]
-            seen.append(k)
-            return ((k - 1,), (k - 1,)) if k else 1
-
-        memo = {3: 100}
-        assert descend(memo, (5,), split, int.__add__) == 400
-        assert seen == [5, 4]
+        # the arity-3 table whose halves are 0b0110 and 0b1100: with the
+        # lo half memoized alone, only the hi half is split
+        manager = Manager()
+        memo = manager.space(NUCX).compile
+        lo = 0b0110 | 16
+        kept = compile_table(NUCX, TruthTable(2, 0b0110), manager).edge
+        assert set(memo) == {lo, 0b10 | 4, 0b01 | 4}
+        memo.clear()
+        memo[lo] = kept
+        compile_table(NUCX, TruthTable(3, 0b1100_0110), manager)
+        assert set(memo) == {lo, 0b1100 | 16, 0b00 | 4, 0b11 | 4,
+                             0b1100_0110 | 256}
 
 
 class TestReduce:
@@ -618,17 +616,20 @@ class TestCompile:
 def compile_top_down(model, table, manager):
     """Reference compile: split on the leading variable down to the
     constants, memoized on every subtable in a memo of its own."""
+    memo = {}
 
-    def split(item):
-        mask, arity = item[0]
+    def walk(mask, arity):
         if arity == 0:
             return constant(model, manager, mask, 0)
-        half = 1 << (arity - 1)
-        return ((mask & ((1 << half) - 1), arity - 1),), ((mask >> half,
-                                                           arity - 1),)
+        found = memo.get((mask, arity))
+        if found is None:
+            half = 1 << (arity - 1)
+            found = memo[mask, arity] = cons_diamond(
+                model, manager, walk(mask & (1 << half) - 1, arity - 1),
+                walk(mask >> half, arity - 1))
+        return found
 
-    return descend({}, ((table.mask, table.arity),), split,
-                   partial(cons_diamond, model, manager))
+    return walk(table.mask, table.arity)
 
 
 def reference_tables():
