@@ -5,7 +5,7 @@ out of the graph as edge letters and whether complement edges exist; the
 most expressive model combines all of them with constant-time negation.
 """
 
-from .connectives import andb, apply, build_expr, cofactor, negb
+from .connectives import apply, build_expr, cofactor, negb
 from .graph import (
     SIGNATURE_LIMIT,
     Edge,
@@ -42,7 +42,6 @@ from .reduction import (
     compile_table,
     cons_diamond,
     constant,
-    elim_letter,
     lattice_leq,
     parse_model,
     push_neg,

@@ -195,7 +195,14 @@ def _cmd_compile(args, handle, second, out):
     if args.dot == "-":
         out.write(dot_export(handle))
     elif args.dot:
-        with open(args.dot, "w") as stream:
+        # only opening the path is caught: a closed stdout is an OSError
+        # too, and ``main`` reports it as success
+        try:
+            stream = open(args.dot, "w")
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write --dot {args.dot!r}: {exc.strerror}") from None
+        with stream:
             stream.write(dot_export(handle))
 
 

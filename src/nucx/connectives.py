@@ -260,11 +260,6 @@ def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:
     return FuncHandle(_apply(model, table, a.edge, b.edge), model=model)
 
 
-def andb(a: FuncHandle, b: FuncHandle) -> FuncHandle:
-    """Conjunction of two reduced graphs from one manager."""
-    return apply("and", a, b)
-
-
 def projection(model: ModelSpec, manager: Manager, index: int,
                arity: int) -> FuncHandle:
     """Canonical graph of the variable ``x<index>`` at the given arity.

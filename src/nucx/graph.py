@@ -52,18 +52,17 @@ class Node:
     """A terminal or a diamond.  ``value`` is 0/1 for terminals and
     ``None`` for diamonds; diamonds hold their two child edges."""
 
-    __slots__ = ("lo", "hi", "value", "arity")
+    __slots__ = ("lo", "hi", "value")
 
-    def __init__(self, lo, hi, value, arity):
+    def __init__(self, lo, hi, value):
         self.lo = lo
         self.hi = hi
         self.value = value
-        self.arity = arity
 
     def __repr__(self):
         if self.lo is None:
             return f"<terminal {self.value}>"
-        return f"<diamond arity={self.arity}>"
+        return f"<diamond arity={self.lo.arity + 1}>"
 
 
 class Edge:
@@ -218,8 +217,8 @@ class Manager:
         self.counters: dict[str, int] = {}
         # the one weak reference every edge of this manager stores
         self._ref = weakref.ref(self)
-        self.zero = Edge(None, None, Node(None, None, 0, 0), 0, self._ref)
-        self.one = Edge(None, None, Node(None, None, 1, 0), 0, self._ref)
+        self.zero = Edge(None, None, Node(None, None, 0), 0, self._ref)
+        self.one = Edge(None, None, Node(None, None, 1), 0, self._ref)
 
     def _new_links(self, letter: Letter) -> dict[Edge, Edge]:
         """The link table of ``letter``, made on its first link."""
@@ -291,9 +290,8 @@ class Manager:
                 raise ArityError(
                     f"diamond children must agree on arity: "
                     f"{lo.arity} vs {hi.arity}")
-            arity = lo.arity + 1
             found = self._diamonds[key] = Edge(
-                None, None, Node(lo, hi, None, arity), arity, self._ref)
+                None, None, Node(lo, hi, None), lo.arity + 1, self._ref)
         return found
 
     def space(self, model) -> Space:
@@ -363,13 +361,10 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
 
 def edge_mask(edge: Edge) -> int:
     """Truth-table mask of an edge's function (memoized per manager)."""
-    return _edge_mask(edge, edge.manager.cache("tt_mask"))
-
-
-def _edge_mask(edge: Edge, cache: dict) -> int:
     # A post-order walk on an explicit stack.  A diamond is done once
     # both halves are in ``cache``; until then its missing halves go on
     # top of it.  An edge pushed twice is done twice, to the same mask.
+    cache = edge.manager.cache("tt_mask")
     get = cache.get
     found = get(edge)
     if found is not None:
@@ -396,7 +391,7 @@ def _edge_mask(edge: Edge, cache: dict) -> int:
             mask = a | b << (1 << lo.arity)
         pop()
         if edge.letter is not None:
-            arity = node.arity
+            arity = 0 if lo is None else lo.arity + 1
             for letter in reversed(edge.word):
                 mask = letter_mask(letter, mask, arity)
                 arity += letter is not N
@@ -432,21 +427,17 @@ class SignatureLimitError(ValueError):
     """A tree signature would be longer than :data:`SIGNATURE_LIMIT`."""
 
 
-def signature_of_edge(edge: Edge) -> str:
-    """Deterministic text form: ``[tokens]target`` with ``e`` for the
-    empty word, ``0``/``1`` terminals, ``(lo,hi)`` diamonds.  Raises
-    :class:`SignatureLimitError` as soon as the text written passes
-    :data:`SIGNATURE_LIMIT` characters.  Memory stays linear in the DAG
-    plus the text: at most about twice the text, or the limit."""
-    return _signature(edge)
-
-
 def _too_long() -> SignatureLimitError:
     return SignatureLimitError(
         f"the tree signature is longer than {SIGNATURE_LIMIT:,} characters")
 
 
-def _signature(edge: Edge) -> str:
+def signature(handle: FuncHandle) -> str:
+    """Deterministic text form: ``[tokens]target`` with ``e`` for the
+    empty word, ``0``/``1`` terminals, ``(lo,hi)`` diamonds.  Raises
+    :class:`SignatureLimitError` as soon as the text written passes
+    :data:`SIGNATURE_LIMIT` characters.  Memory stays linear in the DAG
+    plus the text: at most about twice the text, or the limit."""
     # A pre-order walk on an explicit stack that writes the text as a
     # list of pieces.  A diamond whose halves both have a string is
     # written whole, as one string; any other is written open: its head
@@ -462,7 +453,7 @@ def _signature(edge: Edge) -> str:
     append = pieces.append
     spans = {}
     get = spans.get
-    stack = [edge]
+    stack = [handle.edge]
     push = stack.append
     pop = stack.pop
     written = 0
@@ -510,10 +501,6 @@ def _signature(edge: Edge) -> str:
     if len(text) > SIGNATURE_LIMIT:
         raise _too_long()
     return text
-
-
-def signature(handle: FuncHandle) -> str:
-    return signature_of_edge(handle.edge)
 
 
 def iter_edges(root: Edge) -> Iterator[Edge]:

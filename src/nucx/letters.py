@@ -18,14 +18,13 @@ class Letter:
     """One symbol of the edge alphabet.  Do not instantiate; use the
     module-level singletons."""
 
-    __slots__ = ("token", "branch", "const", "elementary", "conjugate")
+    __slots__ = ("token", "branch", "const", "conjugate")
 
     def __init__(self, token: str, branch: int | None = None,
                  const: int | None = None):
         self.token = token
         self.branch = branch        # canalizing letters only
         self.const = const          # canalizing letters only
-        self.elementary = token != "N"
         self.conjugate: Letter | None = None
 
     def __reduce__(self):

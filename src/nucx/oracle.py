@@ -70,7 +70,7 @@ class TruthTable:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> TruthTable:
         bits = tuple(bits)
-        n = len(bits).bit_length() - 1
+        n = max(len(bits).bit_length() - 1, 0)
         if len(bits) != 1 << n:
             raise ValueError(f"bit count {len(bits)} is not a power of two")
         mask = 0

@@ -72,7 +72,7 @@ class ModelSpec:
         if found is not None:
             return found
         for letter in letters:
-            if not letter.elementary:
+            if letter not in ELEMENTARY:
                 raise ValueError(f"{letter!r} is not an elementary letter")
         if negation and not _letters_stable(letters):
             raise ValueError(
@@ -97,10 +97,6 @@ class ModelSpec:
             return preset
         tokens = ",".join(l.token for l in ELEMENTARY if l in self.letters)
         return f"custom:{tokens}" + ("+neg" if self.negation else "")
-
-    @property
-    def is_preset(self) -> bool:
-        return self in _PRESET_BY_VALUE
 
     def __repr__(self):
         return f"ModelSpec({self.name!r})"
@@ -290,22 +286,6 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     return manager.diamond(e0, e1)
 
 
-def elim_letter(model: ModelSpec, letter: Letter,
-                edge: Edge) -> tuple[Edge, Edge]:
-    """Reverse a letter's introduction rule: the two children whose
-    normalized combination reintroduces it."""
-    if not letter.elementary:
-        raise ValueError("cannot eliminate the complement mark")
-    if letter is U:
-        return edge, edge
-    if letter is X:
-        return edge, push_neg(edge)
-    const = constant(model, edge.owner(), letter.const, edge.arity)
-    if letter.branch == 0:
-        return const, edge
-    return edge, const
-
-
 def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     """Both cofactors of an edge on its first variable, as the two
     children whose normalized combination is ``edge``.
@@ -322,10 +302,19 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     letter = edge.letter
     if letter is None:
         return edge.node.lo, edge.node.hi
+    child = edge.child
     if letter is N:
-        lo, hi = cofactors(model, edge.child)
+        lo, hi = cofactors(model, child)
         return push_neg(lo), push_neg(hi)
-    return elim_letter(model, letter, edge.child)
+    # every other letter reverses its introduction rule in cons_diamond
+    if letter is U:
+        return child, child
+    if letter is X:
+        return child, push_neg(child)
+    const = constant(model, edge.owner(), letter.const, child.arity)
+    if letter.branch == 0:
+        return const, child
+    return child, const
 
 
 #: Frame kinds on ``rebuild``'s stack.
@@ -441,13 +430,11 @@ def compile_table(model: ModelSpec, table: TruthTable,
         return FuncHandle(constant(model, manager, root & 1, 0),
                           model=model)
     if arity <= 3:
-        chunks = None
-        missing = [root]
+        chunks = [root]
     else:
-        chunks = table.mask.to_bytes(1 << (arity - 3), "little")
-        missing = [key for key in dict.fromkeys(chunk | 256
-                                                for chunk in chunks)
-                   if key not in memo]
+        chunks = [chunk | 256 for chunk in
+                  table.mask.to_bytes(1 << (arity - 3), "little")]
+    missing = [key for key in dict.fromkeys(chunks) if key not in memo]
     # the subtables that are not memoized, with the keys of their two
     # halves, level by level down from the chunks: a memoized one is not
     # split, and arity 0 is a leaf
@@ -472,15 +459,13 @@ def compile_table(model: ModelSpec, table: TruthTable,
                 model, manager,
                 memo[lo] if lo > 3 else constant(model, manager, lo & 1, 0),
                 memo[hi] if hi > 3 else constant(model, manager, hi & 1, 0))
-    if chunks is None:
-        return FuncHandle(memo[root], model=model)
-    level = [memo[chunk | 256] for chunk in chunks]
+    level = list(map(memo.__getitem__, chunks))
     join = partial(cons_diamond, model, manager)
-    while len(level) > 2:
+    while len(level) > 1:
         pairs = list(zip(level[::2], level[1::2]))
         made = {pair: join(*pair) for pair in dict.fromkeys(pairs)}
         level = list(map(made.__getitem__, pairs))
-    edge = memo[root] = join(*level)
+    edge = memo[root] = level[0]
     return FuncHandle(edge, model=model)
 
 
@@ -493,7 +478,7 @@ _DNEG_TO_S = {v: k for k, v in _S_TO_DNEG.items()}
 def translate_letter(source: str, target: str, letter: Letter) -> Letter:
     """Carry a reduction-rule letter between combinator readings
     (``s``, ``d+``, ``d-``); a pure table lookup composed through ``s``."""
-    if not letter.elementary:
+    if letter is N:
         raise ValueError("the complement mark does not translate")
     source = source.lower()
     target = target.lower()

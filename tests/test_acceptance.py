@@ -15,7 +15,7 @@ import pytest
 
 from conftest import example1_table, random_raw_edge
 from nucx.cli import run
-from nucx.connectives import andb, apply, negb
+from nucx.connectives import apply, negb
 from nucx.graph import (
     FuncHandle,
     Manager,
@@ -210,7 +210,7 @@ def test_criterion_5_connectives():
     def check_pair(ha, hb, ma, mb, ones):
         nonlocal mismatches, bound_violations
         before = manager.counters.get("andb_pairs", 0)
-        conj = andb(ha, hb)
+        conj = apply("and", ha, hb)
         pairs = manager.counters.get("andb_pairs", 0) - before
         if pairs > _s_size_cache(sizes, ha.edge) * _s_size_cache(sizes,
                                                                  hb.edge):

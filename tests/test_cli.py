@@ -252,6 +252,17 @@ class TestCompile:
         assert code == 0
         assert out.startswith("digraph")
 
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_dot_path_is_an_error(self, missing, tmp_path,
+                                             capsys):
+        target = tmp_path / "absent" / "graph.dot" if missing else tmp_path
+        assert invoke("compile", "--expr", "x0", "--arity", "1",
+                      "--dot", str(target)) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --dot '{target}': ")
+        assert err.count("\n") == 1
+
 
 class TestQuery:
     def test_count_zero_table(self):

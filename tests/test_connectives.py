@@ -8,7 +8,6 @@ from conftest import (EXAMPLE1_EXPR, chain_texts, custom_param,
                       example1_table, interned_links, model_spellings)
 from nucx.connectives import (
     _apply,
-    andb,
     apply,
     build_expr,
     cofactor,
@@ -140,36 +139,36 @@ class TestCofactor:
 class TestAndb:
     def test_idempotent(self, mgr):
         h = compile_table(NUCX, example1_table(), mgr)
-        assert andb(h, h) is not None
-        assert andb(h, h).edge is h.edge
+        assert apply("and", h, h) is not None
+        assert apply("and", h, h).edge is h.edge
 
     def test_contradiction(self, mgr):
         h = compile_table(NUCX, example1_table(), mgr)
-        assert andb(h, negb(h)).edge is constant(NUCX, mgr, 0, 4)
+        assert apply("and", h, negb(h)).edge is constant(NUCX, mgr, 0, 4)
 
     def test_projection_conjunction(self, mgr):
         x0 = compile_bits(NUCX, [0, 0, 1, 1], mgr)
         x1 = compile_bits(NUCX, [0, 1, 0, 1], mgr)
-        assert signature(andb(x0, x1)) == "[C00.X]0"
+        assert signature(apply("and", x0, x1)) == "[C00.X]0"
 
     def test_arity_mismatch(self, mgr):
         a = compile_table(NUCX, TruthTable.constant(1, 0), mgr)
         b = compile_table(NUCX, TruthTable.constant(2, 0), mgr)
         with pytest.raises(ArityError):
-            andb(a, b)
+            apply("and", a, b)
 
     def test_cross_manager_rejected(self, mgr):
         other = Manager()
         a = compile_table(NUCX, TruthTable.constant(1, 0), mgr)
         b = compile_table(NUCX, TruthTable.constant(1, 0), other)
         with pytest.raises(ValueError):
-            andb(a, b)
+            apply("and", a, b)
 
     def test_cross_model_rejected(self, mgr):
         a = compile_table(NUCX, TruthTable.constant(1, 0), mgr)
         b = compile_table(PRESETS["o-u"], TruthTable.constant(1, 0), mgr)
         with pytest.raises(ValueError):
-            andb(a, b)
+            apply("and", a, b)
 
 
 class TestNegb:
@@ -235,7 +234,8 @@ class TestApply:
             fb = TruthTable(arity, rng.getrandbits(1 << arity))
             ha = compile_table(model, fa, manager)
             hb = compile_table(model, fb, manager)
-            assert to_truth_table(andb(ha, hb)) == tt_apply("and", fa, fb)
+            assert (to_truth_table(apply("and", ha, hb))
+                    == tt_apply("and", fa, fb))
             assert to_truth_table(apply("or", ha, hb)) == \
                 tt_apply("or", fa, fb)
             assert to_truth_table(apply("xor", ha, hb)) == \
@@ -244,7 +244,7 @@ class TestApply:
             assert to_truth_table(apply("implies", ha, hb)) == implies
             assert to_truth_table(negb(ha)) == tt_apply("not", fa)
             for result, expected in (
-                    (andb(ha, hb), tt_apply("and", fa, fb)),
+                    (apply("and", ha, hb), tt_apply("and", fa, fb)),
                     (apply("or", ha, hb), tt_apply("or", fa, fb)),
                     (apply("xor", ha, hb), tt_apply("xor", fa, fb)),
                     (apply("implies", ha, hb), implies),
@@ -288,7 +288,7 @@ class TestApply:
             ha = compile_table(NUCX, fa, manager)
             hb = compile_table(NUCX, fb, manager)
             manager.reset_counters()
-            andb(ha, hb)
+            apply("and", ha, hb)
             pairs = manager.counters.get("andb_pairs", 0)
             assert pairs <= max(s_size(ha), 1) * max(s_size(hb), 1)
 
@@ -316,7 +316,7 @@ class TestApplyKeys:
             assert entries
             manager.reset_counters()
             apply("xor", negb(a), b)
-            andb(negb(a), negb(b))
+            apply("and", negb(a), negb(b))
             apply("xor", b, a)
             # at most the two complemented tables, each a flip of a key
             # already memoized; the conjunction splits nothing

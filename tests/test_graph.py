@@ -15,8 +15,7 @@ from conftest import (chain_texts, example1_table, interned_links,
                       random_raw_edge)
 from nucx import graph
 from nucx.cli import parse_expr
-from nucx.connectives import (andb, apply, build_expr, cofactor, negb,
-                              projection)
+from nucx.connectives import apply, build_expr, cofactor, negb, projection
 from nucx.graph import (
     SIGNATURE_LIMIT,
     Edge,
@@ -29,7 +28,6 @@ from nucx.graph import (
     edge_mask,
     eval_handle,
     signature,
-    signature_of_edge,
     to_truth_table,
 )
 from nucx.letters import C10, N, U, X
@@ -37,8 +35,8 @@ from nucx.metrics import check_bounds, measure, node_count
 from nucx.oracle import (ArityError, OracleLimitError, TruthTable,
                          letter_mask, tt_eval)
 from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
-from nucx.reduction import (PRESETS, certify_canonicity, compile_table,
-                            cons_diamond, constant, elim_letter,
+from nucx.reduction import (PRESETS, certify_canonicity, cofactors,
+                            compile_table, cons_diamond, constant,
                             parse_model, push_neg, reduce)
 
 
@@ -96,7 +94,7 @@ class TestInterning:
         # bare edges come only from diamond(), zero and one
         own = mgr.diamond(mgr.zero, mgr.one)
         edges = len(interned_links(mgr))
-        stray = Node(mgr.zero, mgr.one, None, 1)
+        stray = Node(mgr.zero, mgr.one, None)
         other = Manager()
         foreign = other.diamond(other.zero, other.one).node
         for target in (own.node, mgr.one.node, own, stray, foreign):
@@ -279,7 +277,7 @@ def reference_edge_mask(edge, cache):
     else:
         mask = (reference_edge_mask(node.lo, cache)
                 | reference_edge_mask(node.hi, cache) << (1 << node.lo.arity))
-    arity = node.arity
+    arity = 0 if node.lo is None else node.lo.arity + 1
     for letter in reversed(edge.word):
         mask = letter_mask(letter, mask, arity)
         arity += letter is not N
@@ -409,7 +407,8 @@ class TestSignature:
         xs = [projection(model, mgr, i, 28) for i in range(28)]
         pairs = [apply("or", xs[2 * i], xs[2 * i + 1]) for i in range(14)]
         deep = projection(PRESETS["s"], Manager(), 0, 1200)
-        for handle in (functools.reduce(andb, pairs), deep):
+        conj = functools.reduce(lambda a, b: apply("and", a, b), pairs)
+        for handle in (conj, deep):
             assert len(repr(handle)) < 80
             assert repr(handle.edge) in repr(handle)
 
@@ -551,7 +550,7 @@ def use_every_public_op(model) -> weakref.ref:
     g = build_expr(model, parse_expr("x0 & ~x3 | x1 ^ x5", arity), arity,
                    manager)
     x2 = projection(model, manager, 2, arity)
-    handles = [f, g, x2, andb(f, x2), negb(f), cofactor(0, f),
+    handles = [f, g, x2, apply("and", f, x2), negb(f), cofactor(0, f),
                cofactor(1, g), reduce(PRESETS["o-nucx"], f)]
     handles += [apply(op, f, g) for op in ("and", "or", "xor", "implies")]
     rebuilt = cons_diamond(model, manager, cofactor(0, f).edge,
@@ -559,11 +558,11 @@ def use_every_public_op(model) -> weakref.ref:
     assert equiv(FuncHandle(rebuilt, model=model), f)
     assert equiv(f, compile_table(model, table, manager))
     push_neg(f.edge)
-    elim_letter(model, X, f.edge)
-    elim_letter(model, C10, f.edge)
+    cofactors(model, manager.edge(X, f.edge))
+    cofactors(model, manager.edge(C10, f.edge))
     constant(model, manager, 1, arity)
     edge_mask(g.edge)
-    signature_of_edge(g.edge)
+    signature(FuncHandle(g.edge))
     for h in handles:
         count_sat(h)
         any_sat(h)

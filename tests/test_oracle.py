@@ -263,6 +263,14 @@ def test_davio_rows_match_up_to_child_negation(row, column):
     assert matched, f"no uniform child transform works for row {row}"
 
 
+class TestFromBits:
+    @pytest.mark.parametrize("count", [0, 3, 6])
+    def test_count_not_a_power_of_two(self, count):
+        with pytest.raises(ValueError,
+                           match=f"bit count {count} is not a power of two"):
+            TruthTable.from_bits([0] * count)
+
+
 class TestHexForm:
     def test_documented_example(self):
         f = TruthTable.from_hex(3, "6A")

@@ -31,8 +31,8 @@ from nucx.reduction import (
     certify_canonicity,
     compile_table,
     cons_diamond,
+    cofactors,
     constant,
-    elim_letter,
     lattice_leq,
     parse_model,
     push_neg,
@@ -101,13 +101,12 @@ class TestModelSpec:
             assert model.letters == letters
             assert model.negation is negation
             assert model.name == name
-            assert model.is_preset
 
     def test_parse_custom(self):
         model = parse_model("custom:U,X,C00,c01+neg")
         assert model.letters == {U, X, C00, C01}
         assert model.negation
-        assert not model.is_preset
+        assert model.name.startswith("custom:")
         assert parse_model(model.name) == model
 
     def test_parse_unknown(self):
@@ -365,22 +364,18 @@ class TestConstant:
 class TestElim:
     def test_canalizing(self, mgr):
         e = compile_table(NUCX, TruthTable.from_bits([0, 1]), mgr).edge
-        lo, hi = elim_letter(NUCX, C00, e)
+        lo, hi = cofactors(NUCX, mgr.edge(C00, e))
         assert lo is constant(NUCX, mgr, 0, 1)
         assert hi is e
 
     def test_useless(self, mgr):
         e = compile_table(NUCX, TruthTable.from_bits([0, 1]), mgr).edge
-        assert elim_letter(NUCX, U, e) == (e, e)
+        assert cofactors(NUCX, mgr.edge(U, e)) == (e, e)
 
     def test_xor(self, mgr):
-        lo, hi = elim_letter(NUCX, X, mgr.zero)
+        lo, hi = cofactors(NUCX, mgr.edge(X, mgr.zero))
         assert lo is mgr.zero
         assert hi.word == (N,)
-
-    def test_mark_rejected(self, mgr):
-        with pytest.raises(ValueError):
-            elim_letter(NUCX, N, mgr.zero)
 
     @pytest.mark.parametrize("name,model", ALL_MODELS)
     def test_elim_inverts_cons(self, name, model, mgr):
@@ -390,9 +385,7 @@ class TestElim:
             word = handle.edge.word
             if not word or word[0] is N:
                 continue
-            first = word[0]
-            rest = handle.edge.child
-            lo, hi = elim_letter(model, first, rest)
+            lo, hi = cofactors(model, handle.edge)
             assert cons_diamond(model, mgr, lo, hi) is handle.edge
 
 
