@@ -37,7 +37,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .letters import ALPHABET, Letter, N, U, X
+from .letters import C00, C01, C10, C11, Letter, N, U, X
 from .oracle import (ARITY_LIMIT, ArityError, OracleLimitError, TruthTable,
                      letter_mask)
 
@@ -175,8 +175,9 @@ class Manager:
     :meth:`edge`, :meth:`chain` and :meth:`diamond` are the only graph
     constructors; :meth:`chain` makes exactly the links of one
     :meth:`edge` call per letter.  Each diamond and each link of a
-    letter chain is stored once, so words share their suffixes.  The
-    links of each letter are one table keyed on the child edge.  A
+    letter chain is stored once, so words share their suffixes.  Each
+    of the seven letters has one link table, made with the manager and
+    keyed on the child edge.  A
     diamond is one entry of the diamond table, keyed on the ids of its
     two children and mapping straight to the bare edge of its node, so a
     diamond that exists costs one lookup.  A manager is a single-owner
@@ -209,9 +210,9 @@ class Manager:
         # id(lo) << 64 | id(hi) -> bare edge to the diamond; the node
         # holds both children, so neither id is reused while it lives
         self._diamonds: dict[int, Edge] = {}
-        # letter -> child edge -> the letter's link over it; a letter's
-        # table is made on its first link
-        self._links: dict[Letter, dict[Edge, Edge]] = {}
+        # letter -> child edge -> the letter's link over it
+        self._links: dict[Letter, dict[Edge, Edge]] = {
+            U: {}, X: {}, C11: {}, C10: {}, C01: {}, C00: {}, N: {}}
         self._spaces: dict[object, Space] = {}
         self._caches: dict[str, dict] = {}
         self.counters: dict[str, int] = {}
@@ -220,21 +221,11 @@ class Manager:
         self.zero = Edge(None, None, Node(None, None, 0), 0, self._ref)
         self.one = Edge(None, None, Node(None, None, 1), 0, self._ref)
 
-    def _new_links(self, letter: Letter) -> dict[Edge, Edge]:
-        """The link table of ``letter``, made on its first link."""
-        if letter is None:
-            raise ValueError(
-                "bare edges come only from diamond(), zero and one")
-        if letter not in ALPHABET:
-            raise ValueError(f"{letter!r} is not a letter")
-        links = self._links[letter] = {}
-        return links
-
     def edge(self, letter: Letter, child: Edge) -> Edge:
         """Intern ``letter`` over the edge ``child``."""
         links = self._links.get(letter)
         if links is None:
-            links = self._new_links(letter)
+            raise _not_a_letter(letter)
         found = links.get(child)
         if found is None:
             # a foreign child is never a key here, so checking on a miss
@@ -265,7 +256,7 @@ class Manager:
             if letter is not last or links is None:
                 links = tables.get(letter)
                 if links is None:
-                    links = self._new_links(letter)
+                    raise _not_a_letter(letter)
                 last = letter
                 step = letter is not N
             arity += step
@@ -321,6 +312,11 @@ class Manager:
     def __repr__(self):
         links = sum(map(len, self._links.values()))
         return f"<Manager diamonds={len(self._diamonds)} edges={links}>"
+
+
+def _not_a_letter(letter) -> ValueError:
+    return ValueError("bare edges come only from diamond(), zero and one"
+                      if letter is None else f"{letter!r} is not a letter")
 
 
 def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:

@@ -4,15 +4,12 @@ Satisfiability and tautology are identity checks against the canonical
 constant of matching arity (O(n), amortized O(1) once the constant
 chain exists); equivalence is an identity check thanks to hash-consing.
 
-Counting, witness search and enumeration read letters only through
-``reduction.cofactors``, apart from the steps each loop takes inline,
-and none recurses.  ``count_sat`` is one loop on an explicit stack of
-its own: a terminal counts its value, a complement mark the complement
-of the count below it, a run of ``k`` ignored variables ``2^k`` times
-the count below it (one shift), and anything else the sum over both
-cofactors.  ``all_sat`` enumerates in lexicographic order from an
-explicit stack over one shared path, and ``any_sat`` is its first
-valuation.
+No query recurses, and none interns an edge beyond the model's constant
+rows: each reads the letters itself.  ``count_sat`` is Bryant's
+satisfy-count as one post-order loop, with one count rule per letter.
+``all_sat`` enumerates in lexicographic order from an explicit stack
+over one shared path, carrying a complement parity as
+``graph.eval_handle`` does, and ``any_sat`` is its first valuation.
 """
 
 from __future__ import annotations
@@ -21,8 +18,8 @@ import itertools
 from typing import Iterator, Optional
 
 from .graph import FuncHandle, ManagerMismatchError
-from .letters import N, U
-from .reduction import cofactors, constant, require_model
+from .letters import N, U, X
+from .reduction import constant, require_model
 
 
 def is_sat(handle: FuncHandle) -> bool:
@@ -50,73 +47,62 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
     return a.edge is b.edge
 
 
-#: Frame kinds on ``count_sat``'s stack.
-_SPLIT, _JOIN, _NEG, _SHIFT = range(4)
-
-
 def count_sat(handle: FuncHandle) -> int:
     """Number of satisfying valuations (exact, arbitrary precision).
 
-    Memoized per manager in the ``count`` cache, keyed on the edge;
-    terminals are not memoized, and neither are the inner links of a
-    ``U`` run, which is taken in one step."""
-    model = require_model(handle)
+    Memoized per manager in the ``count`` cache, keyed on the edge; the
+    inner links of a ``U`` run are not memoized."""
+    require_model(handle)
     memo = handle.manager.cache("count")
+    get = memo.get
     edge = handle.edge
-    # Pending work, innermost last, as (kind, edge, extra): a split whose
-    # lo half is being counted and whose hi edge comes next, a join of
-    # the hi half's count with the lo count, a complement, or a shift by
-    # the length of a run.  All but a split write the memo under their
-    # edge once its count is in.
-    stack = []
+    count = get(edge)
+    # A post-order walk on an explicit stack, as ``graph.edge_mask`` is:
+    # the edge on top is done once the counts it needs are in ``memo``,
+    # and until then the missing edges go on top of it.  Below a letter
+    # is a function of k variables and count c.
+    stack = [edge] if count is None else []
     push = stack.append
     pop = stack.pop
-    while True:
-        value = memo.get(edge)
-        if value is None:
-            letter = edge.letter
-            if letter is None:
-                node = edge.node
-                lo = node.lo
-                if lo is not None:
-                    push((_SPLIT, edge, node.hi))
-                    edge = lo
+    while stack:
+        edge = stack[-1]
+        letter = edge.letter
+        if letter is None:
+            node = edge.node
+            lo = node.lo
+            if lo is None:
+                count = node.value
+            else:
+                hi = node.hi
+                a = get(lo)
+                b = get(hi)
+                if a is None or b is None:
+                    if b is None:
+                        push(hi)
+                    if a is None:
+                        push(lo)
                     continue
-                # a terminal: a leaf, never memoized
-                value = node.value
-            elif letter is N:
-                push((_NEG, edge, None))
-                edge = edge.child
-                continue
-            elif letter is U:
-                below = edge.child
+                count = a + b
+        elif letter is X:
+            count = 1 << edge.child.arity       # 2^k, whatever c is
+        else:
+            below = edge.child
+            if letter is U:
                 while below.letter is U:
                     below = below.child
-                # each ignored variable of the run doubles the count
-                push((_SHIFT, edge, edge.arity - below.arity))
-                edge = below
+            count = get(below)
+            if count is None:
+                push(below)
                 continue
-            else:
-                lo, hi = cofactors(model, edge)
-                push((_SPLIT, edge, hi))
-                edge = lo
-                continue
-        # hand the count up until a split needs its hi half next
-        while stack:
-            kind, key, extra = pop()
-            if kind == _SPLIT:
-                push((_JOIN, key, value))
-                edge = extra
-                break
-            if kind == _JOIN:
-                value += extra
-            elif kind == _SHIFT:
-                value <<= extra
-            else:
-                value = (1 << key.arity) - value
-            memo[key] = value
-        else:
-            return value
+            if letter is U:
+                count <<= edge.arity - below.arity  # c << r for r U's
+            elif letter is N:
+                count = (1 << below.arity) - count  # 2^k - c
+            elif letter.const:
+                count += 1 << below.arity       # c + t * 2^k, forcing t
+        pop()
+        memo[edge] = count
+    return count
 
 
 def any_sat(handle: FuncHandle) -> Optional[tuple[int, ...]]:
@@ -139,32 +125,46 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
 
     def walk() -> Iterator[tuple[int, ...]]:
         # both constant rows reach the root's arity, so each step is two
-        # identity checks against the rows
+        # identity checks against them, and a canalizing letter's forced
+        # half is read from them
         arity = handle.edge.arity
         constant(model, manager, 1, arity)
         constant(model, manager, 0, arity)
         space = manager.space(model)
-        zeros, ones = space.zeros, space.ones
+        rows = (space.zeros, space.ones)
         path: list[int] = []
-        # (depth, hi): the pending x = 1 branch at path[depth]; the walk
-        # takes each x = 0 branch at once
+        # (depth, hi, parity): the pending x = 1 branch at path[depth].
+        # The function at hand is the edge's, complemented when
+        # ``parity`` is 1, as in ``eval_handle``: a mark is a step.
         pending = []
         edge = handle.edge
+        parity = 0
         while True:
             arity = edge.arity
-            if edge is ones[arity]:
+            if edge is rows[1 ^ parity][arity]:
                 prefix = tuple(path)
                 yield from (prefix + suffix for suffix in
                             itertools.product((0, 1), repeat=arity))
-            elif edge is not zeros[arity]:
-                lo, hi = cofactors(model, edge)
-                pending.append((len(path), hi))
+            elif edge is not rows[parity][arity]:
+                letter = edge.letter
+                if letter is N:
+                    edge = edge.child
+                    parity ^= 1
+                    continue
+                if letter is None:
+                    lo, hi = edge.node.lo, edge.node.hi
+                else:
+                    lo = hi = edge.child
+                    if letter is not U and letter is not X:
+                        const = rows[letter.const][arity - 1]
+                        lo, hi = (lo, const) if letter.branch else (const, hi)
+                pending.append((len(path), hi, parity ^ (letter is X)))
                 path.append(0)
                 edge = lo
                 continue
             if not pending:
                 return
-            depth, edge = pending.pop()
+            depth, edge, parity = pending.pop()
             del path[depth:]
             path.append(1)
 

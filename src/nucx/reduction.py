@@ -290,14 +290,14 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     """Both cofactors of an edge on its first variable, as the two
     children whose normalized combination is ``edge``.
 
-    The one place that reads a letter's meaning: every diagram-side
-    descent (reduction, negation, the connectives and the queries) goes
-    through it, except that the apply core splits ``U`` and ``X``
-    inline (``X`` to fold its mark into the key), so only canalizing
-    letters reach this from there, both it and ``count_sat`` step over
-    runs inline, and ``count_sat`` counts a mark as the complement of
-    the count below it.  Constants come out in ``model``'s canonical
-    form.
+    The cofactor rule of the code that builds graphs: :func:`rebuild`
+    (every ``reduce``, and negation in a mark-free model),
+    ``connectives.cofactor`` and the apply core, which splits ``U`` and
+    ``X`` inline (``X`` to fold its mark into the key), so only
+    canalizing letters reach this from there.  It may intern the halves
+    it returns; the queries and ``graph.eval_handle`` read the letters
+    themselves and intern nothing.  Constants come out in ``model``'s
+    canonical form.
     """
     letter = edge.letter
     if letter is None:

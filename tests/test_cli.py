@@ -11,6 +11,7 @@ import pytest
 
 import nucx
 from nucx.cli import ParseError, parse_expr, run
+from nucx.reduction import PRESETS
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sigs.txt"
 SRC = str(Path(nucx.__file__).resolve().parent.parent)
@@ -113,12 +114,13 @@ def reference_parse_expr(source, arity):
     return node
 
 
-def random_formula(rng, depth):
-    """A well-formed formula of at most ``depth`` nested connectives."""
+def random_formula(rng, depth, variables=3):
+    """A well-formed formula of at most ``depth`` nested connectives over
+    ``x0`` to ``x(variables - 1)``."""
     if depth == 0 or rng.random() < 0.2:
-        return rng.choice(["x0", "x1", "x2", "0", "1"])
+        return rng.choice([f"x{i}" for i in range(variables)] + ["0", "1"])
     form = rng.choice(["~{}", "({})", "{} & {}", "{}|{}", "{} ^{}"])
-    return form.format(*(random_formula(rng, depth - 1)
+    return form.format(*(random_formula(rng, depth - 1, variables)
                          for _ in range(form.count("{}"))))
 
 
@@ -506,6 +508,122 @@ class TestExitCodes:
             err = proc.stderr.read()
         assert first.strip() == b"1" + b"0" * 62 + b"1"
         assert (proc.returncode, err) == (0, b"")
+
+
+FUZZ_MODELS = ("O-U", " s ", "custom:u,x", "custom:", "custom:+neg",
+               "custom:c01+neg", "custom:n", "custom:q", "custom:u,,c10",
+               "o-zdd", "", "o-nuc,o-u")
+FUZZ_TOKENS = ("x0", "x1", "x3", "x4", "x00", "x", "0", "1", "|", "^", "&",
+               "~", "(", ")", " ", "y", "\u00b2", "x\u0663", "&&", "")
+FUZZ_FLAGS = {
+    "compile": ("--sig", "--stats", "--json", ("--dot", "-")),
+    "query": (),
+    "allsat": (),
+    "equiv": (),
+    "apply": ("--stats",),
+    "compare": (),
+    "bench": (),
+    "translate": (),
+}
+
+
+def fuzz_argv(rng):
+    """A random argv: every subcommand and flag, arities 0-4 and a few
+    malformed ones, well-formed inputs mixed with token soup for
+    ``--expr`` and malformed ``--tt`` tables, and odd model spellings."""
+    def pick(*options):
+        return rng.choice(options)
+
+    def model():
+        if rng.random() < 0.7:
+            return rng.choice(list(PRESETS))
+        return rng.choice(FUZZ_MODELS)
+
+    width = rng.randint(0, 4)
+    arity = (str(width) if rng.random() < 0.85
+             else pick("-1", "two", "", "0x3", "5"))
+
+    def expr():
+        if rng.random() < 0.4:
+            return "".join(rng.choice(FUZZ_TOKENS)
+                           for _ in range(rng.randint(0, 8)))
+        return random_formula(rng, 3, width)
+
+    def table():
+        if rng.random() < 0.4:
+            return "".join(rng.choice("0123456789abcdefABCDEFxz -_+")
+                           for _ in range(rng.randint(0, 5)))
+        return "".join(rng.choice("0123456789abcdef")
+                       for _ in range(max(1, (1 << width) // 4)))
+
+    command = rng.choice(list(FUZZ_FLAGS))
+    if rng.random() < 0.05:
+        command = pick("no-such-command", "--help", "")
+    argv = [command] if command else []
+    if command == "translate":
+        for flag in ("--from", "--to"):
+            if rng.random() < 0.9:
+                argv += [flag, pick("s", "d+", "d-", "D+", "x")]
+        if rng.random() < 0.9:
+            argv += ["--letter", pick("u", "x", "c00", "C11", "n", "q", "")]
+    elif command == "bench":
+        argv += ["--arity", arity]
+        argv += ["--samples", pick("0", "1", "3", "-2", "many")]
+        if rng.random() < 0.5:
+            argv += ["--seed", pick("0", "7", "-3", "seed")]
+        if rng.random() < 0.5:
+            argv += ["--models", ",".join(model() for _ in range(2))]
+    elif command in FUZZ_FLAGS:
+        if command == "compare":
+            argv += ["--models", ",".join(model() for _ in range(3))]
+        elif rng.random() < 0.8:
+            argv += ["--model", model()]
+        if rng.random() < 0.95:
+            argv += ["--arity", arity]
+        suffixes = ("", "2") if command in ("equiv", "apply") else ("",)
+        for suffix in suffixes:
+            # one input, usually; both or neither now and then
+            kinds = pick(("--expr",), ("--tt",), ("--expr",), ("--tt",),
+                         ("--expr", "--tt"), ())
+            for kind in kinds:
+                argv += [kind + suffix, expr() if kind == "--expr"
+                         else table()]
+        if command == "query":
+            argv.append(pick("sat", "taut", "anysat", "count", "size"))
+        elif command == "apply":
+            argv.append(pick("and", "or", "xor", "not", "nand"))
+        for flag in FUZZ_FLAGS[command]:
+            if rng.random() < 0.4:
+                argv += [flag] if isinstance(flag, str) else list(flag)
+    if rng.random() < 0.03:
+        argv.insert(rng.randint(0, len(argv)), pick("--help", "--bogus"))
+    return argv
+
+
+class TestFuzz:
+    """Seeded random argv: the exit code is always one of 0, 1 and 2,
+    and nothing is raised past ``run``."""
+
+    def test_run_returns_a_documented_code(self):
+        rng = random.Random(2604)
+        codes = collections.Counter()
+        for _ in range(600):
+            argv = fuzz_argv(rng)
+            code = run(argv, out=io.StringIO())
+            assert code in (0, 1, 2), argv
+            codes[code] += 1
+        # the soup reaches both the handlers and the error paths
+        assert codes[0] > 100 and codes[1] > 300, codes
+
+    def test_entry_point_prints_no_traceback(self):
+        rng = random.Random(2605)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for _ in range(4):
+            argv = fuzz_argv(rng)
+            proc = subprocess.run([sys.executable, "-m", "nucx", *argv],
+                                  capture_output=True, env=env, timeout=60)
+            assert proc.returncode in (0, 1, 2), argv
+            assert b"Traceback" not in proc.stderr, argv
 
 
 def test_golden_signatures():

@@ -7,10 +7,11 @@ import pytest
 from conftest import custom_param, example1_table
 from nucx.cli import parse_expr
 from nucx.connectives import apply, build_expr, negb, projection
-from nucx.graph import Manager, eval_handle
+from nucx.graph import FuncHandle, Manager, eval_handle
+from nucx.letters import C00, C11, X
 from nucx.oracle import TruthTable, tt_eval
 from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
-from nucx.reduction import NUCX, PRESETS, compile_table, reduce
+from nucx.reduction import NUCX, PRESETS, compile_table, constant, reduce
 
 ALL_MODELS = list(PRESETS.items())
 WITNESS_PARAMS = [pytest.param(m, id=repr(m)) for _, m in ALL_MODELS] + [
@@ -134,16 +135,20 @@ class TestCountSat:
 
 class TestQueryWork:
     """The work of ``count_sat`` on seeded graphs, pinned exactly: a
-    change to how it walks must not change what it memoizes."""
+    change to how it walks must not change what it memoizes.  The
+    entries are those of the post-order walk that reads each letter's
+    count directly: every edge it visits, terminals included, and no
+    inner link of a ``U`` run, no constant a canalizing letter forces
+    and no complement under an ``X``, which it never visits."""
 
     EXPRS = ("(x0 | x31) & ~(x5 ^ x20)",
              " & ".join(f"(x{2 * i} | x{2 * i + 1})" for i in range(16)),
              "x3 ^ x9 ^ (~x14 & x30)")
     # count entries after counting every graph, per model
     ENTRIES = {
-        "s": 1358, "s-n": 859, "o-u": 1188, "o-nu": 774, "o-c10": 1358,
-        "o-uc10": 1188, "o-nuc10c11": 774, "o-uc0": 1188, "o-uc": 1188,
-        "o-nuc": 789, "o-nucx": 789,
+        "s": 1360, "s-n": 860, "o-u": 1190, "o-nu": 775, "o-c10": 1360,
+        "o-uc10": 1189, "o-nuc10c11": 770, "o-uc0": 1170, "o-uc": 1158,
+        "o-nuc": 769, "o-nucx": 754,
     }
     # three arity-10 tables and EXPRS at arity 32, then their negations
     COUNTS = (502, 540, 506, 1610612736, 43046721, 2147483648,
@@ -164,6 +169,32 @@ class TestQueryWork:
         handles = self.handles(PRESETS[name], manager)
         assert tuple(count_sat(h) for h in handles) == self.COUNTS
         assert len(manager.cache("count")) == self.ENTRIES[name]
+
+    #: the arity-64 expression of the no-interning test
+    WIDE = " ^ ".join(f"x{i}" for i in range(64)) + " & x1 | x5"
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_queries_intern_nothing(self, name):
+        # once the constant rows reach a graph's arity, a query only
+        # reads: it interns no diamond or link and extends no row
+        model = PRESETS[name]
+        manager = Manager()
+        handles = self.handles(model, manager)
+        wide = build_expr(model, parse_expr(self.WIDE, 64), 64, manager)
+        handles += [wide, negb(wide)]
+        for h in handles:
+            for value in (0, 1):
+                constant(model, manager, value, h.arity)
+        space = manager.space(model)
+        before = (repr(manager), len(space.zeros), len(space.ones))
+        for h in handles:
+            count_sat(h)
+            any_sat(h)
+            list(itertools.islice(all_sat(h), 1000))
+            is_sat(h)
+            is_taut(h)
+            equiv(h, h)
+        assert (repr(manager), len(space.zeros), len(space.ones)) == before
 
 
 class TestAnySat:
@@ -301,6 +332,30 @@ class TestDeeperThanRecursionLimit:
         witnesses = all_sat(h)
         assert next(witnesses) == (1,) + (0,) * 1198 + (1,)
         assert next(witnesses) == (1,) + (0,) * 1197 + (1, 1)
+
+
+class TestChainsPastRecursionLimit:
+    """The or-chain and the and-chain of 5,000 variables and their
+    complements, counted and witnessed under every preset."""
+
+    ARITY = 5000
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_counts_and_witnesses(self, name):
+        n = self.ARITY
+        manager = Manager()
+        # the raw words C11^(n-1).X and C00^(n-1).X over 0 are the or and
+        # the and of x0..x(n-1); reduce puts them in the model's form
+        handles = [reduce(PRESETS[name], FuncHandle(manager.chain(
+            [letter] * (n - 1) + [X], manager.zero))) for letter in (C11, C00)]
+        handles += [negb(h) for h in handles]
+        assert [count_sat(h) for h in handles] == \
+            [2 ** n - 1, 1, 1, 2 ** n - 1]
+        witnesses = [any_sat(h) for h in handles]
+        assert witnesses == [(0,) * (n - 1) + (1,), (1,) * n,
+                             (0,) * n, (0,) * n]
+        for h, witness in zip(handles, witnesses):
+            assert eval_handle(h, witness) == 1
 
 
 @pytest.mark.parametrize("name", ["o-u", "o-nucx"])
