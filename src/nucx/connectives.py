@@ -5,18 +5,23 @@ Brace, Rudell and Bryant (DAC 1990).  An operator is a 4-bit truth
 table whose bit ``2a+b`` is ``op(a, b)``; the terminal cases (an operand
 is a constant, or the operands are equal) are read off that table.
 Levels that both operands skip alike are one step, as in the classic
-BDD level skip: a common leading run of ``U`` under any table, and
-under xor also of mixed ``U``/``X`` levels (``X`` in the result) and,
-where the model has ``U``, of ``X``/``X`` levels (``U``).  The run is
-stripped in a pointer loop and interned over the result of the pair
-below it in one ``Manager.chain`` call, as ``projection`` interns its
-``U`` run.  Every other pair splits both operands on the leading
-variable and recombines the results through the normalized
+BDD level skip.  Each operand's leading ``U`` run is one link
+(``graph``), so the core strips it in one step: the stripped pair
+stands for its function at the larger of its operands' arities, the
+other operand being padded with ``U`` up to it, and the common run
+above that arity is one ``reduction.cons_run`` over the pair's value.
+Under xor it also skips the levels where each operand is padded or
+leads with ``X`` (``X`` in the result if one is padded, ``U``
+otherwise; only where the model has both letters), interned as one
+word in one ``Manager.chain`` call.  Every other pair splits on its
+leading variable the operands at its arity, reuses a padded operand
+for both halves as it is, so a diamond against a ``U`` run interns
+nothing, and recombines the results through the normalized
 constructor, so results stay reduced.  The split reads a diamond's
-children and the cofactors of ``U`` and ``X`` inline; only the
-canalizing letters go through ``reduction.cofactors``.  The walk is
-one loop over an explicit stack of pending splits, complements and
-runs, so it does not recurse; its memo is keyed on the table and two
+children and the cofactors of ``X`` inline; only the canalizing
+letters go through ``reduction.cofactors``.  The walk is one loop over
+an explicit stack of pending splits, complements and runs, so it does
+not recurse; its memo is keyed on the table and two stripped,
 mark-free, id-ordered operands, so repeated subproblems across calls
 are free.
 
@@ -41,6 +46,7 @@ from .reduction import (
     ModelSpec,
     cofactors,
     cons_diamond,
+    cons_run,
     constant,
     push_neg,
     rebuild,
@@ -51,9 +57,10 @@ from .reduction import (
 _OPERATORS = {"and": 0b1000, "or": 0b1110, "xor": 0b0110, "implies": 0b1011}
 _AND = _OPERATORS["and"]
 _XOR = _OPERATORS["xor"]
+_XNOR = _XOR ^ 15
 
 #: Frame kinds on the apply core's stack.
-_SPLIT, _JOIN, _NEG, _RUN = range(4)
+_SPLIT, _JOIN, _NEG, _RUN, _WORD = range(5)
 
 
 def _require_pair(a: FuncHandle, b: FuncHandle) -> ModelSpec:
@@ -92,7 +99,8 @@ def _intern_run(manager: Manager, letters: list, edge: Edge) -> Edge:
     """``letters`` (outermost first) interned over ``edge`` in one
     ``Manager.chain`` call.  Each is ``U`` or ``X``, which commute with
     the complement, so a leading mark on ``edge`` goes above them all,
-    where ``cons_diamond`` would pull it one level at a time."""
+    where ``cons_diamond`` would pull it one level at a time, as
+    ``reduction.cons_run`` moves it above a run."""
     if edge.letter is N:
         return manager.edge(N, manager.chain(letters, edge.child))
     return manager.chain(letters, edge)
@@ -101,11 +109,17 @@ def _intern_run(manager: Manager, letters: list, edge: Edge) -> Edge:
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``.
 
-    Memoized in the model's space on ``(id(x) << 64 | id(y)) << 4 |
-    op``; a run of skipped levels is one entry, and the levels inside
-    it get none.  ``andb_pairs`` counts the splits of a top-level
-    ``and``, whatever table the normalized keys below it carry; a run
-    step is no split."""
+    A pair is visited at an arity ``n`` that its operands reach once
+    each is padded with ``U`` up to it, so a split reuses an operand it
+    does not reach as it is.  The visit folds each operand's mark into
+    the table, strips its leading ``U`` run and, under xor, the levels
+    the module docstring names.  The stripped pair stands for one
+    function at the larger arity ``m`` of its operands, so only it is
+    memoized, on ``(id(x) << 64 | id(y)) << 4 | op``; the levels above
+    ``m`` are interned over its value on each visit, which for a run of
+    ``U`` is one lookup.  A split at ``m`` splits only the operands at
+    ``m``.  ``andb_pairs`` counts the splits of a top-level ``and``,
+    whatever table the normalized keys below it carry."""
     manager = x.manager
     space = manager.space(model)
     memo = space.apply
@@ -122,8 +136,10 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # and needs no terminal test (at arity 0, ``chains`` may be unset and
     # every operand is a terminal).
     chains = space.chains
-    # a model without U has no run: two X levels would need it
+    # a model without U has no run, and so no padded operand; an xor
+    # level of X/X gives U, so an xor skips levels only with both
     runs = U in model.letters
+    xor_runs = runs and X in model.letters
 
     def unary(table: int, edge: Edge) -> Edge:
         """``v -> bit v of table`` applied to ``edge``."""
@@ -136,18 +152,58 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # Pending work, innermost last, each frame tagged by its kind: a
     # split whose lo half is being computed and whose hi pair comes next,
     # a join of the hi half's value under ``lo``, a complement of the
-    # value below, or a run interned over it.  All but a split write the
-    # memo under ``key`` once their value is in.
+    # value below, or a run or a word of skipped levels interned over
+    # it.  A join or a complement writes the memo under ``key`` once its
+    # value is in.
     stack = []
+    n = x.arity
     while True:
-        # the pair (op, x, y) to compute: fold its marks into the table
-        # and order its operands by id, then look it up
-        if x.letter is N:
-            x = x.child
-            op = op >> 2 & 3 | (op & 3) << 2
-        if y.letter is N:
-            y = y.child
-            op = op >> 1 & 5 | op << 1 & 10
+        # the pair (op, x, y) at arity n: fold its marks into the table
+        # and strip its leading U runs, and under xor also the levels
+        # where each operand is padded or leads with X (the result
+        # leads with X there if one is padded, else with U)
+        word = None
+        while True:
+            if x.letter is N:
+                x = x.child
+                op = op >> 2 & 3 | (op & 3) << 2
+            if y.letter is N:
+                y = y.child
+                op = op >> 1 & 5 | op << 1 & 10
+            if not runs:
+                m = n
+                break
+            if x.letter is U:
+                x = x.child
+            if y.letter is U:
+                y = y.child
+            a = x.arity
+            b = y.arity
+            m = a if a > b else b
+            # a constant operand (arity 0 once stripped) or equal
+            # operands are a leaf below, read off the table
+            if not (xor_runs and (op == _XOR or op == _XNOR) and a and b
+                    and x is not y):
+                break
+            p = x.letter if a == m else U
+            q = y.letter if b == m else U
+            if not ((p is X or p is U) and (q is X or q is U)):
+                break
+            if word is None:
+                word = []
+            word += [U] * (n - m)
+            word.append(U if p is q else X)
+            if p is X:
+                x = x.child
+            if q is X:
+                y = y.child
+            n = m - 1
+        if word is not None:
+            word += [U] * (n - m)
+            stack.append((_WORD, word))
+        elif m < n:
+            stack.append((_RUN, n - m))
+        # order the operands by id and look the pair up
         i = id(x)
         j = id(y)
         if j < i:
@@ -164,14 +220,15 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             value = memo.get(key)
         if value is None:
             # a leaf: a constant operand or equal operands, read off the
-            # table and never memoized
+            # table and never memoized; an operand is compared with the
+            # constants of its own arity
             if not chains or x.node.lo is None or y.node.lo is None:
-                zero = zeros[x.arity]
-                one = ones[x.arity]
-                a = 0 if x is zero else 1 if x is one else None
-                b = 0 if y is zero else 1 if y is one else None
+                a = x.arity
+                b = y.arity
+                a = 0 if x is zeros[a] else 1 if x is ones[a] else None
+                b = 0 if y is zeros[b] else 1 if y is ones[b] else None
                 if a is not None and b is not None:
-                    value = one if op >> 2 * a + b & 1 else zero
+                    value = (ones if op >> 2 * a + b & 1 else zeros)[m]
                 elif a is not None:
                     value = unary(op >> 2 * a & 3, y)
                 elif b is not None:
@@ -179,54 +236,36 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             if value is None and i == j:
                 value = unary(op & 1 | op >> 2 & 2, x)
         if value is None:
-            # strip the leading levels both skip alike: both lead with U
-            # or, under xor, each with U or X; the result leads with U
-            # there (X for a mixed level)
-            if runs:
-                letters = None
-                while x is not y:
-                    a, b = x.letter, y.letter
-                    if a is U and b is U:
-                        letter = U
-                    elif (op == _XOR and (a is U or a is X)
-                          and (b is U or b is X)):
-                        letter = U if a is b else X
-                    else:
-                        break
-                    if letters is None:
-                        letters = []
-                    letters.append(letter)
-                    x, y = x.child, y.child
-                if letters is not None:
-                    stack.append((_RUN, key, letters))
-                    continue
             if count:
                 pairs += 1
-            # split on the leading variable: both cofactors of U.c are
-            # c, and the hi cofactor of X.c is ~c, so its mark goes into
-            # the hi pair's table
+            # split the operands at arity m on their leading variable:
+            # both cofactors of a padded operand are itself, and the hi
+            # cofactor of X.c is ~c, so its mark goes into the hi table
             op1 = op
-            a = x.letter
-            if a is None:
-                x0, x1 = x.node.lo, x.node.hi
-            elif a is U:
-                x0 = x1 = x.child
-            elif a is X:
-                x0 = x1 = x.child
-                op1 = op1 >> 2 & 3 | (op1 & 3) << 2
+            if x.arity == m:
+                a = x.letter
+                if a is None:
+                    x0, x1 = x.node.lo, x.node.hi
+                elif a is X:
+                    x0 = x1 = x.child
+                    op1 = op1 >> 2 & 3 | (op1 & 3) << 2
+                else:
+                    x0, x1 = cofactors(model, x)
             else:
-                x0, x1 = cofactors(model, x)
-            b = y.letter
-            if b is None:
-                y0, y1 = y.node.lo, y.node.hi
-            elif b is U:
-                y0 = y1 = y.child
-            elif b is X:
-                y0 = y1 = y.child
-                op1 = op1 >> 1 & 5 | op1 << 1 & 10
+                x0 = x1 = x
+            if y.arity == m:
+                b = y.letter
+                if b is None:
+                    y0, y1 = y.node.lo, y.node.hi
+                elif b is X:
+                    y0 = y1 = y.child
+                    op1 = op1 >> 1 & 5 | op1 << 1 & 10
+                else:
+                    y0, y1 = cofactors(model, y)
             else:
-                y0, y1 = cofactors(model, y)
-            stack.append((_SPLIT, key, op1, x1, y1))
+                y0 = y1 = y
+            n = m - 1
+            stack.append((_SPLIT, key, op1, x1, y1, n))
             x, y = x0, y0
             continue
         # hand the value up until a split needs its hi half next
@@ -234,13 +273,17 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             frame = stack.pop()
             tag = frame[0]
             if tag == _SPLIT:
-                _, key, op, x, y = frame
+                _, key, op, x, y, n = frame
                 stack.append((_JOIN, key, value))
                 break
+            if tag == _RUN:
+                value = cons_run(model, manager, frame[1], value)
+                continue
+            if tag == _WORD:
+                value = _intern_run(manager, frame[1], value)
+                continue
             if tag == _NEG:
                 value = push_neg(value)
-            elif tag == _RUN:
-                value = _intern_run(manager, frame[2], value)
             else:
                 value = cons_diamond(model, manager, frame[2], value)
             memo[frame[1]] = value
@@ -265,22 +308,16 @@ def projection(model: ModelSpec, manager: Manager, index: int,
     """Canonical graph of the variable ``x<index>`` at the given arity.
 
     The level of ``x<index>`` is built through the normalized
-    constructor.  The ``index`` levels above it ignore their variable:
-    where the model has ``U`` they are ``U^index`` interned straight
-    over it, with a leading mark moved above them as ``cons_diamond``
-    would; other models pair the level with itself once per level."""
+    constructor, and the ``index`` levels above it, which ignore their
+    variable, through ``cons_run``: one run link where the model has
+    ``U``, else one diamond per level."""
     if not 0 <= index < arity:
         raise ValueError(f"variable index {index} out of range for "
                          f"arity {arity}")
     rest = arity - index - 1
     edge = cons_diamond(model, manager, constant(model, manager, 0, rest),
                         constant(model, manager, 1, rest))
-    if U in model.letters:
-        edge = _intern_run(manager, [U] * index, edge)
-    else:
-        for _ in range(index):
-            edge = cons_diamond(model, manager, edge, edge)
-    return FuncHandle(edge, model=model)
+    return FuncHandle(cons_run(model, manager, index, edge), model=model)
 
 
 def build_expr(model: ModelSpec, ast, arity: int,

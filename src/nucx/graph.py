@@ -5,21 +5,30 @@ interns structurally equal objects to a single identity.  After
 interning, equality of subgraphs *is* identity (``is``), which is what
 the reduction engine, the memo tables and the equivalence query rely on.
 The term constructors are the manager's: ``Manager.edge(letter,
-child)`` puts a letter over an edge, ``Manager.chain(letters, child)``
-puts a whole word over one in a single loop, and ``Manager.diamond(lo,
-hi)`` returns the bare edge to a Shannon diamond; the bare edges to the
-terminals are ``Manager.zero`` and ``Manager.one``.  None of them
-normalizes; the reduced constructor is ``reduction.cons_diamond``.
+child)`` puts a letter over an edge, ``Manager.run(length, child)`` puts
+a run of ``U`` over one, ``Manager.chain(letters, child)`` puts a whole
+word over one in a single loop, and ``Manager.diamond(lo, hi)`` returns
+the bare edge to a Shannon diamond; the bare edges to the terminals are
+``Manager.zero`` and ``Manager.one``.  None of them normalizes; the
+reduced constructor is ``reduction.cons_diamond``.
 
 Structure of a graph:
 
 * terminals ``0`` and ``1`` (arity 0);
 * diamond nodes branching on one variable: the ``lo`` edge is the
   ``x0 = 0`` branch (drawn dashed), ``hi`` is ``x0 = 1`` (drawn solid);
-* edges, each either one letter over a child edge or a bare pointer to
+* edges, each either one link over a child edge or a bare pointer to
   a node.  The word ``l1.l2...lk`` over a node is the chain
-  ``l1(l2(...lk(node)))``: every suffix of a word is itself an interned
-  edge, so each word is stored once and a descent is a pointer step.
+  ``l1(l2(...lk(node)))``: every suffix of a word that starts at a link
+  is itself an interned edge, so each word is stored once and a descent
+  is a pointer step.
+
+Run links: a link is one letter, except that a maximal run ``U^k`` of
+the useless letter is one link, whose child never leads with ``U``.
+Its length is ``arity - child.arity``, so an edge stores no length.
+Every reader takes a run as its k letters: ``Edge.word``, ``signature``
+and ``dot_export`` print it expanded, and ``metrics.measure`` counts k
+elementary letters.  Runs of the other letters are one link per letter.
 
 Arity bookkeeping: each elementary letter and each diamond consumes one
 variable; the complement mark ``N`` consumes none.
@@ -66,14 +75,17 @@ class Node:
 
 
 class Edge:
-    """An interned letter chain: ``letter`` over the ``child`` edge, or,
-    with ``letter`` ``None``, a bare pointer to a node.
+    """An interned letter chain: a link of ``letter`` over the ``child``
+    edge, or, with ``letter`` ``None``, a bare pointer to a node.  A
+    ``U`` link is the run ``U^k`` with ``k = arity - child.arity``, and
+    its child never leads with ``U``; any other link is one letter.
 
     ``node`` is the node at the end of the chain; ``word`` reads the
-    letters from here down to it.  ``owner`` is the weak reference to
-    the manager, one object shared by all of its edges: an edge does not
-    keep its manager alive, so a bare edge outlives its graph's manager
-    unless a :class:`FuncHandle` or the manager itself is kept.
+    letters from here down to it, each run as its k letters.  ``owner``
+    is the weak reference to the manager, one object shared by all of
+    its edges: an edge does not keep its manager alive, so a bare edge
+    outlives its graph's manager unless a :class:`FuncHandle` or the
+    manager itself is kept.
     """
 
     __slots__ = ("letter", "child", "node", "arity", "owner")
@@ -103,8 +115,10 @@ class Edge:
         letters = []
         edge = self
         while edge.letter is not None:
-            letters.append(edge.letter)
-            edge = edge.child
+            child = edge.child
+            # a run stands for arity - child.arity letters, a mark for one
+            letters += (edge.letter,) * (edge.arity - child.arity or 1)
+            edge = child
         return tuple(letters)
 
     def __repr__(self):
@@ -172,12 +186,16 @@ class Space:
 class Manager:
     """Interning and memoization authority for one diagram universe.
 
-    :meth:`edge`, :meth:`chain` and :meth:`diamond` are the only graph
-    constructors; :meth:`chain` makes exactly the links of one
-    :meth:`edge` call per letter.  Each diamond and each link of a
-    letter chain is stored once, so words share their suffixes.  Each
-    of the seven letters has one link table, made with the manager and
-    keyed on the child edge.  A
+    :meth:`edge`, :meth:`run`, :meth:`chain` and :meth:`diamond` are the
+    only graph constructors.  Each diamond and each link of a letter
+    chain is stored once, so words share their suffixes.  Each of the
+    seven letters has one link table, made with the manager and keyed
+    on the child edge.  A run of ``U`` is one link, ``U^k`` with ``k =
+    arity - child.arity`` over a child that does not lead with ``U``:
+    ``U``'s table keys it on that child when k is 1 and on ``k << 64 |
+    id(child)`` otherwise, so :meth:`edge`, :meth:`run` and
+    :meth:`chain` extend a run with one lookup and make no link for its
+    shorter runs.  A
     diamond is one entry of the diamond table, keyed on the ids of its
     two children and mapping straight to the bare edge of its node, so a
     diamond that exists costs one lookup.  A manager is a single-owner
@@ -197,10 +215,10 @@ class Manager:
     on the ids of their operand edges (``reduce`` on the edge itself for
     an uncomplemented result); :meth:`cache` holds the
     model-free tables, keyed on edges.  An id key (the diamond table's
-    too) is sound only because no edge is ever dropped from the unique
-    tables while the manager lives, so no id is reused by another edge:
-    anything that reclaims edges must clear every space's memos in the
-    same step.
+    and a long run's too) is sound only because no edge is ever dropped
+    from the unique tables while the manager lives, so no id is reused
+    by another edge: anything that reclaims edges must clear every
+    space's memos in the same step.
 
     Every memo lives as long as its manager: memory is given back by
     dropping the manager.
@@ -210,8 +228,9 @@ class Manager:
         # id(lo) << 64 | id(hi) -> bare edge to the diamond; the node
         # holds both children, so neither id is reused while it lives
         self._diamonds: dict[int, Edge] = {}
-        # letter -> child edge -> the letter's link over it
-        self._links: dict[Letter, dict[Edge, Edge]] = {
+        # letter -> child edge (or, for a run of U longer than one, its
+        # length << 64 | id(child)) -> the letter's link over it
+        self._links: dict[Letter, dict[Edge | int, Edge]] = {
             U: {}, X: {}, C11: {}, C10: {}, C01: {}, C00: {}, N: {}}
         self._spaces: dict[object, Space] = {}
         self._caches: dict[str, dict] = {}
@@ -222,10 +241,15 @@ class Manager:
         self.one = Edge(None, None, Node(None, None, 1), 0, self._ref)
 
     def edge(self, letter: Letter, child: Edge) -> Edge:
-        """Intern ``letter`` over the edge ``child``."""
+        """Intern ``letter`` over the edge ``child``; ``U`` over a run of
+        ``U`` is the run one longer."""
         links = self._links.get(letter)
         if links is None:
             raise _not_a_letter(letter)
+        if letter is U and child.letter is U:
+            return self.run(1, child)
+        # any other link, a run of length 1 included, is keyed on its
+        # child
         found = links.get(child)
         if found is None:
             # a foreign child is never a key here, so checking on a miss
@@ -238,33 +262,61 @@ class Manager:
                 self._ref)
         return found
 
+    def run(self, length: int, child: Edge) -> Edge:
+        """Intern ``U^length`` over the edge ``child`` as one link, merged
+        with the run that ``child`` leads with: one lookup, whatever the
+        length.  A length of 0 gives ``child``."""
+        if length < 0:
+            raise ValueError(f"negative run length {length}")
+        if child.letter is U:
+            base = child.child
+            length += child.arity - base.arity
+        elif not length:
+            return child
+        else:
+            base = child
+        key = base if length == 1 else length << 64 | id(base)
+        links = self._links[U]
+        found = links.get(key)
+        if found is None:
+            # a foreign base is never a key here (an id key's base is
+            # alive), so checking on a miss catches every one
+            if base.owner is not self._ref:
+                raise ManagerMismatchError(
+                    "child belongs to another manager")
+            found = links[key] = Edge(U, base, base.node,
+                                      base.arity + length, self._ref)
+        return found
+
     def chain(self, letters: Sequence[Letter], child: Edge) -> Edge:
         """Intern the word ``letters``, outermost first, over the edge
-        ``child``: the edge, and the links, that one :meth:`edge` call
-        per letter from the innermost out would give, in one loop that
-        reads a letter's table once per run of that letter.  A child of
-        another manager raises :class:`ManagerMismatchError`, even under
-        the empty word."""
+        ``child``: the edge that one :meth:`edge` call per letter from
+        the innermost out would give, in one loop.  Each run of ``U`` is
+        one :meth:`run` call, so no link is made for its shorter runs.
+        A child of another manager raises :class:`ManagerMismatchError`,
+        even under the empty word."""
         if child.owner is not self._ref:
             raise ManagerMismatchError("child belongs to another manager")
         ref = self._ref
         tables = self._links
-        node = child.node
-        arity = child.arity
-        last = links = None
+        run = 0
         for letter in reversed(letters):
-            if letter is not last or links is None:
-                links = tables.get(letter)
-                if links is None:
-                    raise _not_a_letter(letter)
-                last = letter
-                step = letter is not N
-            arity += step
+            if letter is U:
+                run += 1
+                continue
+            if run:
+                child = self.run(run, child)
+                run = 0
+            links = tables.get(letter)
+            if links is None:
+                raise _not_a_letter(letter)
             found = links.get(child)
             if found is None:
-                found = links[child] = Edge(letter, child, node, arity, ref)
+                found = links[child] = Edge(
+                    letter, child, child.node,
+                    child.arity + (letter is not N), ref)
             child = found
-        return child
+        return self.run(run, child) if run else child
 
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
         """The bare edge to the interned diamond with children
@@ -327,9 +379,7 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
             f"valuation length {len(valuation)} != arity {edge.arity}")
     parity = 0
     i = 0
-    # over the eval batches of perfbench's query graphs (seeds 0-2), 65%
-    # of steps are on a U and 31% at a diamond or terminal; N, X and the
-    # canalizing letters take the other 4%
+    # the bare edge and U come first: they are most of the steps
     while True:
         letter = edge.letter
         if letter is None:
@@ -340,8 +390,12 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
             i += 1
             continue
         if letter is U:
-            i += 1
-        elif letter is N:
+            # a run of k U's skips k variables
+            child = edge.child
+            i += edge.arity - child.arity
+            edge = child
+            continue
+        if letter is N:
             parity ^= 1
         elif letter is X:
             if valuation[i]:
@@ -405,11 +459,13 @@ def to_truth_table(handle: FuncHandle) -> TruthTable:
 
 
 def _label(edge: Edge) -> str:
-    """The tokens of an edge's word, joined by dots."""
+    """The tokens of an edge's word, joined by dots, each run of ``U``
+    expanded."""
     tokens = []
     while edge.letter is not None:
-        tokens.append(edge.letter.token)
-        edge = edge.child
+        child = edge.child
+        tokens += (edge.letter.token,) * (edge.arity - child.arity or 1)
+        edge = child
     return ".".join(tokens)
 
 

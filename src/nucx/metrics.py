@@ -40,19 +40,42 @@ class SizeReport:
 
 
 def measure(handle: FuncHandle) -> SizeReport:
-    """Count distinct reachable diamonds and per-edge letters."""
+    """Count distinct reachable diamonds and the letters of the word of
+    each distinct reachable edge: elementary letters (a run of ``U``
+    counts its k letters) apart from marks.  Each link's tallies are
+    taken once, so the walk is linear in the links and diamonds it
+    reaches, however long the words are."""
     diamonds = set()
+    # link -> (elementary letters, marks) of its word
+    tallies = {}
+    get = tallies.get
     letters = 0
     neg_letters = 0
     for edge in iter_edges(handle.edge):
         if edge.node.lo is not None:
             diamonds.add(edge.node)
-        while edge.letter is not None:
-            if edge.letter is N:
-                neg_letters += 1
+        if edge.letter is None:
+            continue
+        # down to the bare edge or the first link already tallied, then
+        # back up
+        path = []
+        link = edge
+        a = b = 0
+        while link.letter is not None:
+            found = get(link)
+            if found is not None:
+                a, b = found
+                break
+            path.append(link)
+            link = link.child
+        for link in reversed(path):
+            if link.letter is N:
+                b += 1
             else:
-                letters += 1
-            edge = edge.child
+                a += link.arity - link.child.arity
+            tallies[link] = (a, b)
+        letters += a
+        neg_letters += b
     name = handle.model.name if handle.model is not None else "raw"
     return SizeReport(name, handle.arity, len(diamonds), letters,
                       neg_letters)

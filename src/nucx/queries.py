@@ -50,8 +50,7 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
 def count_sat(handle: FuncHandle) -> int:
     """Number of satisfying valuations (exact, arbitrary precision).
 
-    Memoized per manager in the ``count`` cache, keyed on the edge; the
-    inner links of a ``U`` run are not memoized."""
+    Memoized per manager in the ``count`` cache, keyed on the edge."""
     require_model(handle)
     memo = handle.manager.cache("count")
     get = memo.get
@@ -87,15 +86,12 @@ def count_sat(handle: FuncHandle) -> int:
             count = 1 << edge.child.arity       # 2^k, whatever c is
         else:
             below = edge.child
-            if letter is U:
-                while below.letter is U:
-                    below = below.child
             count = get(below)
             if count is None:
                 push(below)
                 continue
             if letter is U:
-                count <<= edge.arity - below.arity  # c << r for r U's
+                count <<= edge.arity - below.arity  # c << k for U^k
             elif letter is N:
                 count = (1 << below.arity) - count  # 2^k - c
             elif letter.const:
@@ -118,7 +114,9 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
 
     The walk keeps one path of bits, cut back when it resumes a pending
     ``x = 1`` branch, so it holds O(n) state and each valuation costs
-    O(n) steps beyond the one before it.
+    O(n) steps beyond the one before it.  A run of ``U`` is walked one
+    level at a time: its link stays the edge at hand until the path has
+    passed all but its last level.
     """
     model = require_model(handle)
     manager = handle.manager
@@ -135,7 +133,11 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
         path: list[int] = []
         # (depth, hi, parity): the pending x = 1 branch at path[depth].
         # The function at hand is the edge's, complemented when
-        # ``parity`` is 1, as in ``eval_handle``: a mark is a step.
+        # ``parity`` is 1, as in ``eval_handle``: a mark is a step.  It
+        # has ``size - len(path)`` variables, fewer than the edge's
+        # arity only inside a run of U, which is a constant iff its
+        # child is.
+        size = arity
         pending = []
         edge = handle.edge
         parity = 0
@@ -143,8 +145,8 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
             arity = edge.arity
             if edge is rows[1 ^ parity][arity]:
                 prefix = tuple(path)
-                yield from (prefix + suffix for suffix in
-                            itertools.product((0, 1), repeat=arity))
+                yield from (prefix + suffix for suffix in itertools.product(
+                    (0, 1), repeat=size - len(path)))
             elif edge is not rows[parity][arity]:
                 letter = edge.letter
                 if letter is N:
@@ -155,7 +157,10 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
                     lo, hi = edge.node.lo, edge.node.hi
                 else:
                     lo = hi = edge.child
-                    if letter is not U and letter is not X:
+                    if letter is U:
+                        if edge.child.arity < size - len(path) - 1:
+                            lo = hi = edge
+                    elif letter is not X:
                         const = rows[letter.const][arity - 1]
                         lo, hi = (lo, const) if letter.branch else (const, hi)
                 pending.append((len(path), hi, parity ^ (letter is X)))

@@ -286,18 +286,34 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     return manager.diamond(e0, e1)
 
 
+def cons_run(model: ModelSpec, manager: Manager, length: int,
+             edge: Edge) -> Edge:
+    """The reduced graph of ``length`` ignored variables over the
+    reduced ``edge``: where the model has ``U``, the run ``U^length`` as
+    one link, with a leading mark of ``edge`` moved above it as
+    :func:`cons_diamond` would pull it; else one :func:`cons_diamond`
+    per level."""
+    if U not in model.letters:
+        for _ in range(length):
+            edge = cons_diamond(model, manager, edge, edge)
+        return edge
+    if edge.letter is N:
+        return manager.edge(N, manager.run(length, edge.child))
+    return manager.run(length, edge)
+
+
 def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     """Both cofactors of an edge on its first variable, as the two
     children whose normalized combination is ``edge``.
 
     The cofactor rule of the code that builds graphs: :func:`rebuild`
-    (every ``reduce``, and negation in a mark-free model),
-    ``connectives.cofactor`` and the apply core, which splits ``U`` and
-    ``X`` inline (``X`` to fold its mark into the key), so only
-    canalizing letters reach this from there.  It may intern the halves
-    it returns; the queries and ``graph.eval_handle`` read the letters
-    themselves and intern nothing.  Constants come out in ``model``'s
-    canonical form.
+    (every ``reduce``, and negation in a mark-free model), which takes
+    a mark and a run of ``U`` itself, ``connectives.cofactor`` and the
+    apply core, which strips ``U`` runs and splits ``X`` inline (``X``
+    to fold its mark into the key), so only canalizing letters reach
+    this from there.  It may intern the halves it returns; the queries
+    and ``graph.eval_handle`` read the letters themselves and intern
+    nothing.  Constants come out in ``model``'s canonical form.
     """
     letter = edge.letter
     if letter is None:
@@ -306,9 +322,11 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     if letter is N:
         lo, hi = cofactors(model, child)
         return push_neg(lo), push_neg(hi)
-    # every other letter reverses its introduction rule in cons_diamond
+    # every other letter reverses its introduction rule in cons_diamond;
+    # both cofactors of the run U^k.c are U^(k-1).c
     if letter is U:
-        return child, child
+        below = edge.owner().run(edge.arity - child.arity - 1, child)
+        return below, below
     if letter is X:
         return child, push_neg(child)
     const = constant(model, edge.owner(), letter.const, child.arity)
@@ -318,7 +336,7 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
 
 
 #: Frame kinds on ``rebuild``'s stack.
-_SPLIT, _JOIN, _NEG = range(3)
+_SPLIT, _JOIN, _NEG, _RUN = range(4)
 
 
 def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
@@ -330,17 +348,19 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     equal to an edge) for the complement; terminals are not memoized.
 
     One loop on an explicit stack, as the apply core is: a diamond's
-    children and a leading mark are read inline, every other letter
-    through :func:`cofactors`, and both halves are joined lo first.
-    ``negb_recursions`` counts the memo misses under parity 1."""
+    children and a leading mark are read inline, a run of ``U`` is one
+    step (:func:`cons_run` over its child's value), every other letter
+    goes through :func:`cofactors`, and both halves are joined lo
+    first.  ``negb_recursions`` counts the memo misses under parity 1."""
     manager = edge.manager
     memo = manager.space(model).reduce
     negation = model.negation
     flips = 0
     # Pending work, innermost last: a split whose lo half is being
     # computed and whose hi edge comes next, a join of the hi half's
-    # value under ``lo``, or a complement of the value below.  A join or
-    # a complement writes the memo under ``key`` once its value is in.
+    # value under ``lo``, a complement of the value below, or a run over
+    # it.  All but a split write the memo under ``key`` once their value
+    # is in.
     stack = []
     while True:
         # the key is taken before a mark-free model strips the marks
@@ -356,6 +376,10 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
             letter = edge.letter
             if letter is N:
                 stack.append((_NEG, key))
+                edge = edge.child
+                continue
+            if letter is U:
+                stack.append((_RUN, key, edge.arity - edge.child.arity))
                 edge = edge.child
                 continue
             if letter is None:
@@ -379,6 +403,8 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
                 break
             if tag == _NEG:
                 value = push_neg(value)
+            elif tag == _RUN:
+                value = cons_run(model, manager, frame[2], value)
             else:
                 value = cons_diamond(model, manager, frame[2], value)
             memo[frame[1]] = value

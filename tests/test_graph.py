@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -141,8 +142,9 @@ class TestPrepend:
 
 
 class TestChain:
-    """``Manager.chain`` interns a word in one call: the very edge, and
-    the very links, that one ``edge`` call per letter would give."""
+    """``Manager.chain`` interns a word in one call: the very edge that
+    one ``edge`` call per letter would give, with one link per run of
+    ``U`` where the calls make one per prefix of the run."""
 
     WORDS = ([U], [N], [U, U, U], [X, U, U, N, C10], [N, U, U, X, X, X, U],
              [C10, C10, N, U], [U] * 40 + [X] * 3 + [U] * 5)
@@ -160,7 +162,7 @@ class TestChain:
             child = manager.edge(letter, child)
         return child
 
-    def test_same_edge_and_links_as_edge_calls(self):
+    def test_same_edge_as_edge_calls(self):
         chained, stepped = Manager(), Manager()
         for word in self.WORDS:
             for a, b in zip(self.children(chained), self.children(stepped)):
@@ -168,12 +170,19 @@ class TestChain:
                 assert edge.word == self.by_edges(stepped, word, b).word
                 assert edge.arity == a.arity + sum(l is not N for l in word)
                 assert edge.node is a.node
-                links = len(interned_links(chained))
                 assert self.by_edges(chained, word, a) is edge
-                assert len(interned_links(chained)) == links
-        assert sorted(map(repr, interned_links(chained))) == \
-            sorted(map(repr, interned_links(stepped)))
-        assert repr(chained) == repr(stepped)
+
+    def test_links_are_a_subset_of_the_edge_calls(self):
+        chained, stepped = Manager(), Manager()
+        for word in self.WORDS:
+            for a, b in zip(self.children(chained), self.children(stepped)):
+                chained.chain(word, a)
+                self.by_edges(stepped, word, b)
+        mine = collections.Counter(map(repr, interned_links(chained)))
+        theirs = collections.Counter(map(repr, interned_links(stepped)))
+        assert not mine - theirs
+        # [U] * 40 alone is 40 links stepped and one chained
+        assert sum(theirs.values()) - sum(mine.values()) >= 39
 
     def test_empty_word_is_the_child(self, mgr):
         for child in self.children(mgr):
@@ -195,6 +204,71 @@ class TestChain:
                               (0, "is not a letter"), (None, "bare edges")):
             with pytest.raises(ValueError, match=message):
                 mgr.chain([U, junk, U], mgr.zero)
+
+
+class TestRunLinks:
+    """A maximal run ``U^k`` is one link: its child never leads with
+    ``U``, its length is ``arity - child.arity``, and every reader takes
+    it as its k letters."""
+
+    def test_edge_extends_a_run(self, mgr):
+        one = mgr.edge(U, mgr.zero)
+        two = mgr.edge(U, one)
+        assert two.child is mgr.zero and two.arity == 2
+        assert two.word == (U, U)
+        assert mgr.run(2, mgr.zero) is two
+        assert mgr.run(1, one) is two
+        assert mgr.run(0, two) is two
+        assert mgr.run(0, mgr.zero) is mgr.zero
+        assert len(interned_links(mgr)) == 2
+        with pytest.raises(ValueError, match="negative run length"):
+            mgr.run(-1, two)
+
+    def test_chain_makes_one_link_per_run(self, mgr):
+        diamond = mgr.diamond(mgr.zero, mgr.one)
+        edge = mgr.chain([U] * 1000 + [X] + [U] * 5, diamond)
+        assert edge.word == (U,) * 1000 + (X,) + (U,) * 5
+        assert edge.arity == 1007
+        assert len(interned_links(mgr)) == 3
+        assert edge.child.child.child is diamond
+        assert mgr.run(1000, mgr.edge(X, mgr.run(5, diamond))) is edge
+        assert len(interned_links(mgr)) == 3
+
+    def test_foreign_child(self, mgr):
+        other = Manager()
+        for child in (other.zero, other.edge(U, other.zero)):
+            with pytest.raises(ManagerMismatchError):
+                mgr.run(3, child)
+            with pytest.raises(ManagerMismatchError):
+                mgr.edge(U, child)
+        assert interned_links(mgr) == []
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_run_children_never_lead_with_u(self, name):
+        manager = Manager()
+        for text in chain_texts(48).values():
+            build_expr(PRESETS[name], parse_expr(text, 48), 48, manager)
+        for link in interned_links(manager):
+            if link.letter is U:
+                assert link.child.letter is not U
+                assert link.arity > link.child.arity
+
+    def test_readers_expand_runs(self, mgr):
+        model = PRESETS["o-u"]
+        h = projection(model, mgr, 3, 5)
+        assert len(interned_links(mgr)) == 3  # U.0, U.1 and U^3 over x3
+        assert h.edge.word == (U, U, U)
+        assert signature(h) == "[U.U.U]([U]0,[U]1)"
+        assert 'label="U.U.U"' in dot_export(h)
+        assert repr(h.edge) == "<edge [U.U.U] diamond arity=5>"
+        assert to_truth_table(h) == TruthTable.projection(5, 3)
+        assert count_sat(h) == 16
+        for bits in itertools.product((0, 1), repeat=5):
+            assert eval_handle(h, bits) == bits[3]
+        assert list(all_sat(h)) == [
+            bits for bits in itertools.product((0, 1), repeat=5) if bits[3]]
+        report = measure(h)
+        assert (report.diamonds, report.letters) == (1, 5)
 
 
 class TestEval:
@@ -325,10 +399,7 @@ class TestSignature:
         # random tables share subgraphs, so the walk writes diamonds
         # whole, open, and again from the span of an open one
         def expand(edge):
-            tokens = []
-            while edge.letter is not None:
-                tokens.append(edge.letter.token)
-                edge = edge.child
+            tokens = [letter.token for letter in edge.word]
             node = edge.node
             body = ("01"[node.value] if node.lo is None
                     else f"({expand(node.lo)},{expand(node.hi)})")
@@ -660,7 +731,8 @@ def check_tables_track_nothing_per_entry(arity: int) -> int:
     an object for the cycle collector.  Returns the number of entries.
 
     The ``apply``, ``compile`` and diamond keys are ints; a letter link
-    is keyed on its child, an edge the unique tables already hold, and
+    is keyed on its child, an edge the unique tables already hold (a
+    run of ``U`` longer than one on an int), and
     the ``reduce`` memo and the model-free caches on such edges or on
     ints.  Tracked tuples may only grow by a constant."""
     # warm up whatever the library makes once per process

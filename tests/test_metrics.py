@@ -1,10 +1,11 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from conftest import example1_table
-from nucx.graph import Manager
+from nucx.graph import FuncHandle, Manager
 from nucx.metrics import (
     CSV_HEADER,
     bound_verdict,
@@ -18,6 +19,8 @@ from nucx.reduction import (
     NUCX,
     PRESETS,
     compile_table,
+    cons_diamond,
+    constant,
     lattice_leq,
     valid_models,
 )
@@ -84,6 +87,65 @@ class TestMeasure:
             report = measure(compile_table(model, table, manager))
             # one word per edge, at most ``arity`` letters per word
             assert report.letters <= (2 * report.diamonds + 1) * arity
+
+
+def one_hot(model, manager, n):
+    """Exactly one of x0..x(n-1), built bottom-up: with ``none`` the
+    function that no variable below is set, a level is ``one`` where its
+    variable is 0 and ``none`` where it is 1."""
+    none = constant(model, manager, 1, 0)
+    one = constant(model, manager, 0, 0)
+    for k in range(n):
+        none, one = (
+            cons_diamond(model, manager, none, constant(model, manager, 0, k)),
+            cons_diamond(model, manager, one, none))
+    return FuncHandle(one, model=model)
+
+
+def traced_lines(fn, *args) -> int:
+    """The line events of one call, in every frame it runs: an exact
+    count of the work, where a time would be noise."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(outer)
+    return lines
+
+
+class TestMeasureIsLinear:
+    """``measure`` tallies each link once, so its walk is linear in the
+    links it reaches, not in the letters of their words: one-hot under
+    ``o-nucx`` stores about 4n links, whose words hold about n²/2
+    letters."""
+
+    @pytest.mark.parametrize("name", ["o-nucx", "o-u", "s"])
+    def test_work_at_most_2_5x_per_doubling(self, name):
+        model = PRESETS[name]
+        manager = Manager()
+        small, large = (one_hot(model, manager, n) for n in (250, 500))
+        counts = []
+        for n, handle in ((250, small), (500, large)):
+            report = measure(handle)
+            assert report.arity == n
+            counts.append(traced_lines(measure, handle))
+        assert counts[1] <= 2.5 * counts[0], counts
+
+    def test_counts_word_letters(self):
+        manager = Manager()
+        handle = one_hot(NUCX, manager, 40)
+        report = measure(handle)
+        # nucx compare gives 38 diamonds and an s_size of 819 here
+        assert (report.diamonds, report.letters) == (38, 781)
 
 
 class TestCheckBounds:
