@@ -29,7 +29,7 @@ of a word and never twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .graph import Edge, FuncHandle, Manager, to_truth_table
 from .letters import C00, C01, C10, C11, ELEMENTARY, N, U, X, Letter, from_token
@@ -246,18 +246,22 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     if e0.arity != e1.arity:
         raise ArityError(
             f"operands must agree on arity: {e0.arity} vs {e1.arity}")
-    if model.negation and e0.letter is N:
-        # pull the mark above the node, toggling the other branch
-        return push_neg(cons_diamond(model, manager, push_neg(e0),
-                                     push_neg(e1)))
+    # Pull a mark on e0 above the node: strip it, toggle e1, build the
+    # node over the two, and toggle that.  e0's child carries no mark,
+    # so the node below is built as an unmarked e0's would be.
+    pulled = model.negation and e0.letter is N
+    if pulled:
+        e0 = e0.child
+        e1 = e1.child if e1.letter is N else manager.edge(N, e1)
     letters = model.letters
+    arity = e0.arity
     if U in letters and e1 is e0:
-        return manager.edge(U, e0)
+        found = manager.edge(U, e0)
     # compared structurally: interning the complement of e0 would leave
     # an unreachable edge behind.  Only a complement-bearing model has
     # X, and a mark on e0 was pulled above the node.
-    if X in letters and e1.letter is N and e1.child is e0:
-        return manager.edge(X, e0)
+    elif X in letters and e1.letter is N and e1.child is e0:
+        found = manager.edge(X, e0)
     # A child that ends at a diamond cannot be a constant that a check
     # below compares against, so its checks are skipped without building
     # the constant: each such constant is a letter chain down to a
@@ -267,23 +271,29 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     # check's own, or C00 for C01 in a complement-bearing model, whose
     # alphabet is closed under conjugation and whose constant 1 is the
     # mark over the constant 0).  Tested for all 48 models.
-    arity = e0.arity
-    if e1.node.lo is None:
-        if C11 in letters and e1 is constant(model, manager, 1, arity):
-            return manager.edge(C11, e0)
-        if C10 in letters and e1 is constant(model, manager, 0, arity):
-            return manager.edge(C10, e0)
-    if e0.node.lo is None:
-        if C01 in letters:
-            if model.negation:
-                if (e1.letter is N
-                        and e0 is constant(model, manager, 0, arity)):
-                    return push_neg(manager.edge(C01, push_neg(e1)))
-            elif e0 is constant(model, manager, 1, arity):
-                return manager.edge(C01, e1)
-        if C00 in letters and e0 is constant(model, manager, 0, arity):
-            return manager.edge(C00, e1)
-    return manager.diamond(e0, e1)
+    elif e0.node.lo is not None and e1.node.lo is not None:
+        found = manager.diamond(e0, e1)
+    elif (e1.node.lo is None and C11 in letters
+            and e1 is constant(model, manager, 1, arity)):
+        found = manager.edge(C11, e0)
+    elif (e1.node.lo is None and C10 in letters
+            and e1 is constant(model, manager, 0, arity)):
+        found = manager.edge(C10, e0)
+    elif (e0.node.lo is None and C01 in letters and model.negation
+            and e1.letter is N and e0 is constant(model, manager, 0, arity)):
+        # e0 is 0 and e1 is ~y: the mark over C01.y, which is 1 at x0 = 0
+        found = manager.edge(N, manager.edge(C01, e1.child))
+    elif (e0.node.lo is None and C01 in letters and not model.negation
+            and e0 is constant(model, manager, 1, arity)):
+        found = manager.edge(C01, e1)
+    elif (e0.node.lo is None and C00 in letters
+            and e0 is constant(model, manager, 0, arity)):
+        found = manager.edge(C00, e1)
+    else:
+        found = manager.diamond(e0, e1)
+    if pulled:
+        return found.child if found.letter is N else manager.edge(N, found)
+    return found
 
 
 def cons_run(model: ModelSpec, manager: Manager, length: int,
@@ -438,7 +448,9 @@ def compile_table(model: ModelSpec, table: TruthTable,
     first, each through ``cons_diamond`` over its two halves (a
     memoized subtable is not split, and arity 0 is a terminal).  Each
     level above the chunks pairs neighbouring edges through
-    ``cons_diamond``, once per distinct pair, up to the root.  The
+    ``cons_diamond`` in one loop, up to the root: a pair of the same two
+    edges as the pair before it reuses that pair's edge, and any other
+    repeated pair is built again, as a hit in the manager's tables.  The
     model's ``compile`` memo holds the chunks and their subtables of
     arity 1 and up, plus one root entry per table, so a repeated compile
     costs one lookup.  A table of arity ``n`` and mask ``m`` is keyed on
@@ -486,11 +498,19 @@ def compile_table(model: ModelSpec, table: TruthTable,
                 memo[lo] if lo > 3 else constant(model, manager, lo & 1, 0),
                 memo[hi] if hi > 3 else constant(model, manager, hi & 1, 0))
     level = list(map(memo.__getitem__, chunks))
-    join = partial(cons_diamond, model, manager)
     while len(level) > 1:
-        pairs = list(zip(level[::2], level[1::2]))
-        made = {pair: join(*pair) for pair in dict.fromkeys(pairs)}
-        level = list(map(made.__getitem__, pairs))
+        pairs = iter(level)
+        level = []
+        lo = hi = None
+        for e0, e1 in zip(pairs, pairs):
+            # a run of one pair, as in a constant or a projection, is
+            # built once; any other repeat is a hit in the manager's
+            # tables
+            if e0 is not lo or e1 is not hi:
+                lo = e0
+                hi = e1
+                edge = cons_diamond(model, manager, e0, e1)
+            level.append(edge)
     edge = memo[root] = level[0]
     return FuncHandle(edge, model=model)
 

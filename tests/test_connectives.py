@@ -469,10 +469,10 @@ class TestApplyWork:
 
 
 class TestCountGuards:
-    """Exact counts of the flat xor and the pair chain at n and 2n.
-    Diamonds, links and apply entries each grow at most 2.5x per
-    doubling: a run of ``U`` is one link, so the projections and the
-    runs above the apply core's pairs no longer make a link per
+    """Exact counts of the flat xor, the pair chain and the sparse CNF
+    at n and 2n.  Diamonds, links and apply entries each grow at most
+    2.5x per doubling: a run of ``U`` is one link, so the projections
+    and the runs above the apply core's pairs no longer make a link per
     letter."""
 
     # diamonds, links, apply entries at n = 150 and n = 300
@@ -481,6 +481,8 @@ class TestCountGuards:
         ("parity", "o-nucx"): ((0, 1374, 0), (0, 2906, 0)),
         ("pair", "o-u"): ((783, 869, 633), (1716, 1822, 1416)),
         ("pair", "o-nucx"): ((279, 1374, 708), (633, 2906, 1566)),
+        ("cnf", "o-u"): ((1989, 2159, 1905), (4329, 4921, 4143)),
+        ("cnf", "o-nucx"): ((1076, 5053, 2197), (2370, 8043, 4610)),
     }
 
     @pytest.mark.parametrize("family,name", list(COUNTS))

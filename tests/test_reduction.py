@@ -354,6 +354,22 @@ class TestConsDiamond:
         with pytest.raises(ArityError):
             cons_diamond(NUCX, mgr, mgr.zero, constant(NUCX, mgr, 0, 1))
 
+    @pytest.mark.parametrize(
+        "model", [model for _, model in NEGATION_MODELS]
+        + [parse_model("custom:u,x+neg")], ids=lambda model: model.name)
+    def test_mark_pull_matches_recursive_rule(self, model):
+        # the reference rule: the node over the toggled children, toggled
+        manager = Manager()
+        edges = [compile_table(model, TruthTable(2, mask), manager).edge
+                 for mask in range(16)]
+        marked = [edge for edge in edges if edge.letter is N]
+        assert marked
+        for e0 in marked:
+            for e1 in edges:
+                assert cons_diamond(model, manager, e0, e1) is push_neg(
+                    cons_diamond(model, manager, push_neg(e0),
+                                 push_neg(e1))), (e0.word, e1.word)
+
 
 class TestConstant:
     def test_negative_arity_rejected(self, mgr):
@@ -700,6 +716,32 @@ class TestLevelCompile:
                             if key[0] is model and key[2] > 3}
             chunks = [key for key in keys if key[1] <= 3]
             assert len(chunks) <= 256 + 16 + 4 + 2
+
+
+class TestStructuredCompileWork:
+    """Constants and projections repeat one pair across each level above
+    the chunks, so compiling one builds that pair's edge once per level:
+    ``cons_diamond`` calls stay linear in the arity, not in the table."""
+
+    @pytest.mark.parametrize("name", ["o-u", "o-nucx", "s", "s-n"])
+    def test_calls_linear_in_arity(self, name, monkeypatch):
+        calls = []
+        inner = reduction.cons_diamond
+
+        def counted(*args):
+            calls.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(reduction, "cons_diamond", counted)
+        n = 16
+        tables = (TruthTable.constant(n, 0), TruthTable.constant(n, 1),
+                  TruthTable.projection(n, 0),
+                  TruthTable.projection(n, n - 1))
+        for table in tables:
+            calls.clear()
+            handle = compile_table(PRESETS[name], table, Manager())
+            assert len(calls) <= 3 * n, table
+            assert to_truth_table(handle) == table
 
 
 def reduced_edges(model, manager, max_arity):
