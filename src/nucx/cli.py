@@ -206,10 +206,23 @@ def _cmd_compile(args, handle, second, out):
             stream.write(dot_export(handle))
 
 
+def _decimal(value: int) -> str:
+    """``value`` in decimal, however many digits: the interpreter's
+    int-to-str digit limit is lifted for the conversion only."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(value)  # an interpreter older than the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @_with_input
 def _cmd_query(args, handle, second, out):
     if args.kind == "count":
-        print(count_sat(handle), file=out)
+        print(_decimal(count_sat(handle)), file=out)
     elif args.kind == "anysat":
         witness = any_sat(handle)
         print("none" if witness is None

@@ -12,18 +12,18 @@ other operand being padded with ``U`` up to it, and the common run
 above that arity is one ``reduction.cons_run`` over the pair's value.
 Under xor it also skips the levels where each operand is padded or
 leads with ``X`` (``X`` in the result if one is padded, ``U``
-otherwise; only where the model has both letters), interned as one
-word in one ``Manager.chain`` call.  Every other pair splits on its
-leading variable the operands at its arity, reuses a padded operand
-for both halves as it is, so a diamond against a ``U`` run interns
-nothing, and recombines the results through the normalized
-constructor, so results stay reduced.  The split reads a diamond's
-children and the cofactors of ``X`` inline; only the canalizing
-letters go through ``reduction.cofactors``.  The walk is one loop over
-an explicit stack of pending splits, complements and runs, so it does
-not recurse; its memo is keyed on the table and two stripped,
-mark-free, id-ordered operands, so repeated subproblems across calls
-are free.
+otherwise; only where the model has both letters), kept as one word
+of ``U`` run lengths and ``X`` letters and interned one link per step.
+Every other pair splits on its leading variable the operands at its
+arity, reuses a padded operand for both halves as it is, so a diamond
+against a ``U`` run interns nothing, and recombines the results
+through the normalized constructor, so results stay reduced.  The
+split reads a diamond's children and the cofactors of ``X`` inline;
+only the canalizing letters go through ``reduction.cofactors``.  The
+walk is one loop over an explicit stack of pending splits, complements
+and runs, so it does not recurse; its memo is keyed on the table and
+two stripped, mark-free, id-ordered operands, so repeated subproblems
+across calls are free.
 
 A key is normalized as in complement-edge BDD packages: a leading
 complement mark on an operand is folded into the table instead of kept
@@ -95,15 +95,20 @@ def negb(handle: FuncHandle) -> FuncHandle:
     return FuncHandle(edge, model=model)
 
 
-def _intern_run(manager: Manager, letters: list, edge: Edge) -> Edge:
-    """``letters`` (outermost first) interned over ``edge`` in one
-    ``Manager.chain`` call.  Each is ``U`` or ``X``, which commute with
-    the complement, so a leading mark on ``edge`` goes above them all,
-    where ``cons_diamond`` would pull it one level at a time, as
-    ``reduction.cons_run`` moves it above a run."""
-    if edge.letter is N:
-        return manager.edge(N, manager.chain(letters, edge.child))
-    return manager.chain(letters, edge)
+def _intern_run(manager: Manager, steps: list, edge: Edge) -> Edge:
+    """The word ``steps`` (outermost first) interned over ``edge``: an
+    int ``k`` is the run ``U^k``, one ``Manager.run`` call, and ``X`` is
+    one ``Manager.edge`` call.  Both commute with the complement, so a
+    leading mark on ``edge`` goes above them all, where ``cons_diamond``
+    would pull it one level at a time, as ``reduction.cons_run`` moves
+    it above a run."""
+    mark = edge.letter is N
+    if mark:
+        edge = edge.child
+    for step in reversed(steps):
+        edge = (manager.edge(X, edge) if step is X
+                else manager.run(step, edge))
+    return manager.edge(N, edge) if mark else edge
 
 
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
@@ -163,6 +168,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
         # where each operand is padded or leads with X (the result
         # leads with X there if one is padded, else with U)
         word = None
+        run = 0
         while True:
             if x.letter is N:
                 x = x.child
@@ -189,20 +195,30 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             q = y.letter if b == m else U
             if not ((p is X or p is U) and (q is X or q is U)):
                 break
-            if word is None:
-                word = []
-            word += [U] * (n - m)
-            word.append(U if p is q else X)
+            # the padding above m and an X/X level add to the run; an
+            # X level ends it
+            run += n - m
+            if p is q:
+                run += 1
+            else:
+                if word is None:
+                    word = []
+                if run:
+                    word.append(run)
+                    run = 0
+                word.append(X)
             if p is X:
                 x = x.child
             if q is X:
                 y = y.child
             n = m - 1
+        run += n - m
         if word is not None:
-            word += [U] * (n - m)
+            if run:
+                word.append(run)
             stack.append((_WORD, word))
-        elif m < n:
-            stack.append((_RUN, n - m))
+        elif run:
+            stack.append((_RUN, run))
         # order the operands by id and look the pair up
         i = id(x)
         j = id(y)

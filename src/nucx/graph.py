@@ -6,9 +6,8 @@ interning, equality of subgraphs *is* identity (``is``), which is what
 the reduction engine, the memo tables and the equivalence query rely on.
 The term constructors are the manager's: ``Manager.edge(letter,
 child)`` puts a letter over an edge, ``Manager.run(length, child)`` puts
-a run of ``U`` over one, ``Manager.chain(letters, child)`` puts a whole
-word over one in a single loop, and ``Manager.diamond(lo, hi)`` returns
-the bare edge to a Shannon diamond; the bare edges to the terminals are
+a run of ``U`` over one, and ``Manager.diamond(lo, hi)`` returns the
+bare edge to a Shannon diamond; the bare edges to the terminals are
 ``Manager.zero`` and ``Manager.one``.  None of them normalizes; the
 reduced constructor is ``reduction.cons_diamond``.
 
@@ -186,19 +185,18 @@ class Space:
 class Manager:
     """Interning and memoization authority for one diagram universe.
 
-    :meth:`edge`, :meth:`run`, :meth:`chain` and :meth:`diamond` are the
-    only graph constructors.  Each diamond and each link of a letter
-    chain is stored once, so words share their suffixes.  Each of the
-    seven letters has one link table, made with the manager and keyed
-    on the child edge.  A run of ``U`` is one link, ``U^k`` with ``k =
-    arity - child.arity`` over a child that does not lead with ``U``:
-    ``U``'s table keys it on that child when k is 1 and on ``k << 64 |
-    id(child)`` otherwise, so :meth:`edge`, :meth:`run` and
-    :meth:`chain` extend a run with one lookup and make no link for its
-    shorter runs.  A
-    diamond is one entry of the diamond table, keyed on the ids of its
-    two children and mapping straight to the bare edge of its node, so a
-    diamond that exists costs one lookup.  A manager is a single-owner
+    :meth:`edge`, :meth:`run` and :meth:`diamond` are the only graph
+    constructors.  Each diamond and each link of a letter chain is
+    stored once, so words share their suffixes.  Each of the seven
+    letters has one link table, made with the manager and keyed on the
+    child edge.  A run of ``U`` is one link, ``U^k`` with ``k = arity -
+    child.arity`` over a child that does not lead with ``U``: ``U``'s
+    table keys it on that child when k is 1 and on ``k << 64 |
+    id(child)`` otherwise, so :meth:`edge` and :meth:`run` extend a run
+    with one lookup and make no link for its shorter runs.  A diamond is
+    one entry of the diamond table, keyed on the ids of its two children
+    and mapping straight to the bare edge of its node, so a diamond that
+    exists costs one lookup.  A manager is a single-owner
     mutable object: all access to it and to its graphs, reads included,
     must be serialized by the caller, since complementing an edge may
     intern a new one and every query fills memo tables.  Graphs from
@@ -287,36 +285,6 @@ class Manager:
             found = links[key] = Edge(U, base, base.node,
                                       base.arity + length, self._ref)
         return found
-
-    def chain(self, letters: Sequence[Letter], child: Edge) -> Edge:
-        """Intern the word ``letters``, outermost first, over the edge
-        ``child``: the edge that one :meth:`edge` call per letter from
-        the innermost out would give, in one loop.  Each run of ``U`` is
-        one :meth:`run` call, so no link is made for its shorter runs.
-        A child of another manager raises :class:`ManagerMismatchError`,
-        even under the empty word."""
-        if child.owner is not self._ref:
-            raise ManagerMismatchError("child belongs to another manager")
-        ref = self._ref
-        tables = self._links
-        run = 0
-        for letter in reversed(letters):
-            if letter is U:
-                run += 1
-                continue
-            if run:
-                child = self.run(run, child)
-                run = 0
-            links = tables.get(letter)
-            if links is None:
-                raise _not_a_letter(letter)
-            found = links.get(child)
-            if found is None:
-                found = links[child] = Edge(
-                    letter, child, child.node,
-                    child.arity + (letter is not N), ref)
-            child = found
-        return self.run(run, child) if run else child
 
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
         """The bare edge to the interned diamond with children
@@ -461,12 +429,7 @@ def to_truth_table(handle: FuncHandle) -> TruthTable:
 def _label(edge: Edge) -> str:
     """The tokens of an edge's word, joined by dots, each run of ``U``
     expanded."""
-    tokens = []
-    while edge.letter is not None:
-        child = edge.child
-        tokens += (edge.letter.token,) * (edge.arity - child.arity or 1)
-        edge = child
-    return ".".join(tokens)
+    return ".".join([letter.token for letter in edge.word])
 
 
 #: The longest tree signature, in characters, that ``signature`` writes.

@@ -61,6 +61,23 @@ def interned_links(manager: Manager) -> list:
             for edge in links.values()]
 
 
+def chain(manager: Manager, letters, child=None):
+    """The word ``letters`` (outermost first) interned over ``child``
+    (``manager.zero`` if none): one ``Manager.edge`` call per letter,
+    and one ``Manager.run`` call per run of ``U``, so no link is made
+    for the run's shorter runs."""
+    if child is None:
+        child = manager.zero
+    run = 0
+    for letter in reversed(letters):
+        if letter is U:
+            run += 1
+            continue
+        child = manager.edge(letter, manager.run(run, child))
+        run = 0
+    return manager.run(run, child)
+
+
 def chain_texts(arity: int) -> dict[str, str]:
     """The pair chain, parity and a sparse 3-CNF of ``arity`` variables."""
     rng = random.Random(arity)

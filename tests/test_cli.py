@@ -277,6 +277,22 @@ class TestQuery:
                            "--arity", "4")
         assert (code, out.strip()) == (0, "8")
 
+    @pytest.mark.parametrize("model", ["o-u", "o-nucx"])
+    def test_count_past_the_digit_limit(self, model):
+        # 2**19999 has 6,021 digits, past the interpreter's default
+        # int-to-str limit of 4,300
+        limit = sys.get_int_max_str_digits()
+        code, out = invoke("query", "count", "--model", model,
+                           "--expr", "x0 ^ x19999", "--arity", "20000")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            count = int(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert count == 2 ** 19999
+
     def test_sat_and_taut(self):
         assert invoke("query", "sat", "--tt", "00", "--arity", "3")[1] \
             .strip() == "false"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -653,6 +654,25 @@ class TestLevelSkipping:
         complement = negb(b)
         assert len(space.reduce) - entries <= 4
         assert eval_handle(complement, [0] * n) == 1
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(NUCX, id="o-nucx"), custom_param("custom:u,x+neg")])
+    def test_xor_of_the_first_and_last_variables(self, model):
+        # the xor skip keeps its padding as one run length: a word of
+        # one letter per padded level made about 1.6 MB in this test
+        n = 100_000
+        manager = Manager()
+        a, b = (projection(model, manager, index, n)
+                for index in (0, n - 1))
+        apply("and", a, b)  # fills the constant rows up to n
+        tracemalloc.start()
+        try:
+            h = apply("xor", a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        assert count_sat(h) == 2 ** (n - 1)
 
     @pytest.mark.parametrize("name,family", [
         ("o-nucx", "parity"), ("o-u", "pair"), ("o-nucx", "pair")])

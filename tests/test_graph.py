@@ -12,7 +12,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (chain_texts, example1_table, interned_links,
+from conftest import (chain, chain_texts, example1_table, interned_links,
                       random_raw_edge)
 from nucx import graph
 from nucx.cli import parse_expr
@@ -39,13 +39,6 @@ from nucx.queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
 from nucx.reduction import (PRESETS, certify_canonicity, cofactors,
                             compile_table, cons_diamond, constant,
                             parse_model, push_neg, reduce)
-
-
-def chain(manager, letters, terminal=0):
-    edge = manager.zero if terminal == 0 else manager.one
-    for letter in reversed(letters):
-        edge = manager.edge(letter, edge)
-    return edge
 
 
 def recompute_arity(edge):
@@ -141,71 +134,6 @@ class TestPrepend:
         assert e.letter is None and e.child is None
 
 
-class TestChain:
-    """``Manager.chain`` interns a word in one call: the very edge that
-    one ``edge`` call per letter would give, with one link per run of
-    ``U`` where the calls make one per prefix of the run."""
-
-    WORDS = ([U], [N], [U, U, U], [X, U, U, N, C10], [N, U, U, X, X, X, U],
-             [C10, C10, N, U], [U] * 40 + [X] * 3 + [U] * 5)
-
-    @staticmethod
-    def children(manager):
-        zero, one = manager.zero, manager.one
-        diamond = manager.diamond(manager.edge(U, zero), manager.edge(X, one))
-        return [zero, one, diamond, manager.edge(N, diamond),
-                manager.edge(U, diamond)]
-
-    @staticmethod
-    def by_edges(manager, word, child):
-        for letter in reversed(word):
-            child = manager.edge(letter, child)
-        return child
-
-    def test_same_edge_as_edge_calls(self):
-        chained, stepped = Manager(), Manager()
-        for word in self.WORDS:
-            for a, b in zip(self.children(chained), self.children(stepped)):
-                edge = chained.chain(word, a)
-                assert edge.word == self.by_edges(stepped, word, b).word
-                assert edge.arity == a.arity + sum(l is not N for l in word)
-                assert edge.node is a.node
-                assert self.by_edges(chained, word, a) is edge
-
-    def test_links_are_a_subset_of_the_edge_calls(self):
-        chained, stepped = Manager(), Manager()
-        for word in self.WORDS:
-            for a, b in zip(self.children(chained), self.children(stepped)):
-                chained.chain(word, a)
-                self.by_edges(stepped, word, b)
-        mine = collections.Counter(map(repr, interned_links(chained)))
-        theirs = collections.Counter(map(repr, interned_links(stepped)))
-        assert not mine - theirs
-        # [U] * 40 alone is 40 links stepped and one chained
-        assert sum(theirs.values()) - sum(mine.values()) >= 39
-
-    def test_empty_word_is_the_child(self, mgr):
-        for child in self.children(mgr):
-            assert mgr.chain([], child) is child
-            assert mgr.chain((), child) is child
-
-    def test_mark_adds_no_arity(self, mgr):
-        edge = mgr.chain([N, U, N], mgr.zero)
-        assert edge.arity == 1 and edge.word == (N, U, N)
-
-    def test_foreign_child(self, mgr):
-        other = Manager()
-        with pytest.raises(ManagerMismatchError):
-            mgr.chain([U, U], other.zero)
-        assert interned_links(mgr) == []
-
-    def test_only_letters_link(self, mgr):
-        for junk, message in (("U", "is not a letter"),
-                              (0, "is not a letter"), (None, "bare edges")):
-            with pytest.raises(ValueError, match=message):
-                mgr.chain([U, junk, U], mgr.zero)
-
-
 class TestRunLinks:
     """A maximal run ``U^k`` is one link: its child never leads with
     ``U``, its length is ``arity - child.arity``, and every reader takes
@@ -224,15 +152,54 @@ class TestRunLinks:
         with pytest.raises(ValueError, match="negative run length"):
             mgr.run(-1, two)
 
-    def test_chain_makes_one_link_per_run(self, mgr):
+    def test_word_makes_one_link_per_run(self, mgr):
         diamond = mgr.diamond(mgr.zero, mgr.one)
-        edge = mgr.chain([U] * 1000 + [X] + [U] * 5, diamond)
+        edge = chain(mgr, [U] * 1000 + [X] + [U] * 5, diamond)
         assert edge.word == (U,) * 1000 + (X,) + (U,) * 5
         assert edge.arity == 1007
         assert len(interned_links(mgr)) == 3
         assert edge.child.child.child is diamond
         assert mgr.run(1000, mgr.edge(X, mgr.run(5, diamond))) is edge
         assert len(interned_links(mgr)) == 3
+
+    WORDS = ([U], [N], [U, U, U], [X, U, U, N, C10], [N, U, U, X, X, X, U],
+             [C10, C10, N, U], [U] * 40 + [X] * 3 + [U] * 5)
+
+    @staticmethod
+    def children(manager):
+        zero, one = manager.zero, manager.one
+        diamond = manager.diamond(manager.edge(U, zero), manager.edge(X, one))
+        return [zero, one, diamond, manager.edge(N, diamond),
+                manager.edge(U, diamond)]
+
+    @staticmethod
+    def by_edges(manager, word, child):
+        for letter in reversed(word):
+            child = manager.edge(letter, child)
+        return child
+
+    def test_same_edge_as_edge_calls(self):
+        # one run call per run of U gives the edge of one edge call per U
+        grouped, stepped = Manager(), Manager()
+        for word in self.WORDS:
+            for a, b in zip(self.children(grouped), self.children(stepped)):
+                edge = chain(grouped, word, a)
+                assert edge.word == self.by_edges(stepped, word, b).word
+                assert edge.arity == a.arity + sum(l is not N for l in word)
+                assert edge.node is a.node
+                assert self.by_edges(grouped, word, a) is edge
+
+    def test_links_are_a_subset_of_the_edge_calls(self):
+        grouped, stepped = Manager(), Manager()
+        for word in self.WORDS:
+            for a, b in zip(self.children(grouped), self.children(stepped)):
+                chain(grouped, word, a)
+                self.by_edges(stepped, word, b)
+        mine = collections.Counter(map(repr, interned_links(grouped)))
+        theirs = collections.Counter(map(repr, interned_links(stepped)))
+        assert not mine - theirs
+        # [U] * 40 alone is 40 links stepped and one grouped
+        assert sum(theirs.values()) - sum(mine.values()) >= 39
 
     def test_foreign_child(self, mgr):
         other = Manager()

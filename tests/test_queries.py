@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import custom_param, example1_table
+from conftest import chain, custom_param, example1_table
 from nucx.cli import parse_expr
 from nucx.connectives import apply, build_expr, negb, projection
 from nucx.graph import FuncHandle, Manager, eval_handle
@@ -346,8 +346,8 @@ class TestChainsPastRecursionLimit:
         manager = Manager()
         # the raw words C11^(n-1).X and C00^(n-1).X over 0 are the or and
         # the and of x0..x(n-1); reduce puts them in the model's form
-        handles = [reduce(PRESETS[name], FuncHandle(manager.chain(
-            [letter] * (n - 1) + [X], manager.zero))) for letter in (C11, C00)]
+        handles = [reduce(PRESETS[name], FuncHandle(chain(
+            manager, [letter] * (n - 1) + [X]))) for letter in (C11, C00)]
         handles += [negb(h) for h in handles]
         assert [count_sat(h) for h in handles] == \
             [2 ** n - 1, 1, 1, 2 ** n - 1]
