@@ -188,13 +188,14 @@ def _emit_stats(handle: FuncHandle, as_json: bool, out) -> None:
 
 @_with_input
 def _cmd_compile(args, handle, second, out):
-    if args.sig or not (args.stats or args.json or args.dot):
+    # an empty --dot path is a path, unwritable like any other
+    if args.sig or not (args.stats or args.json or args.dot is not None):
         print(signature(handle), file=out)
     if args.stats or args.json:
         _emit_stats(handle, args.json, out)
     if args.dot == "-":
         out.write(dot_export(handle))
-    elif args.dot:
+    elif args.dot is not None:
         # only opening the path is caught: a closed stdout is an OSError
         # too, and ``main`` reports it as success
         try:

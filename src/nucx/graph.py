@@ -25,9 +25,11 @@ Structure of a graph:
 Run links: a link is one letter, except that a maximal run ``U^k`` of
 the useless letter is one link, whose child never leads with ``U``.
 Its length is ``arity - child.arity``, so an edge stores no length.
-Every reader takes a run as its k letters: ``Edge.word``, ``signature``
-and ``dot_export`` print it expanded, and ``metrics.measure`` counts k
-elementary letters.  Runs of the other letters are one link per letter.
+Every reader takes a run as its k letters: ``Edge.word`` lists them,
+``signature`` and ``dot_export`` print them (their labels read the
+links directly, k ``U`` tokens for a run), and ``metrics.measure``
+counts k elementary letters.  Runs of the other letters are one link
+per letter.
 
 Arity bookkeeping: each elementary letter and each diamond consumes one
 variable; the complement mark ``N`` consumes none.
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .letters import C00, C01, C10, C11, Letter, N, U, X
 from .oracle import (ARITY_LIMIT, ArityError, OracleLimitError, TruthTable,
@@ -429,7 +431,18 @@ def to_truth_table(handle: FuncHandle) -> TruthTable:
 def _label(edge: Edge) -> str:
     """The tokens of an edge's word, joined by dots, each run of ``U``
     expanded."""
-    return ".".join([letter.token for letter in edge.word])
+    tokens = []
+    letter = edge.letter
+    while letter is not None:
+        child = edge.child
+        if letter is U:
+            # a run stands for arity - child.arity letters
+            tokens += ("U",) * (edge.arity - child.arity)
+        else:
+            tokens.append(letter.token)
+        edge = child
+        letter = edge.letter
+    return ".".join(tokens)
 
 
 #: The longest tree signature, in characters, that ``signature`` writes.
@@ -518,41 +531,30 @@ def signature(handle: FuncHandle) -> str:
     return text
 
 
-def iter_edges(root: Edge) -> Iterator[Edge]:
-    """All distinct edges reachable from ``root``, root first."""
-    seen = set()
-    stack = [root]
-    while stack:
-        edge = stack.pop()
-        if edge in seen:
-            continue
-        seen.add(edge)
-        yield edge
-        node = edge.node
-        if node.lo is not None:
-            stack.append(node.hi)
-            stack.append(node.lo)
-
-
 def dot_export(handle: FuncHandle) -> str:
     """Render as a Graphviz digraph.
 
     Diamond nodes are drawn as diamonds, terminals as boxes; ``lo``
     edges are dashed and ``hi`` edges solid; labels carry the word
-    tokens.  Node numbering follows a deterministic preorder walk.
+    tokens.  Node numbering follows a deterministic preorder walk, which
+    labels each edge once however many diamonds share it.
     """
     ids: dict[Node, str] = {}
+    # edge -> its label: an edge under several diamonds is labelled once
+    labels: dict[Edge, str] = {}
     diamonds = 0
     lines = [
         "digraph dd {",
         '  root [shape=invtriangle, label="", height=0.2, width=0.3];',
     ]
     append = lines.append
-    stack = [("root", handle.edge, "solid")]
-    push = stack.append
+    # a flat stack of (style, edge, source) triples, popped in reverse
+    stack = ["solid", handle.edge, "root"]
     pop = stack.pop
     while stack:
-        source, edge, style = pop()
+        source = pop()
+        edge = pop()
+        style = pop()
         node = edge.node
         target = ids.get(node)
         if target is None:
@@ -563,13 +565,16 @@ def dot_export(handle: FuncHandle) -> str:
                 target = f"n{diamonds}"
                 diamonds += 1
                 append(f'  {target} [shape=diamond, label=""];')
-                push((target, node.hi, "solid"))
-                push((target, node.lo, "dashed"))
+                stack += ("solid", node.hi, target,
+                          "dashed", node.lo, target)
             ids[node] = target
         if edge.letter is None:
             append(f"  {source} -> {target} [style={style}];")
         else:
+            label = labels.get(edge)
+            if label is None:
+                label = labels[edge] = _label(edge)
             append(f'  {source} -> {target} '
-                   f'[style={style}, label="{_label(edge)}"];')
+                   f'[style={style}, label="{label}"];')
     append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FuncHandle, Manager, iter_edges
+from .graph import FuncHandle, Manager
 from .letters import N
 from .oracle import TruthTable
 from .reduction import ModelSpec, compile_table, lattice_leq
@@ -41,21 +41,41 @@ class SizeReport:
 
 def measure(handle: FuncHandle) -> SizeReport:
     """Count distinct reachable diamonds and the letters of the word of
-    each distinct reachable edge: elementary letters (a run of ``U``
-    counts its k letters) apart from marks.  Each link's tallies are
-    taken once, so the walk is linear in the links and diamonds it
+    each distinct reachable edge (the root and the children of the
+    diamonds): elementary letters (a run of ``U`` counts its k letters)
+    apart from marks.  One loop walks the diamonds; each link's tallies
+    are taken once, so the walk is linear in the links and diamonds it
     reaches, however long the words are."""
-    diamonds = set()
+    root = handle.edge
+    # the reachable edges that carry a word
+    edges = {root} if root.letter is not None else set()
+    add = edges.add
+    diamonds = {root.node} if root.node.lo is not None else set()
+    stack = list(diamonds)
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        node = pop()
+        lo = node.lo
+        hi = node.hi
+        if lo.letter is not None:
+            add(lo)
+        if hi.letter is not None:
+            add(hi)
+        node = lo.node
+        if node not in diamonds and node.lo is not None:
+            diamonds.add(node)
+            push(node)
+        node = hi.node
+        if node not in diamonds and node.lo is not None:
+            diamonds.add(node)
+            push(node)
     # link -> (elementary letters, marks) of its word
     tallies = {}
     get = tallies.get
     letters = 0
     neg_letters = 0
-    for edge in iter_edges(handle.edge):
-        if edge.node.lo is not None:
-            diamonds.add(edge.node)
-        if edge.letter is None:
-            continue
+    for edge in edges:
         # down to the bare edge or the first link already tallied, then
         # back up
         path = []
@@ -82,8 +102,26 @@ def measure(handle: FuncHandle) -> SizeReport:
 
 
 def node_count(handle: FuncHandle) -> int:
-    """Reachable diamonds plus reachable terminals."""
-    nodes = {edge.node for edge in iter_edges(handle.edge)}
+    """Reachable diamonds plus reachable terminals, in one loop over
+    the diamonds."""
+    node = handle.edge.node
+    nodes = {node}
+    add = nodes.add
+    stack = [node] if node.lo is not None else []
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        node = pop()
+        lo = node.lo.node
+        hi = node.hi.node
+        if lo not in nodes:
+            add(lo)
+            if lo.lo is not None:
+                push(lo)
+        if hi not in nodes:
+            add(hi)
+            if hi.lo is not None:
+                push(hi)
     return len(nodes)
 
 

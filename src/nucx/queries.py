@@ -144,9 +144,14 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
         while True:
             arity = edge.arity
             if edge is rows[1 ^ parity][arity]:
-                prefix = tuple(path)
-                yield from (prefix + suffix for suffix in itertools.product(
-                    (0, 1), repeat=size - len(path)))
+                free = size - len(path)
+                if free:
+                    prefix = tuple(path)
+                    yield from (prefix + suffix
+                                for suffix in itertools.product(
+                                    (0, 1), repeat=free))
+                else:
+                    yield tuple(path)
             elif edge is not rows[parity][arity]:
                 letter = edge.letter
                 if letter is N:

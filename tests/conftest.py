@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from nucx.graph import Manager
+from nucx.cli import parse_expr
+from nucx.connectives import build_expr
+from nucx.graph import FuncHandle, Manager
 from nucx.letters import C00, C01, C10, C11, ELEMENTARY, N, U, X, from_token
 from nucx.oracle import TruthTable
-from nucx.reduction import ModelSpec, parse_model
+from nucx.reduction import (PRESETS, ModelSpec, compile_table, cons_diamond,
+                            constant, parse_model)
 
 ELEMENTARY_LETTERS = (U, X, C00, C01, C10, C11)
 
@@ -61,6 +64,23 @@ def interned_links(manager: Manager) -> list:
             for edge in links.values()]
 
 
+def iter_edges(root):
+    """All distinct edges reachable from ``root``, root first: the
+    plain walk that the library's read-only walks are checked against."""
+    seen = set()
+    stack = [root]
+    while stack:
+        edge = stack.pop()
+        if edge in seen:
+            continue
+        seen.add(edge)
+        yield edge
+        node = edge.node
+        if node.lo is not None:
+            stack.append(node.hi)
+            stack.append(node.lo)
+
+
 def chain(manager: Manager, letters, child=None):
     """The word ``letters`` (outermost first) interned over ``child``
     (``manager.zero`` if none): one ``Manager.edge`` call per letter,
@@ -92,6 +112,46 @@ def chain_texts(arity: int) -> dict[str, str]:
         "parity": " ^ ".join(f"x{i}" for i in range(arity)),
         "cnf": " & ".join(clauses),
     }
+
+
+def one_hot(model, manager, n):
+    """Exactly one of x0..x(n-1), built bottom-up: with ``none`` the
+    function that no variable below is set, a level is ``one`` where its
+    variable is 0 and ``none`` where it is 1."""
+    none = constant(model, manager, 1, 0)
+    one = constant(model, manager, 0, 0)
+    for k in range(n):
+        none, one = (
+            cons_diamond(model, manager, none, constant(model, manager, 0, k)),
+            cons_diamond(model, manager, one, none))
+    return FuncHandle(one, model=model)
+
+
+#: The graphs the read-only walks are checked on against their plain
+#: references: random arity-8 tables under every preset, the pair chain
+#: of 64 variables (long runs of ``U``), parity of 12 under ``o-nucx``
+#: (``X`` letters) and one-hot of 12 under ``o-nucx`` (``C11`` chains and
+#: marks).
+WALK_GRAPHS = ([f"random8-{seed}/{name}" for seed in (1, 2)
+                for name in PRESETS]
+               + ["pair64/o-u", "pair64/o-nucx", "parity12/o-nucx",
+                  "one-hot12/o-nucx"])
+
+
+def walk_graph(label: str) -> FuncHandle:
+    """The graph of ``WALK_GRAPHS`` named ``label``, in a new manager."""
+    family, name = label.split("/")
+    model = PRESETS[name]
+    manager = Manager()
+    if family.startswith("random8-"):
+        seed = int(family[len("random8-"):])
+        table = TruthTable(8, random.Random(seed).getrandbits(1 << 8))
+        return compile_table(model, table, manager)
+    if family == "one-hot12":
+        return one_hot(model, manager, 12)
+    arity, kind = {"pair64": (64, "pair"), "parity12": (12, "parity")}[family]
+    text = chain_texts(arity)[kind]
+    return build_expr(model, parse_expr(text, arity), arity, manager)
 
 
 def example1_table():

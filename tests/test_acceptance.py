@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from conftest import example1_table, random_raw_edge
+from conftest import example1_table, iter_edges, random_raw_edge
 from nucx.cli import run
 from nucx.connectives import apply, negb
 from nucx.graph import (
@@ -21,7 +21,6 @@ from nucx.graph import (
     Manager,
     edge_mask,
     eval_handle,
-    iter_edges,
     signature,
 )
 from nucx.letters import C00, C01, C10, C11, N, U, X

@@ -254,11 +254,11 @@ class TestCompile:
         assert code == 0
         assert out.startswith("digraph")
 
-    @pytest.mark.parametrize("missing", [True, False],
-                             ids=["missing-directory", "directory"])
-    def test_unwritable_dot_path_is_an_error(self, missing, tmp_path,
-                                             capsys):
-        target = tmp_path / "absent" / "graph.dot" if missing else tmp_path
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory",
+                                      "empty"])
+    def test_unwritable_dot_path_is_an_error(self, kind, tmp_path, capsys):
+        target = {"missing-directory": tmp_path / "absent" / "graph.dot",
+                  "directory": tmp_path, "empty": ""}[kind]
         assert invoke("compile", "--expr", "x0", "--arity", "1",
                       "--dot", str(target)) == (1, "")
         err = capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (EXAMPLE1_EXPR, chain_texts, custom_param,
-                      example1_table, interned_links, model_spellings)
+                      example1_table, interned_links, iter_edges,
+                      model_spellings)
 from nucx.connectives import (
     _apply,
     apply,
@@ -19,7 +20,6 @@ from nucx.graph import (
     Manager,
     dot_export,
     eval_handle,
-    iter_edges,
     signature,
     to_truth_table,
 )

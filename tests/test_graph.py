@@ -12,8 +12,9 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (chain, chain_texts, example1_table, interned_links,
-                      random_raw_edge)
+from conftest import (WALK_GRAPHS, chain, chain_texts, example1_table,
+                      interned_links, iter_edges, random_raw_edge,
+                      walk_graph)
 from nucx import graph
 from nucx.cli import parse_expr
 from nucx.connectives import apply, build_expr, cofactor, negb, projection
@@ -539,6 +540,95 @@ class TestDotExport:
         manager = Manager()
         edge = random_raw_edge(rng, manager, rng.randint(0, 4))
         assert_valid_dot(dot_export(FuncHandle(edge)))
+
+
+def reference_label(edge):
+    return ".".join(letter.token for letter in edge.word)
+
+
+def reference_dot(handle):
+    """``dot_export`` as a plain walk: a ``(source, edge, style)`` tuple
+    per line to write, each label read from ``Edge.word``."""
+    ids = {}
+    lines = [
+        "digraph dd {",
+        '  root [shape=invtriangle, label="", height=0.2, width=0.3];',
+    ]
+    stack = [("root", handle.edge, "solid")]
+    while stack:
+        source, edge, style = stack.pop()
+        node = edge.node
+        if node not in ids:
+            if node.lo is None:
+                ids[node] = f"t{node.value}"
+                lines.append(
+                    f'  {ids[node]} [shape=box, label="{node.value}"];')
+            else:
+                ids[node] = f"n{sum(n.lo is not None for n in ids)}"
+                lines.append(f'  {ids[node]} [shape=diamond, label=""];')
+                stack.append((ids[node], node.hi, "solid"))
+                stack.append((ids[node], node.lo, "dashed"))
+        label = ("" if edge.letter is None
+                 else f', label="{reference_label(edge)}"')
+        lines.append(f"  {source} -> {ids[node]} [style={style}{label}];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def reference_models(handle):
+    """The models in lexicographic order, by cofactors: ``x0 = 0``
+    first, and only into satisfiable halves."""
+    if handle.arity == 0:
+        if is_taut(handle):
+            yield ()
+        return
+    for bit in (0, 1):
+        half = cofactor(bit, handle)
+        if is_sat(half):
+            for model in reference_models(half):
+                yield (bit,) + model
+
+
+class TestWalksMatchReferences:
+    @pytest.mark.parametrize("label", WALK_GRAPHS)
+    def test_label(self, label):
+        for edge in iter_edges(walk_graph(label).edge):
+            assert graph._label(edge) == reference_label(edge)
+
+    @pytest.mark.parametrize("label", WALK_GRAPHS)
+    def test_dot_export(self, label):
+        handle = walk_graph(label)
+        text = dot_export(handle)
+        assert text == reference_dot(handle)
+        # the diamonds are numbered in the order the edge walk first
+        # meets them, and each has one line per child
+        ids = {}
+        diamonds = []
+        for edge in iter_edges(handle.edge):
+            node = edge.node
+            if node not in ids:
+                ids[node] = (f"t{node.value}" if node.lo is None
+                             else f"n{len(diamonds)}")
+                if node.lo is not None:
+                    diamonds.append(node)
+
+        def arrow(source, edge, style):
+            label = ("" if edge.letter is None
+                     else f', label="{reference_label(edge)}"')
+            return f"  {source} -> {ids[edge.node]} [style={style}{label}];"
+
+        expected = [arrow("root", handle.edge, "solid")]
+        for node in diamonds:
+            expected += [arrow(ids[node], node.lo, "dashed"),
+                         arrow(ids[node], node.hi, "solid")]
+        assert sorted(line for line in text.split("\n")
+                      if " -> " in line) == sorted(expected)
+
+    @pytest.mark.parametrize("label", WALK_GRAPHS)
+    def test_all_sat_order(self, label):
+        handle = walk_graph(label)
+        limit = 2000
+        assert (list(itertools.islice(all_sat(handle), limit))
+                == list(itertools.islice(reference_models(handle), limit)))
 
 
 class TestArityBookkeeping:

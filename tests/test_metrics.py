@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from conftest import example1_table
+from conftest import (WALK_GRAPHS, example1_table, iter_edges, one_hot,
+                      walk_graph)
 from nucx.graph import FuncHandle, Manager
+from nucx.letters import N
 from nucx.metrics import (
     CSV_HEADER,
     bound_verdict,
@@ -19,8 +21,6 @@ from nucx.reduction import (
     NUCX,
     PRESETS,
     compile_table,
-    cons_diamond,
-    constant,
     lattice_leq,
     valid_models,
 )
@@ -89,19 +89,6 @@ class TestMeasure:
             assert report.letters <= (2 * report.diamonds + 1) * arity
 
 
-def one_hot(model, manager, n):
-    """Exactly one of x0..x(n-1), built bottom-up: with ``none`` the
-    function that no variable below is set, a level is ``one`` where its
-    variable is 0 and ``none`` where it is 1."""
-    none = constant(model, manager, 1, 0)
-    one = constant(model, manager, 0, 0)
-    for k in range(n):
-        none, one = (
-            cons_diamond(model, manager, none, constant(model, manager, 0, k)),
-            cons_diamond(model, manager, one, none))
-    return FuncHandle(one, model=model)
-
-
 def traced_lines(fn, *args) -> int:
     """The line events of one call, in every frame it runs: an exact
     count of the work, where a time would be noise."""
@@ -146,6 +133,40 @@ class TestMeasureIsLinear:
         report = measure(handle)
         # nucx compare gives 38 diamonds and an s_size of 819 here
         assert (report.diamonds, report.letters) == (38, 781)
+
+
+def reference_measure(handle):
+    """``measure`` from ``iter_edges`` and ``Edge.word``: the diamonds of
+    the distinct reachable edges, and the letters of their words."""
+    edges = list(iter_edges(handle.edge))
+    words = [edge.word for edge in edges]
+    return (len({e.node for e in edges if e.node.lo is not None}),
+            sum(len(word) - word.count(N) for word in words),
+            sum(word.count(N) for word in words))
+
+
+class TestWalksMatchReferences:
+    @pytest.mark.parametrize("label", WALK_GRAPHS)
+    def test_measure(self, label):
+        handle = walk_graph(label)
+        report = measure(handle)
+        assert (report.diamonds, report.letters,
+                report.neg_letters) == reference_measure(handle)
+        assert report.arity == handle.arity
+
+    @pytest.mark.parametrize("label", WALK_GRAPHS)
+    def test_node_count(self, label):
+        handle = walk_graph(label)
+        assert node_count(handle) == len(
+            {edge.node for edge in iter_edges(handle.edge)})
+
+    def test_terminal_roots(self, mgr):
+        for edge in (mgr.zero, mgr.edge(N, mgr.run(3, mgr.one))):
+            handle = FuncHandle(edge)
+            report = measure(handle)
+            assert (report.diamonds, report.letters,
+                    report.neg_letters) == reference_measure(handle)
+            assert node_count(handle) == 1
 
 
 class TestCheckBounds:

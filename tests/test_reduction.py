@@ -9,14 +9,13 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (example1_table, interned_links, model_spellings,
-                      random_raw_edge)
+from conftest import (example1_table, interned_links, iter_edges,
+                      model_spellings, random_raw_edge)
 from nucx import reduction
 from nucx.connectives import negb, projection
 from nucx.graph import (
     FuncHandle,
     Manager,
-    iter_edges,
     signature,
     to_truth_table,
 )
