@@ -9,7 +9,10 @@ child)`` puts a letter over an edge, ``Manager.run(length, child)`` puts
 a run of ``U`` over one, and ``Manager.diamond(lo, hi)`` returns the
 bare edge to a Shannon diamond; the bare edges to the terminals are
 ``Manager.zero`` and ``Manager.one``.  None of them normalizes; the
-reduced constructor is ``reduction.cons_diamond``.
+reduced constructor is ``reduction.cons_diamond``.  The unique tables
+key a link on its child edge and a diamond on its ``lo`` edge; the
+tables whose keys still rest on ``id()`` are the ``apply`` memo, the
+``reduce`` memo under parity 1 and runs of ``U`` longer than one.
 
 Structure of a graph:
 
@@ -195,16 +198,18 @@ class Manager:
     child.arity`` over a child that does not lead with ``U``: ``U``'s
     table keys it on that child when k is 1 and on ``k << 64 |
     id(child)`` otherwise, so :meth:`edge` and :meth:`run` extend a run
-    with one lookup and make no link for its shorter runs.  A diamond is
-    one entry of the diamond table, keyed on the ids of its two children
-    and mapping straight to the bare edge of its node, so a diamond that
-    exists costs one lookup.  A manager is a single-owner
-    mutable object: all access to it and to its graphs, reads included,
-    must be serialized by the caller, since complementing an edge may
-    intern a new one and every query fills memo tables.  Graphs from
-    different managers must never be mixed; every constructor raises
-    :class:`ManagerMismatchError` when asked to intern over a child of
-    another manager.
+    with one lookup and make no link for its shorter runs.  The diamond
+    table is keyed on a diamond's ``lo`` edge: it maps a ``lo`` with one
+    parent straight to that parent's bare edge, and a ``lo`` with two or
+    more to a dict keyed on ``hi``.  So a diamond that exists costs one
+    lookup with an edge key plus an identity check or a second lookup,
+    and a ``lo`` with one parent costs no dict.  A manager is a
+    single-owner mutable object: all access to it and to its graphs,
+    reads included, must be serialized by the caller, since
+    complementing an edge may intern a new one and every query fills
+    memo tables.  Graphs from different managers must never be mixed;
+    every constructor raises :class:`ManagerMismatchError` when asked to
+    intern over a child of another manager.
 
     The manager keeps its whole graph alive, and so does every
     :class:`FuncHandle` to it; its edges refer back to it only weakly,
@@ -214,20 +219,21 @@ class Manager:
     its ``apply``, ``reduce`` and ``compile`` memos, the first two keyed
     on the ids of their operand edges (``reduce`` on the edge itself for
     an uncomplemented result); :meth:`cache` holds the
-    model-free tables, keyed on edges.  An id key (the diamond table's
-    and a long run's too) is sound only because no edge is ever dropped
-    from the unique tables while the manager lives, so no id is reused
-    by another edge: anything that reclaims edges must clear every
-    space's memos in the same step.
+    model-free tables, keyed on edges.  Three tables still key on ids:
+    the ``apply`` memo, the ``reduce`` memo under parity 1 and ``U``'s
+    runs longer than one.  An id key is sound only because no edge is
+    ever dropped from the unique tables while the manager lives, so no
+    id is reused by another edge: anything that reclaims edges must
+    clear every space's memos in the same step.
 
     Every memo lives as long as its manager: memory is given back by
     dropping the manager.
     """
 
     def __init__(self):
-        # id(lo) << 64 | id(hi) -> bare edge to the diamond; the node
-        # holds both children, so neither id is reused while it lives
-        self._diamonds: dict[int, Edge] = {}
+        # lo -> the bare edge to lo's one parent diamond, or, once lo
+        # has two, a dict hi -> the bare edge to the diamond over lo/hi
+        self._diamonds: dict[Edge, Edge | dict[Edge, Edge]] = {}
         # letter -> child edge (or, for a run of U longer than one, its
         # length << 64 | id(child)) -> the letter's link over it
         self._links: dict[Letter, dict[Edge | int, Edge]] = {
@@ -291,21 +297,32 @@ class Manager:
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
         """The bare edge to the interned diamond with children
         ``lo``/``hi`` (no reduction)."""
-        key = id(lo) << 64 | id(hi)
-        found = self._diamonds.get(key)
+        found = self._diamonds.get(lo)
+        if found is not None:
+            if found.__class__ is dict:
+                parent = found.get(hi)
+                if parent is not None:
+                    return parent
+            elif found.node.hi is hi:
+                return found
+        # every diamond passed these checks, so a hit needs neither: a
+        # foreign edge is never a lo key nor a known diamond's hi, and
+        # every hi under a lo has the lo's arity
+        if lo.owner is not self._ref or hi.owner is not self._ref:
+            raise ManagerMismatchError("children belong to another manager")
+        if lo.arity != hi.arity:
+            raise ArityError(
+                f"diamond children must agree on arity: "
+                f"{lo.arity} vs {hi.arity}")
+        parent = Edge(None, None, Node(lo, hi, None), lo.arity + 1, self._ref)
         if found is None:
-            # every key passed these checks, so a hit needs neither: a
-            # foreign edge is alive, so its id is no key's
-            if lo.owner is not self._ref or hi.owner is not self._ref:
-                raise ManagerMismatchError(
-                    "children belong to another manager")
-            if lo.arity != hi.arity:
-                raise ArityError(
-                    f"diamond children must agree on arity: "
-                    f"{lo.arity} vs {hi.arity}")
-            found = self._diamonds[key] = Edge(
-                None, None, Node(lo, hi, None), lo.arity + 1, self._ref)
-        return found
+            self._diamonds[lo] = parent
+        elif found.__class__ is dict:
+            found[hi] = parent
+        else:
+            # lo's second parent: from here on its parents are a dict
+            self._diamonds[lo] = {found.node.hi: found, hi: parent}
+        return parent
 
     def space(self, model) -> Space:
         """The tables of ``model`` in this manager, made on first use."""
@@ -329,11 +346,13 @@ class Manager:
         self.counters.clear()
 
     def __len__(self):
-        return len(self._diamonds)
+        """The number of diamonds."""
+        return sum(len(parents) if parents.__class__ is dict else 1
+                   for parents in self._diamonds.values())
 
     def __repr__(self):
         links = sum(map(len, self._links.values()))
-        return f"<Manager diamonds={len(self._diamonds)} edges={links}>"
+        return f"<Manager diamonds={len(self)} edges={links}>"
 
 
 def _not_a_letter(letter) -> ValueError:

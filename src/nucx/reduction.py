@@ -273,24 +273,39 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     # mark over the constant 0).  Tested for all 48 models.
     elif e0.node.lo is not None and e1.node.lo is not None:
         found = manager.diamond(e0, e1)
-    elif (e1.node.lo is None and C11 in letters
-            and e1 is constant(model, manager, 1, arity)):
-        found = manager.edge(C11, e0)
-    elif (e1.node.lo is None and C10 in letters
-            and e1 is constant(model, manager, 0, arity)):
-        found = manager.edge(C10, e0)
-    elif (e0.node.lo is None and C01 in letters and model.negation
-            and e1.letter is N and e0 is constant(model, manager, 0, arity)):
-        # e0 is 0 and e1 is ~y: the mark over C01.y, which is 1 at x0 = 0
-        found = manager.edge(N, manager.edge(C01, e1.child))
-    elif (e0.node.lo is None and C01 in letters and not model.negation
-            and e0 is constant(model, manager, 1, arity)):
-        found = manager.edge(C01, e1)
-    elif (e0.node.lo is None and C00 in letters
-            and e0 is constant(model, manager, 0, arity)):
-        found = manager.edge(C00, e1)
     else:
-        found = manager.diamond(e0, e1)
+        # Each check reads its constant from the model's row once the
+        # row holds the arity.  Below that it calls ``constant``, which
+        # extends the row, and only where the check is reached: the rows
+        # grow as far, and intern as much, as if every check called it.
+        space = manager.space(model)
+        zeros = space.zeros
+        ones = space.ones
+        if (e1.node.lo is None and C11 in letters
+                and e1 is (ones[arity] if arity < len(ones)
+                           else constant(model, manager, 1, arity))):
+            found = manager.edge(C11, e0)
+        elif (e1.node.lo is None and C10 in letters
+                and e1 is (zeros[arity] if arity < len(zeros)
+                           else constant(model, manager, 0, arity))):
+            found = manager.edge(C10, e0)
+        elif (e0.node.lo is None and C01 in letters and model.negation
+                and e1.letter is N
+                and e0 is (zeros[arity] if arity < len(zeros)
+                           else constant(model, manager, 0, arity))):
+            # e0 is 0 and e1 is ~y: the mark over C01.y, which is 1 at
+            # x0 = 0
+            found = manager.edge(N, manager.edge(C01, e1.child))
+        elif (e0.node.lo is None and C01 in letters and not model.negation
+                and e0 is (ones[arity] if arity < len(ones)
+                           else constant(model, manager, 1, arity))):
+            found = manager.edge(C01, e1)
+        elif (e0.node.lo is None and C00 in letters
+                and e0 is (zeros[arity] if arity < len(zeros)
+                           else constant(model, manager, 0, arity))):
+            found = manager.edge(C00, e1)
+        else:
+            found = manager.diamond(e0, e1)
     if pulled:
         return found.child if found.letter is N else manager.edge(N, found)
     return found
@@ -449,11 +464,11 @@ def compile_table(model: ModelSpec, table: TruthTable,
     memoized subtable is not split, and arity 0 is a terminal).  Each
     level above the chunks pairs neighbouring edges through
     ``cons_diamond`` in one loop, up to the root: a pair of the same two
-    edges as the pair before it reuses that pair's edge, and any other
-    repeated pair is built again, as a hit in the manager's tables.  The
-    model's ``compile`` memo holds the chunks and their subtables of
-    arity 1 and up, plus one root entry per table, so a repeated compile
-    costs one lookup.  A table of arity ``n`` and mask ``m`` is keyed on
+    edges as one of the last two distinct pairs reuses that pair's edge,
+    and any other repeated pair is built again, as a hit in the
+    manager's tables.  The model's ``compile`` memo holds the chunks and
+    their subtables of arity 1 and up, plus one root entry per table, so
+    a repeated compile costs one lookup.  A table of arity ``n`` and mask ``m`` is keyed on
     ``m | 1 << 2**n``: the leading bit gives the arity, and a key's two
     halves below it are the keys of its cofactors.
     """
@@ -501,15 +516,21 @@ def compile_table(model: ModelSpec, table: TruthTable,
     while len(level) > 1:
         pairs = iter(level)
         level = []
-        lo = hi = None
+        lo = hi = edge = lo2 = hi2 = edge2 = None
         for e0, e1 in zip(pairs, pairs):
-            # a run of one pair, as in a constant or a projection, is
-            # built once; any other repeat is a hit in the manager's
-            # tables
+            # a pair equal to one of the last two distinct pairs reuses
+            # its edge: a constant or a projection repeats one pair, and
+            # parity alternates two; any other repeat is a hit in the
+            # manager's tables
             if e0 is not lo or e1 is not hi:
-                lo = e0
-                hi = e1
-                edge = cons_diamond(model, manager, e0, e1)
+                if e0 is lo2 and e1 is hi2:
+                    lo, hi, edge, lo2, hi2, edge2 = (
+                        lo2, hi2, edge2, lo, hi, edge)
+                else:
+                    lo2, hi2, edge2 = lo, hi, edge
+                    lo = e0
+                    hi = e1
+                    edge = cons_diamond(model, manager, e0, e1)
             level.append(edge)
     edge = memo[root] = level[0]
     return FuncHandle(edge, model=model)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (EXAMPLE1_EXPR, chain_texts, custom_param,
                       example1_table, interned_links, iter_edges,
-                      model_spellings)
+                      model_spellings, one_hot)
 from nucx.connectives import (
     _apply,
     apply,
@@ -470,11 +470,11 @@ class TestApplyWork:
 
 
 class TestCountGuards:
-    """Exact counts of the flat xor, the pair chain and the sparse CNF
-    at n and 2n.  Diamonds, links and apply entries each grow at most
-    2.5x per doubling: a run of ``U`` is one link, so the projections
-    and the runs above the apply core's pairs no longer make a link per
-    letter."""
+    """Exact counts of the flat xor, the pair chain, the sparse CNF and
+    one-hot at n and 2n.  Diamonds, links and apply entries each grow at
+    most 2.5x per doubling: a run of ``U`` is one link, so the
+    projections and the runs above the apply core's pairs no longer make
+    a link per letter."""
 
     # diamonds, links, apply entries at n = 150 and n = 300
     COUNTS = {
@@ -490,6 +490,26 @@ class TestCountGuards:
     def test_doubling(self, family, name):
         small, large = (build_family(name, family, n)[:3] for n in (150, 300))
         assert (small, large) == self.COUNTS[family, name]
+        for before, after in zip(small, large):
+            assert after <= 2.5 * before
+
+    # diamonds and links of one-hot, built bottom-up through
+    # cons_diamond, at n = 150 and n = 300
+    ONE_HOT = {
+        "o-u": ((300, 149), (600, 299)),
+        "o-nucx": ((148, 600), (298, 1200)),
+    }
+
+    @pytest.mark.parametrize("name", list(ONE_HOT))
+    def test_one_hot_doubling(self, name):
+        counts = []
+        for n in (150, 300):
+            manager = Manager()
+            handle = one_hot(PRESETS[name], manager, n)
+            assert count_sat(handle) == n
+            counts.append((len(manager), len(interned_links(manager))))
+        small, large = counts
+        assert (small, large) == self.ONE_HOT[name]
         for before, after in zip(small, large):
             assert after <= 2.5 * before
 

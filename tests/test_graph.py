@@ -106,6 +106,99 @@ class TestInterning:
         assert interned_links(mgr) == []
 
 
+def arity1_edges(manager):
+    """Sixteen distinct arity-1 edges: the diamonds over every pair of
+    the terminals and their marks."""
+    leaves = [manager.zero, manager.one,
+              manager.edge(N, manager.zero), manager.edge(N, manager.one)]
+    return [manager.diamond(a, b) for a in leaves for b in leaves]
+
+
+class TestDiamondTable:
+    """The diamond table is keyed on the ``lo`` edge: a ``lo`` with one
+    parent maps to that parent's bare edge, and one with two or more to
+    a dict keyed on ``hi``."""
+
+    def test_one_parent(self, mgr):
+        lo = mgr.diamond(mgr.zero, mgr.one)
+        hi = mgr.diamond(mgr.one, mgr.zero)
+        parent = mgr.diamond(lo, hi)
+        assert mgr._diamonds[lo] is parent
+        assert mgr.diamond(lo, hi) is parent
+        assert (parent.node.lo, parent.node.hi) == (lo, hi)
+
+    def test_second_parent_makes_a_dict(self, mgr):
+        lo = mgr.diamond(mgr.zero, mgr.one)
+        hi = mgr.diamond(mgr.one, mgr.zero)
+        first = mgr.diamond(lo, hi)
+        second = mgr.diamond(lo, lo)
+        assert first is not second
+        assert mgr._diamonds[lo] == {hi: first, lo: second}
+        assert mgr.diamond(lo, hi) is first
+        assert mgr.diamond(lo, lo) is second
+        assert (second.node.lo, second.node.hi) == (lo, lo)
+
+    def test_many_parents(self, mgr):
+        lo = mgr.diamond(mgr.zero, mgr.one)
+        his = arity1_edges(mgr)
+        parents = [mgr.diamond(lo, hi) for hi in his]
+        assert len(set(parents)) == len(his)
+        assert mgr._diamonds[lo] == dict(zip(his, parents))
+        for hi, parent in zip(reversed(his), reversed(parents)):
+            assert mgr.diamond(lo, hi) is parent
+            assert parent.node.hi is hi and parent.arity == 2
+
+    @pytest.mark.parametrize("parents", [1, 2])
+    def test_foreign_children_under_a_known_lo(self, mgr, parents):
+        other = Manager()
+        lo = mgr.diamond(mgr.zero, mgr.one)
+        his = arity1_edges(mgr)[:parents]
+        for hi in his:
+            mgr.diamond(lo, hi)
+        shape = mgr._diamonds[lo]
+        # the same function in another manager, and another manager's
+        # edges under a foreign lo
+        twin = other.diamond(other.zero, other.one)
+        for a, b in ((lo, twin), (lo, other.diamond(other.one, other.zero)),
+                     (twin, his[0]), (twin, twin)):
+            with pytest.raises(ManagerMismatchError):
+                mgr.diamond(a, b)
+        assert mgr._diamonds[lo] is shape and len(mgr) == 16 + parents
+
+    @pytest.mark.parametrize("parents", [0, 1, 2])
+    def test_arity_mismatch(self, mgr, parents):
+        lo = mgr.diamond(mgr.zero, mgr.one)
+        for hi in arity1_edges(mgr)[:parents]:
+            mgr.diamond(lo, hi)
+        deeper = mgr.edge(U, lo)
+        before = len(mgr)
+        # lo with no parent, one or two; a lo that is no key; and the
+        # terminal 1, a lo with four parents
+        for a, b in ((lo, mgr.zero), (lo, deeper), (deeper, lo),
+                     (mgr.one, lo)):
+            with pytest.raises(ArityError):
+                mgr.diamond(a, b)
+        assert len(mgr) == before
+
+    def test_len_counts_distinct_pairs(self, mgr):
+        rng = random.Random(3)
+        pool = arity1_edges(mgr)
+        made = {(edge.node.lo, edge.node.hi) for edge in pool}
+        pool += [mgr.edge(X, mgr.zero), mgr.edge(U, mgr.one),
+                 mgr.edge(N, pool[5])]
+        for _ in range(400):
+            a, b = rng.choice(pool), rng.choice(pool)
+            mgr.diamond(a, b)
+            made.add((a, b))
+        assert len(mgr) == len(made)
+        assert repr(mgr) == (f"<Manager diamonds={len(made)} "
+                             f"edges={len(interned_links(mgr))}>")
+        for a, b in made:
+            edge = mgr.diamond(a, b)
+            assert (edge.node.lo, edge.node.hi) == (a, b)
+        assert len(mgr) == len(made)
+
+
 class TestPrepend:
     def test_empty_word_is_identity(self, mgr):
         assert chain(mgr, []) is mgr.zero
@@ -787,11 +880,14 @@ def check_tables_track_nothing_per_entry(arity: int) -> int:
     count them and reduce them into ``o-nucx``; check that no entry of a unique table or memo allocated
     an object for the cycle collector.  Returns the number of entries.
 
-    The ``apply``, ``compile`` and diamond keys are ints; a letter link
-    is keyed on its child, an edge the unique tables already hold (a
-    run of ``U`` longer than one on an int), and
-    the ``reduce`` memo and the model-free caches on such edges or on
-    ints.  Tracked tuples may only grow by a constant."""
+    The ``apply`` and ``compile`` keys are ints; a letter link is keyed
+    on its child, an edge the unique tables already hold (a run of ``U``
+    longer than one on an int), and the ``reduce`` memo and the
+    model-free caches on such edges or on ints.  The diamond table is
+    keyed on ``lo`` edges, and a ``lo`` with two parents or more maps
+    to a dict keyed on ``hi`` edges: that dict is the one tracked object
+    the table makes, and fewer than a tenth of the diamonds need one.
+    Tracked tuples may only grow by a constant."""
     # warm up whatever the library makes once per process
     build_expr(PRESETS["o-u"], parse_expr("x0 & ~x1 ^ x2", 3), 3, Manager())
     gc.collect()
@@ -808,14 +904,25 @@ def check_tables_track_nothing_per_entry(arity: int) -> int:
     grown = tracked_tuples() - before
     assert grown < 64, f"{grown} more tracked tuples"
     entries = 0
+    inner_tables = 0
+    diamonds = 0
     for handle in handles:
         manager = handle.manager
-        unique = [manager._diamonds, *manager._links.values()]
+        inner = [parents for parents in manager._diamonds.values()
+                 if type(parents) is dict]
+        inner_tables += len(inner)
+        diamonds += len(manager)
         interned = {id(manager.zero), id(manager.one)}
-        interned.update(id(edge) for table in unique
-                        for edge in table.values())
+        for table in (*manager._links.values(), *inner):
+            interned.update(id(edge) for edge in table.values())
+        interned.update(id(parents) for parents in manager._diamonds.values()
+                        if type(parents) is Edge)
+        for table in (manager._diamonds, *inner):
+            entries += len(table)
+            for key in table:
+                assert type(key) is Edge and id(key) in interned, key
         spaces = manager._spaces.values()
-        keyed_on_ints = [manager._diamonds]
+        keyed_on_ints = []
         for space in spaces:
             keyed_on_ints += [space.apply, space.compile]
         for table in keyed_on_ints:
@@ -828,6 +935,7 @@ def check_tables_track_nothing_per_entry(arity: int) -> int:
             for key in table:
                 assert not gc.is_tracked(key) or (
                     type(key) is Edge and id(key) in interned), key
+    assert inner_tables * 10 < diamonds, (inner_tables, diamonds)
     return entries
 
 

@@ -717,10 +717,20 @@ class TestLevelCompile:
             assert len(chunks) <= 256 + 16 + 4 + 2
 
 
+def parity_mask(arity):
+    """The mask of ``x0 ^ ... ^ x(arity-1)``, doubled one variable at a
+    time."""
+    mask = 0
+    for k in range(arity):
+        mask |= (mask ^ (1 << (1 << k)) - 1) << (1 << k)
+    return mask
+
+
 class TestStructuredCompileWork:
     """Constants and projections repeat one pair across each level above
-    the chunks, so compiling one builds that pair's edge once per level:
-    ``cons_diamond`` calls stay linear in the arity, not in the table."""
+    the chunks, and parity alternates two, so compiling one builds each
+    pair's edge once per level: ``cons_diamond`` calls stay linear in
+    the arity, not in the table."""
 
     @pytest.mark.parametrize("name", ["o-u", "o-nucx", "s", "s-n"])
     def test_calls_linear_in_arity(self, name, monkeypatch):
@@ -733,9 +743,11 @@ class TestStructuredCompileWork:
 
         monkeypatch.setattr(reduction, "cons_diamond", counted)
         n = 16
+        parity = TruthTable(n, parity_mask(n))
         tables = (TruthTable.constant(n, 0), TruthTable.constant(n, 1),
                   TruthTable.projection(n, 0),
-                  TruthTable.projection(n, n - 1))
+                  TruthTable.projection(n, n - 1), parity,
+                  tt_apply("not", parity))
         for table in tables:
             calls.clear()
             handle = compile_table(PRESETS[name], table, Manager())
