@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Inputs are Boolean expressions (``--expr``, grammar below) or hex truth
-tables (``--tt``), always with an explicit ``--arity`` (at most 24 for
-``bench``, which draws random tables).  Exit codes: 0 success (also
-when the reader closes stdout early), 1 usage or parse error, 2
-internal invariant violation.
+Inputs are Boolean expressions (``--expr``, grammar below, arity at
+most ``EXPR_ARITY_LIMIT``) or hex truth tables (``--tt``), always with
+an explicit ``--arity`` (at most 24 for ``bench``, which draws random
+tables).  Exit codes: 0 success (also when the reader closes stdout
+early), 1 usage or parse error, 2 internal invariant violation.
 
 Expression grammar (loosest to tightest): ``|``, ``^``, ``&``, unary
 ``~``; parentheses, constants ``0``/``1`` and variables ``x0, x1, ...``.
@@ -27,7 +27,7 @@ from .connectives import build_expr, negb
 from .graph import FuncHandle, Manager, dot_export, signature
 from .letters import from_token
 from .metrics import CSV_HEADER, bound_verdict, measure
-from .oracle import COMBINATORS, TruthTable
+from .oracle import COMBINATORS, TruthTable, check_arity
 from .queries import all_sat, any_sat, count_sat, equiv, is_sat, is_taut
 from .reduction import (
     PRESETS,
@@ -41,6 +41,10 @@ from .reduction import (
 
 #: Expression AST: ("const", v) | ("var", i) | ("not", e) | (op, e1, e2)
 ExprAst = tuple
+
+#: The largest ``--arity`` of an ``--expr``: the model's constant rows
+#: are filled up to it, so cost grows with it whatever the expression.
+EXPR_ARITY_LIMIT = 100_000
 
 #: Operator token -> (binding strength, AST tag).  ``(`` binds nothing,
 #: so it stops every fold; ``~`` binds tightest.
@@ -157,6 +161,9 @@ def _load_handle(args, model: ModelSpec, manager: Manager,
         raise _UsageError(
             f"exactly one of --expr{suffix}/--tt{suffix} is required")
     if expr is not None:
+        if args.arity > EXPR_ARITY_LIMIT:
+            raise ValueError(f"--arity {args.arity} exceeds the expression "
+                             f"limit of {EXPR_ARITY_LIMIT:,}")
         return build_expr(model, parse_expr(expr, args.arity), args.arity,
                           manager)
     return compile_table(model, TruthTable.from_hex(args.arity, hexes),
@@ -272,8 +279,8 @@ def _cmd_compare(args, out):
 
 
 def _cmd_bench(args, out):
-    # an empty table checks the arity before anything is printed or drawn
-    TruthTable(args.arity, 0)
+    # the arity is checked before anything is printed or drawn
+    check_arity(args.arity)
     models = _parse_models(args.models)
     violations = 0
     print(CSV_HEADER, file=out)

@@ -133,14 +133,14 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     pairs = 0
     # fill both constant rows up to the operands' arity: every constant
     # below is then one index into them
-    constant(model, manager, 0, x.arity)
-    constant(model, manager, 1, x.arity)
+    n = x.arity
+    constant(model, manager, 0, n)
+    constant(model, manager, 1, n)
     zeros, ones = space.zeros, space.ones
-    # Each constant is a letter chain at every arity >= 1 or at none, so
-    # when both are chains an operand ending at a diamond is no constant
-    # and needs no terminal test (at arity 0, ``chains`` may be unset and
-    # every operand is a terminal).
-    chains = space.chains
+    # each constant is a letter chain at every arity >= 1 or at none: if
+    # both are chains, an operand ending at a diamond is no constant and
+    # needs no terminal test (at arity 0 every operand is a terminal)
+    chains = zeros[n].node.lo is None and ones[n].node.lo is None
     # a model without U has no run, and so no padded operand; an xor
     # level of X/X gives U, so an xor skips levels only with both
     runs = U in model.letters
@@ -161,7 +161,6 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # it.  A join or a complement writes the memo under ``key`` once its
     # value is in.
     stack = []
-    n = x.arity
     while True:
         # the pair (op, x, y) at arity n: fold its marks into the table
         # and strip its leading U runs, and under xor also the levels

@@ -9,10 +9,8 @@ child)`` puts a letter over an edge, ``Manager.run(length, child)`` puts
 a run of ``U`` over one, and ``Manager.diamond(lo, hi)`` returns the
 bare edge to a Shannon diamond; the bare edges to the terminals are
 ``Manager.zero`` and ``Manager.one``.  None of them normalizes; the
-reduced constructor is ``reduction.cons_diamond``.  The unique tables
-key a link on its child edge and a diamond on its ``lo`` edge; the
-tables whose keys still rest on ``id()`` are the ``apply`` memo, the
-``reduce`` memo under parity 1 and runs of ``U`` longer than one.
+reduced constructor is ``reduction.cons_diamond``.  :class:`Manager`
+says how its tables are keyed.
 
 Structure of a graph:
 
@@ -51,8 +49,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .letters import C00, C01, C10, C11, Letter, N, U, X
-from .oracle import (ARITY_LIMIT, ArityError, OracleLimitError, TruthTable,
-                     letter_mask)
+from .oracle import ArityError, TruthTable, check_arity, letter_mask
 
 Word = tuple[Letter, ...]
 
@@ -167,21 +164,18 @@ class Space:
 
     ``zeros`` and ``ones`` are the model-canonical constants, indexed by
     arity and always filled from arity 0 up (``reduction.constant``
-    extends them).  ``chains`` is ``None`` until both rows reach arity 1,
-    then whether both constants are letter chains there (and so at every
-    arity).  ``apply``, ``reduce`` and ``compile`` are the memos of the
-    apply core, ``reduction.rebuild`` and ``reduction.compile_table``;
-    their keys are ints or interned edges, never tuples, so an entry adds
-    no object for the cycle collector to walk.  A space holds no
-    reference to its manager.
+    extends them).  ``apply``, ``reduce`` and ``compile`` are the memos
+    of the apply core, ``reduction.rebuild`` and
+    ``reduction.compile_table``; their keys are ints or interned edges,
+    never tuples, so an entry adds no object for the cycle collector to
+    walk.  A space holds no reference to its manager.
     """
 
-    __slots__ = ("zeros", "ones", "chains", "apply", "reduce", "compile")
+    __slots__ = ("zeros", "ones", "apply", "reduce", "compile")
 
     def __init__(self):
         self.zeros: list[Edge] = []
         self.ones: list[Edge] = []
-        self.chains: bool | None = None
         self.apply: dict[int, Edge] = {}
         self.reduce: dict[int | Edge, Edge] = {}
         self.compile: dict[int, Edge] = {}
@@ -209,25 +203,23 @@ class Manager:
     complementing an edge may intern a new one and every query fills
     memo tables.  Graphs from different managers must never be mixed;
     every constructor raises :class:`ManagerMismatchError` when asked to
-    intern over a child of another manager.
-
-    The manager keeps its whole graph alive, and so does every
-    :class:`FuncHandle` to it; its edges refer back to it only weakly,
-    so it is freed by reference counting once the last of those goes.
+    intern over a child of another manager.  The module docstring says
+    what keeps a manager alive.
 
     Memos are per model: :meth:`space` holds a model's constant rows and
-    its ``apply``, ``reduce`` and ``compile`` memos, the first two keyed
-    on the ids of their operand edges (``reduce`` on the edge itself for
-    an uncomplemented result); :meth:`cache` holds the
-    model-free tables, keyed on edges.  Three tables still key on ids:
-    the ``apply`` memo, the ``reduce`` memo under parity 1 and ``U``'s
-    runs longer than one.  An id key is sound only because no edge is
-    ever dropped from the unique tables while the manager lives, so no
-    id is reused by another edge: anything that reclaims edges must
-    clear every space's memos in the same step.
+    its ``apply``, ``reduce`` and ``compile`` memos; :meth:`cache` holds
+    the model-free tables, keyed on edges.  Three tables key on ids: the
+    ``apply`` memo, the ``reduce`` memo under parity 1 and ``U``'s runs
+    longer than one.  An id key is sound only because no edge is ever
+    dropped from the unique tables while the manager lives, so no id is
+    reused by another edge: anything that reclaims edges must clear
+    every space's memos in the same step.  Every memo lives as long as
+    its manager: memory is given back by dropping the manager.
 
-    Every memo lives as long as its manager: memory is given back by
-    dropping the manager.
+    ``counters`` holds running totals (:meth:`bump`; absent until
+    bumped, reset by ``counters.clear()``): ``const_steps``, constant-row
+    levels built; ``negb_recursions``, misses of the ``reduce`` memo
+    under parity 1; ``andb_pairs``, splits under a top-level ``and``.
     """
 
     def __init__(self):
@@ -342,9 +334,6 @@ class Manager:
     def bump(self, counter: str, amount: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + amount
 
-    def reset_counters(self) -> None:
-        self.counters.clear()
-
     def __len__(self):
         """The number of diamonds."""
         return sum(len(parents) if parents.__class__ is dict else 1
@@ -440,11 +429,7 @@ def edge_mask(edge: Edge) -> int:
 
 def to_truth_table(handle: FuncHandle) -> TruthTable:
     """Tabulate the function; arity must fit the dense-oracle cap."""
-    arity = handle.edge.arity
-    if arity > ARITY_LIMIT:
-        raise OracleLimitError(
-            f"arity {arity} exceeds the truth-table limit of {ARITY_LIMIT}")
-    return TruthTable(arity, edge_mask(handle.edge))
+    return TruthTable(check_arity(handle.edge.arity), edge_mask(handle.edge))
 
 
 def _label(edge: Edge) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FuncHandle, Manager
+from .graph import Edge, FuncHandle, Manager, Node
 from .letters import N
 from .oracle import TruthTable
 from .reduction import ModelSpec, compile_table, lattice_leq
@@ -39,19 +39,15 @@ class SizeReport:
                 f"{self.diamonds},{self.letters},{self.s_size}")
 
 
-def measure(handle: FuncHandle) -> SizeReport:
-    """Count distinct reachable diamonds and the letters of the word of
-    each distinct reachable edge (the root and the children of the
-    diamonds): elementary letters (a run of ``U`` counts its k letters)
-    apart from marks.  One loop walks the diamonds; each link's tallies
-    are taken once, so the walk is linear in the links and diamonds it
-    reaches, however long the words are."""
-    root = handle.edge
-    # the reachable edges that carry a word
+def _reach(root: Edge) -> tuple[set[Node], set[Edge]]:
+    """The nodes reachable from ``root``, terminals included, and the
+    reachable edges that carry a word (the root and the children of the
+    diamonds), in one loop over the diamonds."""
     edges = {root} if root.letter is not None else set()
     add = edges.add
-    diamonds = {root.node} if root.node.lo is not None else set()
-    stack = list(diamonds)
+    node = root.node
+    nodes = {node}
+    stack = [node] if node.lo is not None else []
     push = stack.append
     pop = stack.pop
     while stack:
@@ -63,13 +59,28 @@ def measure(handle: FuncHandle) -> SizeReport:
         if hi.letter is not None:
             add(hi)
         node = lo.node
-        if node not in diamonds and node.lo is not None:
-            diamonds.add(node)
-            push(node)
+        if node not in nodes:
+            nodes.add(node)
+            if node.lo is not None:
+                push(node)
         node = hi.node
-        if node not in diamonds and node.lo is not None:
-            diamonds.add(node)
-            push(node)
+        if node not in nodes:
+            nodes.add(node)
+            if node.lo is not None:
+                push(node)
+    return nodes, edges
+
+
+def measure(handle: FuncHandle) -> SizeReport:
+    """Count distinct reachable diamonds and the letters of the words of
+    the reachable edges: elementary letters (a run of ``U`` counts its k
+    letters) apart from marks.  Each link's tallies are taken once, so
+    the count is linear in the links and diamonds it reaches, however
+    long the words are."""
+    nodes, edges = _reach(handle.edge)
+    manager = handle.manager
+    diamonds = (len(nodes) - (manager.zero.node in nodes)
+                - (manager.one.node in nodes))
     # link -> (elementary letters, marks) of its word
     tallies = {}
     get = tallies.get
@@ -97,32 +108,12 @@ def measure(handle: FuncHandle) -> SizeReport:
         letters += a
         neg_letters += b
     name = handle.model.name if handle.model is not None else "raw"
-    return SizeReport(name, handle.arity, len(diamonds), letters,
-                      neg_letters)
+    return SizeReport(name, handle.arity, diamonds, letters, neg_letters)
 
 
 def node_count(handle: FuncHandle) -> int:
-    """Reachable diamonds plus reachable terminals, in one loop over
-    the diamonds."""
-    node = handle.edge.node
-    nodes = {node}
-    add = nodes.add
-    stack = [node] if node.lo is not None else []
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        node = pop()
-        lo = node.lo.node
-        hi = node.hi.node
-        if lo not in nodes:
-            add(lo)
-            if lo.lo is not None:
-                push(lo)
-        if hi not in nodes:
-            add(hi)
-            if hi.lo is not None:
-                push(hi)
-    return len(nodes)
+    """Reachable diamonds plus reachable terminals."""
+    return len(_reach(handle.edge)[0])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Tables are deliberately capped at arity 24: this module is a desk-scale
 oracle, not a representation meant to compete with the diagrams.
 
 ``letter_mask`` is the one definition of what each edge letter does to a
-function; ``apply_functor`` and ``graph.edge_mask`` both call it.
+function (a canalizing one's through its ``branch`` and ``const``);
+``apply_functor`` and ``graph.edge_mask`` both call it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .letters import C00, C01, C10, C11, N, U, X, Letter
+from .letters import N, U, X, Letter
 
 #: Largest arity the dense representation accepts.
 ARITY_LIMIT = 24
@@ -35,7 +36,8 @@ class OracleLimitError(ValueError):
     """Requested arity exceeds the dense-table cap."""
 
 
-def _check_arity(n: int) -> int:
+def check_arity(n: int) -> int:
+    """``n``, if a dense table may have arity ``n``; else raise."""
     if n < 0:
         raise ArityError(f"arity must be nonnegative, got {n}")
     if n > ARITY_LIMIT:
@@ -52,7 +54,7 @@ class TruthTable:
     mask: int
 
     def __post_init__(self):
-        _check_arity(self.arity)
+        check_arity(self.arity)
         if not 0 <= self.mask < (1 << self.size):
             raise ValueError(
                 f"mask {self.mask:#x} out of range for arity {self.arity}")
@@ -81,13 +83,13 @@ class TruthTable:
 
     @classmethod
     def constant(cls, arity: int, value: int) -> TruthTable:
-        _check_arity(arity)
+        check_arity(arity)
         return cls(arity, ((1 << (1 << arity)) - 1) if value else 0)
 
     @classmethod
     def projection(cls, arity: int, index: int) -> TruthTable:
         """The function returning variable ``x<index>`` unchanged."""
-        _check_arity(arity)
+        check_arity(arity)
         if not 0 <= index < arity:
             raise ValueError(f"variable index {index} out of range")
         mask = 0
@@ -99,7 +101,7 @@ class TruthTable:
     @classmethod
     def from_hex(cls, arity: int, digits: str) -> TruthTable:
         """Parse the external hex form: MSB-first over valuation indices."""
-        _check_arity(arity)
+        check_arity(arity)
         size = 1 << arity
         expected = -(-size // 4)
         if len(digits) != expected:
@@ -179,7 +181,6 @@ def combine(comb: str, f: TruthTable, g: TruthTable) -> TruthTable:
     """
     if f.arity != g.arity:
         raise ArityError(f"arity mismatch: {f.arity} vs {g.arity}")
-    _check_arity(f.arity + 1)
     size = f.size
     comb = comb.lower()
     if comb == "s":
@@ -208,20 +209,19 @@ def letter_mask(letter: Letter, mask: int, arity: int) -> int:
         return mask | mask << size
     if letter is X:
         return mask | (mask ^ ones) << size
-    if letter is C00:
-        return mask << size
-    if letter is C01:
-        return ones | mask << size
-    if letter is C10:
-        return mask
-    if letter is C11:
-        return mask | ones << size
-    raise ValueError(f"unknown letter {letter!r}")
+    # a canalizing letter: its branch's half is the constant it forces
+    branch = getattr(letter, "branch", None)
+    if branch is None:
+        raise ValueError(f"unknown letter {letter!r}")
+    forced = ones if letter.const else 0
+    if branch:
+        return mask | forced << size
+    return forced | mask << size
 
 
 def apply_functor(letter: Letter, f: TruthTable) -> TruthTable:
     """Apply one edge letter to a table (see :func:`letter_mask`)."""
-    arity = f.arity if letter is N else _check_arity(f.arity + 1)
+    arity = f.arity if letter is N else check_arity(f.arity + 1)
     return TruthTable(arity, letter_mask(letter, f.mask, f.arity))
 
 

@@ -225,11 +225,6 @@ def constant(model: ModelSpec, manager: Manager, value: int,
         else:
             found = manager.one
         row.append(found)
-    if space.chains is None and len(space.zeros) > 1 and len(space.ones) > 1:
-        # the constructor picks a constant's letter from the model and
-        # the value alone, so arity 1 decides every arity above it
-        space.chains = (space.zeros[1].node.lo is None
-                        and space.ones[1].node.lo is None)
     return row[arity]
 
 

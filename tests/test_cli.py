@@ -495,6 +495,28 @@ class TestExitCodes:
         assert err == (f"error: arity {arity} exceeds the truth-table "
                        f"limit of 24\n")
 
+    @pytest.mark.parametrize("arity", ["100001", "99999999999999999999"])
+    def test_expression_arity_above_the_limit(self, arity, capsys):
+        # rejected before the expression is parsed or a constant built
+        assert invoke("compile", "--expr", "x0", "--arity", arity) == (1, "")
+        assert invoke("compare", "--models", "o-u", "--expr", "x0",
+                      "--arity", arity)[0] == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --arity {arity} exceeds the expression "
+                       f"limit of 100,000"] * 2
+
+    def test_expression_arity_at_the_limit(self):
+        assert invoke("query", "sat", "--model", "o-u", "--expr", "x0",
+                      "--arity", "100000") == (0, "true\n")
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--expr", "x0", "--arity", "1"],
+        ["bench", "--arity", "2"],
+    ], ids=["compare", "bench"])
+    def test_empty_model_list(self, command, capsys):
+        assert invoke(*command, "--models", ",") == (1, "")
+        assert capsys.readouterr().err == "usage error: no models given\n"
+
     @pytest.mark.parametrize("model", ["o-u", "o-nucx", "s"])
     def test_flat_chain_deeper_than_recursion_limit(self, model):
         expr = "^".join(f"x{i}" for i in range(1200))

@@ -195,7 +195,7 @@ class TestNegb:
     def test_no_recursion_with_complement_edges(self, name, model):
         manager = Manager()
         h = compile_table(model, example1_table(), manager)
-        manager.reset_counters()
+        manager.counters.clear()
         negb(h)
         assert manager.counters.get("negb_recursions", 0) == 0
 
@@ -274,7 +274,7 @@ class TestApply:
                 manager = Manager()
                 ha = compile_table(model, fa, manager)
                 hb = compile_table(model, fb, manager)
-                manager.reset_counters()
+                manager.counters.clear()
                 apply(op, ha, hb)
                 assert manager.counters.get("negb_recursions", 0) <= bound
                 assert not any(N in e.word for e in interned_links(manager))
@@ -288,7 +288,7 @@ class TestApply:
             fb = TruthTable(arity, rng.getrandbits(1 << arity))
             ha = compile_table(NUCX, fa, manager)
             hb = compile_table(NUCX, fb, manager)
-            manager.reset_counters()
+            manager.counters.clear()
             apply("and", ha, hb)
             pairs = manager.counters.get("andb_pairs", 0)
             assert pairs <= max(s_size(ha), 1) * max(s_size(hb), 1)
@@ -315,7 +315,7 @@ class TestApplyKeys:
             memo = manager.space(model).apply
             entries = len(memo)
             assert entries
-            manager.reset_counters()
+            manager.counters.clear()
             apply("xor", negb(a), b)
             apply("and", negb(a), negb(b))
             apply("xor", b, a)
@@ -336,7 +336,7 @@ class TestApplyKeys:
             handles = {}
             for i in order:
                 handles[i] = compile_table(model, tables[i], manager)
-            manager.reset_counters()
+            manager.counters.clear()
             for op, i, j, marks in steps:
                 x, y = handles[i], handles[j]
                 if marks & 1:
@@ -836,6 +836,12 @@ class TestBuildExpr:
         with pytest.raises(ValueError):
             build_expr(NUCX, ("var", 5), 4, mgr)
 
+    def test_unknown_node_kind(self, mgr):
+        ast = ("and", ("var", 0), ("nand", ("var", 0), ("var", 1)))
+        with pytest.raises(ValueError,
+                           match="unknown expression node 'nand'"):
+            build_expr(NUCX, ast, 2, mgr)
+
     @pytest.mark.parametrize("model", [
         pytest.param(m, id=repr(m)) for _, m in ALL_MODELS] + [
         custom_param(name) for name in (
@@ -897,3 +903,19 @@ class TestBuildExpr:
         for x0, x1, x2 in itertools.product((0, 1), repeat=3):
             expected.append((x0 | (1 - x1)) ^ (x2 & 1))
         assert to_truth_table(h) == TruthTable.from_bits(expected)
+
+
+def test_run_interning_keeps_the_flat_xor_counts():
+    """The xor of 600 variables, folded balanced by ``build_expr``: the
+    diamonds, links and apply entries it leaves are pinned."""
+    n = 600
+    ast = parse_expr(" ^ ".join(f"x{i}" for i in range(n)), n)
+    expected = {
+        "o-u": ("<Manager diamonds=6864 edges=2388>", 5665),
+        "o-nucx": ("<Manager diamonds=0 edges=6121>", 0),
+    }
+    for name, counts in expected.items():
+        model, manager = PRESETS[name], Manager()
+        build_expr(model, ast, n, manager)
+        got = (repr(manager), len(manager.space(model).apply))
+        assert got == counts, name

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import (WALK_GRAPHS, example1_table, iter_edges, one_hot,
                       walk_graph)
-from nucx.graph import FuncHandle, Manager
+from nucx.graph import FuncHandle, Manager, dot_export, signature
 from nucx.letters import N
 from nucx.metrics import (
     CSV_HEADER,
@@ -289,3 +290,30 @@ class TestBoundsHold:
                 verdict.fine_letters) == (142, 122, 0)
         assert verdict.coarse_diamonds > verdict.fine_diamonds + 2 * 9
         assert verdict.ok
+
+
+def test_exports_and_sizes_of_a_seeded_table_keep_their_bytes():
+    """A seeded arity-12 table under ``o-u`` and ``o-nucx``: the sha256
+    of its DOT and signature texts, its ``measure`` and its
+    ``node_count`` are pinned."""
+    table = TruthTable(12, random.Random(12).getrandbits(1 << 12))
+    expected = {
+        "o-u": ("4022355feec35b3e95a1efed6299eade"
+                "776c3a4408a0871e3e0478b23881e19a",
+                "b19d2ee69d1a13dd845329609135a0d5"
+                "5fccf5d81ec3b94228507161585bf6c1",
+                (727, 30, 0), 729),
+        "o-nucx": ("4d56461893d8d033bd4cbd8034ad4227"
+                   "cf5ed3e886a6ad23881e7fadec6a629b",
+                   "60617a2794d98279606968cf01361164"
+                   "dc7807a39b9cac731ec828b345d4d952",
+                   (584, 247, 205), 585),
+    }
+    for name, pinned in expected.items():
+        handle = compile_table(PRESETS[name], table, Manager())
+        report = measure(handle)
+        got = (hashlib.sha256(dot_export(handle).encode()).hexdigest(),
+               hashlib.sha256(signature(handle).encode()).hexdigest(),
+               (report.diamonds, report.letters, report.neg_letters),
+               node_count(handle))
+        assert got == pinned, name

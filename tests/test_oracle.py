@@ -18,6 +18,7 @@ from nucx.oracle import (
     apply_functor,
     classify_top,
     combine,
+    letter_mask,
     tt_apply,
     tt_eval,
 )
@@ -159,6 +160,11 @@ class TestFunctors:
         for letter in ALPHABET:
             expected = f.arity if letter is N else f.arity + 1
             assert apply_functor(letter, f).arity == expected
+
+    @pytest.mark.parametrize("letter", [None, "C00", 0])
+    def test_non_letter_is_rejected(self, letter):
+        with pytest.raises(ValueError, match="unknown letter"):
+            letter_mask(letter, 0b10, 1)
 
     @given(tables_strategy(4))
     def test_matches_combine_patterns(self, f):

@@ -62,7 +62,7 @@ class TestSatTaut:
     def test_step_budget(self):
         manager = Manager()
         h = compiled(NUCX, example1_table(), manager)
-        manager.reset_counters()
+        manager.counters.clear()
         is_sat(h)
         assert manager.counters.get("const_steps", 0) <= h.arity
 

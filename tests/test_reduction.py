@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from conftest import (example1_table, interned_links, iter_edges,
                       model_spellings, random_raw_edge)
 from nucx import reduction
-from nucx.connectives import negb, projection
+from nucx.connectives import apply, cofactor, negb, projection
 from nucx.graph import (
     FuncHandle,
     Manager,
@@ -21,7 +21,8 @@ from nucx.graph import (
 )
 from nucx.letters import C00, C01, C10, C11, ELEMENTARY, N, U, X
 from nucx.oracle import ArityError, TruthTable, tt_apply
-from nucx.queries import count_sat
+from nucx.queries import (all_sat, any_sat, count_sat, equiv, is_sat,
+                          is_taut)
 from nucx.reduction import (
     HASSE_EDGES,
     NUCX,
@@ -511,6 +512,35 @@ class TestReduce:
         assert len(manager.space(model).reduce) == 2
 
 
+#: Each operation that needs a reduced handle, given a raw one and a
+#: reduced one.
+NEEDS_A_MODEL = {
+    "is_sat": lambda raw, h: is_sat(raw),
+    "is_taut": lambda raw, h: is_taut(raw),
+    "equiv-first": lambda raw, h: equiv(raw, h),
+    "equiv-second": lambda raw, h: equiv(h, raw),
+    "count_sat": lambda raw, h: count_sat(raw),
+    "any_sat": lambda raw, h: any_sat(raw),
+    # before the first valuation is asked for
+    "all_sat": lambda raw, h: all_sat(raw),
+    "negb": lambda raw, h: negb(raw),
+    "cofactor": lambda raw, h: cofactor(0, raw),
+    "apply-first": lambda raw, h: apply("and", raw, h),
+    "apply-second": lambda raw, h: apply("and", h, raw),
+}
+
+
+class TestRequireModel:
+    @pytest.mark.parametrize("name", list(NEEDS_A_MODEL))
+    def test_raw_handle_is_rejected(self, name, mgr):
+        reduced = compile_table(NUCX, example1_table(), mgr)
+        raw = FuncHandle(reduced.edge)
+        # a raw second operand of apply is a model mismatch
+        with pytest.raises(ValueError,
+                           match="requires a reduced handle|vs raw"):
+            NEEDS_A_MODEL[name](raw, reduced)
+
+
 class TestRebuildWork:
     """The work of ``rebuild`` on seeded arity-10 tables, pinned exactly:
     a change to how it walks must not change what it memoizes, interns
@@ -823,3 +853,30 @@ class TestTranslate:
     def test_unknown_combinator(self):
         with pytest.raises(ValueError):
             translate_letter("s", "davio", U)
+
+
+def test_compile_and_reduce_keep_their_tables():
+    """Two seeded arity-12 tables compiled under every preset, and the
+    ``o-nucx`` graphs reduced into each: the diamonds, links, memo
+    entries and counters they leave are pinned."""
+    rng = random.Random(12)
+    manager = Manager()
+    for _ in range(2):
+        table = TruthTable(12, rng.getrandbits(1 << 12))
+        compiled = {name: compile_table(model, table, manager)
+                    for name, model in PRESETS.items()}
+        for name, model in PRESETS.items():
+            assert reduce(model, compiled["o-nucx"]).edge is \
+                compiled[name].edge, name
+    reduced = {"s": 1477, "s-n": 1540, "o-u": 1473, "o-nu": 1536,
+               "o-c10": 1477, "o-uc10": 1473, "o-nuc10c11": 1536,
+               "o-uc0": 1473, "o-uc": 1473, "o-nuc": 1536, "o-nucx": 1536}
+    expected = ("<Manager diamonds=12716 edges=4255>",
+                {name: (273, entries) for name, entries in reduced.items()},
+                {"const_steps": 98, "negb_recursions": 4318})
+    got = (repr(manager),
+           {name: (len(manager.space(model).compile),
+                   len(manager.space(model).reduce))
+            for name, model in PRESETS.items()},
+           manager.counters)
+    assert got == expected
