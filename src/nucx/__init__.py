@@ -12,7 +12,6 @@ from .graph import (
     FuncHandle,
     Manager,
     ManagerMismatchError,
-    Node,
     SignatureLimitError,
     dot_export,
     eval_handle,

@@ -271,10 +271,11 @@ def _parse_models(text: str) -> list[ModelSpec]:
 
 def _cmd_compare(args, out):
     manager = Manager()
-    models = _parse_models(args.models)
+    # every input is loaded before the CSV header is printed
+    handles = [_load_handle(args, model, manager)
+               for model in _parse_models(args.models)]
     print(CSV_HEADER, file=out)
-    for model in models:
-        handle = _load_handle(args, model, manager)
+    for handle in handles:
         print(measure(handle).csv_row(), file=out)
 
 

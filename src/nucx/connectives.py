@@ -140,7 +140,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # each constant is a letter chain at every arity >= 1 or at none: if
     # both are chains, an operand ending at a diamond is no constant and
     # needs no terminal test (at arity 0 every operand is a terminal)
-    chains = zeros[n].node.lo is None and ones[n].node.lo is None
+    chains = zeros[n].lo is None and ones[n].lo is None
     # a model without U has no run, and so no padded operand; an xor
     # level of X/X gives U, so an xor skips levels only with both
     runs = U in model.letters
@@ -237,7 +237,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             # a leaf: a constant operand or equal operands, read off the
             # table and never memoized; an operand is compared with the
             # constants of its own arity
-            if not chains or x.node.lo is None or y.node.lo is None:
+            if not chains or x.lo is None or y.lo is None:
                 a = x.arity
                 b = y.arity
                 a = 0 if x is zeros[a] else 1 if x is ones[a] else None
@@ -260,7 +260,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             if x.arity == m:
                 a = x.letter
                 if a is None:
-                    x0, x1 = x.node.lo, x.node.hi
+                    x0, x1 = x.lo, x.hi
                 elif a is X:
                     x0 = x1 = x.child
                     op1 = op1 >> 2 & 3 | (op1 & 3) << 2
@@ -271,7 +271,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             if y.arity == m:
                 b = y.letter
                 if b is None:
-                    y0, y1 = y.node.lo, y.node.hi
+                    y0, y1 = y.lo, y.hi
                 elif b is X:
                     y0 = y1 = y.child
                     op1 = op1 >> 1 & 5 | op1 << 1 & 10

@@ -1,9 +1,9 @@
-"""Hash-consed diagram graphs: terminals, diamond nodes, labeled edges.
+"""Hash-consed diagram graphs: one :class:`Edge` per node and per link.
 
-Every node and edge lives inside exactly one :class:`Manager`, which
-interns structurally equal objects to a single identity.  After
-interning, equality of subgraphs *is* identity (``is``), which is what
-the reduction engine, the memo tables and the equivalence query rely on.
+Every edge lives inside exactly one :class:`Manager`, which interns
+structurally equal edges to a single identity.  After interning,
+equality of subgraphs *is* identity (``is``), which is what the
+reduction engine, the memo tables and the equivalence query rely on.
 The term constructors are the manager's: ``Manager.edge(letter,
 child)`` puts a letter over an edge, ``Manager.run(length, child)`` puts
 a run of ``U`` over one, and ``Manager.diamond(lo, hi)`` returns the
@@ -17,8 +17,8 @@ Structure of a graph:
 * terminals ``0`` and ``1`` (arity 0);
 * diamond nodes branching on one variable: the ``lo`` edge is the
   ``x0 = 0`` branch (drawn dashed), ``hi`` is ``x0 = 1`` (drawn solid);
-* edges, each either one link over a child edge or a bare pointer to
-  a node.  The word ``l1.l2...lk`` over a node is the chain
+* edges, each either one link over a child edge or a bare edge, which
+  is the node itself.  The word ``l1.l2...lk`` over a node is the chain
   ``l1(l2(...lk(node)))``: every suffix of a word that starts at a link
   is itself an interned edge, so each word is stored once and a descent
   is a pointer step.
@@ -58,46 +58,39 @@ class ManagerMismatchError(ValueError):
     """Operands owned by different managers were mixed."""
 
 
-class Node:
-    """A terminal or a diamond.  ``value`` is 0/1 for terminals and
-    ``None`` for diamonds; diamonds hold their two child edges."""
+class Edge:
+    """An interned letter chain: a link of ``letter`` over the ``child``
+    edge, or, with ``letter`` ``None``, a bare edge, which is the node
+    itself: a terminal of ``value`` 0/1, or a diamond (``value``
+    ``None``) over ``lo`` and ``hi``.  A ``U`` link is the run ``U^k``
+    with ``k = arity - child.arity``, and its child never leads with
+    ``U``; any other link is one letter.
 
-    __slots__ = ("lo", "hi", "value")
+    A link copies ``lo``, ``hi`` and ``value`` from its child, so every
+    edge reads its node's fields, and ``base`` is the bare edge at its
+    end (``None`` on a bare edge, as a pointer to itself would be a
+    reference cycle): ``edge.base or edge`` is an edge's node.  ``word``
+    reads the letters down to it, each run as its k letters.  ``owner``
+    is the weak reference to the manager that all of its edges share, so
+    an edge does not keep its manager alive (see the module docstring).
+    """
 
-    def __init__(self, lo, hi, value):
+    __slots__ = ("letter", "child", "base", "lo", "hi", "value", "arity",
+                 "owner")
+
+    def __init__(self, letter: Letter | None, child: Edge | None,
+                 arity: int, owner: weakref.ref, lo: Edge | None = None,
+                 hi: Edge | None = None, value: int | None = None):
+        self.letter = letter
+        self.child = child
+        self.arity = arity
+        self.owner = owner
+        self.base = None if child is None else child.base or child
+        if child is not None:
+            lo, hi, value = child.lo, child.hi, child.value
         self.lo = lo
         self.hi = hi
         self.value = value
-
-    def __repr__(self):
-        if self.lo is None:
-            return f"<terminal {self.value}>"
-        return f"<diamond arity={self.lo.arity + 1}>"
-
-
-class Edge:
-    """An interned letter chain: a link of ``letter`` over the ``child``
-    edge, or, with ``letter`` ``None``, a bare pointer to a node.  A
-    ``U`` link is the run ``U^k`` with ``k = arity - child.arity``, and
-    its child never leads with ``U``; any other link is one letter.
-
-    ``node`` is the node at the end of the chain; ``word`` reads the
-    letters from here down to it, each run as its k letters.  ``owner``
-    is the weak reference to the manager, one object shared by all of
-    its edges: an edge does not keep its manager alive, so a bare edge
-    outlives its graph's manager unless a :class:`FuncHandle` or the
-    manager itself is kept.
-    """
-
-    __slots__ = ("letter", "child", "node", "arity", "owner")
-
-    def __init__(self, letter: Letter | None, child: Edge | None,
-                 node: Node, arity: int, owner: weakref.ref):
-        self.letter = letter
-        self.child = child
-        self.node = node
-        self.arity = arity
-        self.owner = owner
 
     @property
     def manager(self) -> Manager:
@@ -124,8 +117,7 @@ class Edge:
 
     def __repr__(self):
         # the word and the node it ends at, never the whole DAG
-        node = self.node
-        kind = "diamond" if node.lo is not None else f"terminal {node.value}"
+        kind = "diamond" if self.lo is not None else f"terminal {self.value}"
         return f"<edge [{_label(self) or 'e'}] {kind} arity={self.arity}>"
 
 
@@ -223,11 +215,7 @@ class Manager:
     """
 
     def __init__(self):
-        # lo -> the bare edge to lo's one parent diamond, or, once lo
-        # has two, a dict hi -> the bare edge to the diamond over lo/hi
         self._diamonds: dict[Edge, Edge | dict[Edge, Edge]] = {}
-        # letter -> child edge (or, for a run of U longer than one, its
-        # length << 64 | id(child)) -> the letter's link over it
         self._links: dict[Letter, dict[Edge | int, Edge]] = {
             U: {}, X: {}, C11: {}, C10: {}, C01: {}, C00: {}, N: {}}
         self._spaces: dict[object, Space] = {}
@@ -235,15 +223,17 @@ class Manager:
         self.counters: dict[str, int] = {}
         # the one weak reference every edge of this manager stores
         self._ref = weakref.ref(self)
-        self.zero = Edge(None, None, Node(None, None, 0), 0, self._ref)
-        self.one = Edge(None, None, Node(None, None, 1), 0, self._ref)
+        self.zero = Edge(None, None, 0, self._ref, value=0)
+        self.one = Edge(None, None, 0, self._ref, value=1)
 
     def edge(self, letter: Letter, child: Edge) -> Edge:
         """Intern ``letter`` over the edge ``child``; ``U`` over a run of
         ``U`` is the run one longer."""
         links = self._links.get(letter)
         if links is None:
-            raise _not_a_letter(letter)
+            raise ValueError(
+                "bare edges come only from diamond(), zero and one"
+                if letter is None else f"{letter!r} is not a letter")
         if letter is U and child.letter is U:
             return self.run(1, child)
         # any other link, a run of length 1 included, is keyed on its
@@ -256,8 +246,7 @@ class Manager:
                 raise ManagerMismatchError(
                     "child belongs to another manager")
             found = links[child] = Edge(
-                letter, child, child.node, child.arity + (letter is not N),
-                self._ref)
+                letter, child, child.arity + (letter is not N), self._ref)
         return found
 
     def run(self, length: int, child: Edge) -> Edge:
@@ -282,8 +271,8 @@ class Manager:
             if base.owner is not self._ref:
                 raise ManagerMismatchError(
                     "child belongs to another manager")
-            found = links[key] = Edge(U, base, base.node,
-                                      base.arity + length, self._ref)
+            found = links[key] = Edge(U, base, base.arity + length,
+                                      self._ref)
         return found
 
     def diamond(self, lo: Edge, hi: Edge) -> Edge:
@@ -295,7 +284,7 @@ class Manager:
                 parent = found.get(hi)
                 if parent is not None:
                     return parent
-            elif found.node.hi is hi:
+            elif found.hi is hi:
                 return found
         # every diamond passed these checks, so a hit needs neither: a
         # foreign edge is never a lo key nor a known diamond's hi, and
@@ -306,14 +295,14 @@ class Manager:
             raise ArityError(
                 f"diamond children must agree on arity: "
                 f"{lo.arity} vs {hi.arity}")
-        parent = Edge(None, None, Node(lo, hi, None), lo.arity + 1, self._ref)
+        parent = Edge(None, None, lo.arity + 1, self._ref, lo, hi)
         if found is None:
             self._diamonds[lo] = parent
         elif found.__class__ is dict:
             found[hi] = parent
         else:
             # lo's second parent: from here on its parents are a dict
-            self._diamonds[lo] = {found.node.hi: found, hi: parent}
+            self._diamonds[lo] = {found.hi: found, hi: parent}
         return parent
 
     def space(self, model) -> Space:
@@ -344,11 +333,6 @@ class Manager:
         return f"<Manager diamonds={len(self)} edges={links}>"
 
 
-def _not_a_letter(letter) -> ValueError:
-    return ValueError("bare edges come only from diamond(), zero and one"
-                      if letter is None else f"{letter!r} is not a letter")
-
-
 def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
     """Evaluate the function at ``(x0, ..., x_{n-1})`` by one descent."""
     edge = handle.edge
@@ -361,10 +345,9 @@ def eval_handle(handle: FuncHandle, valuation: Sequence[int]) -> int:
     while True:
         letter = edge.letter
         if letter is None:
-            node = edge.node
-            if node.lo is None:
-                return node.value ^ parity
-            edge = node.hi if valuation[i] else node.lo
+            if edge.lo is None:
+                return edge.value ^ parity
+            edge = edge.hi if valuation[i] else edge.lo
             i += 1
             continue
         if letter is U:
@@ -402,12 +385,11 @@ def edge_mask(edge: Edge) -> int:
     pop = stack.pop
     while stack:
         edge = stack[-1]
-        node = edge.node
-        lo = node.lo
+        lo = edge.lo
         if lo is None:
-            mask = node.value
+            mask = edge.value
         else:
-            hi = node.hi
+            hi = edge.hi
             a = get(lo)
             b = get(hi)
             if a is None or b is None:
@@ -419,7 +401,7 @@ def edge_mask(edge: Edge) -> int:
             mask = a | b << (1 << lo.arity)
         pop()
         if edge.letter is not None:
-            arity = 0 if lo is None else lo.arity + 1
+            arity = edge.base.arity
             for letter in reversed(edge.word):
                 mask = letter_mask(letter, mask, arity)
                 arity += letter is not N
@@ -503,14 +485,11 @@ def signature(handle: FuncHandle) -> str:
             continue
         text = get(edge)
         if text is None:
-            node = edge.node
-            lo = node.lo
+            lo = edge.lo
             if lo is None:
-                text = spans[edge] = (
-                    f"[e]{'01'[node.value]}" if edge.letter is None
-                    else f"[{_label(edge)}]{'01'[node.value]}")
+                text = spans[edge] = f"[{_label(edge) or 'e'}]{edge.value}"
             else:
-                hi = node.hi
+                hi = edge.hi
                 head = ("[e](" if edge.letter is None
                         else f"[{_label(edge)}](")
                 a, b = get(lo), get(hi)
@@ -541,9 +520,10 @@ def dot_export(handle: FuncHandle) -> str:
     Diamond nodes are drawn as diamonds, terminals as boxes; ``lo``
     edges are dashed and ``hi`` edges solid; labels carry the word
     tokens.  Node numbering follows a deterministic preorder walk, which
-    labels each edge once however many diamonds share it.
+    names each node by its bare edge and labels each edge once however
+    many diamonds share it.
     """
-    ids: dict[Node, str] = {}
+    ids: dict[Edge, str] = {}
     # edge -> its label: an edge under several diamonds is labelled once
     labels: dict[Edge, str] = {}
     diamonds = 0
@@ -559,19 +539,18 @@ def dot_export(handle: FuncHandle) -> str:
         source = pop()
         edge = pop()
         style = pop()
-        node = edge.node
-        target = ids.get(node)
+        target = ids.get(edge.base or edge)
         if target is None:
-            if node.lo is None:
-                target = f"t{node.value}"
-                append(f'  {target} [shape=box, label="{node.value}"];')
+            if edge.lo is None:
+                target = f"t{edge.value}"
+                append(f'  {target} [shape=box, label="{edge.value}"];')
             else:
                 target = f"n{diamonds}"
                 diamonds += 1
                 append(f'  {target} [shape=diamond, label=""];')
-                stack += ("solid", node.hi, target,
-                          "dashed", node.lo, target)
-            ids[node] = target
+                stack += ("solid", edge.hi, target,
+                          "dashed", edge.lo, target)
+            ids[edge.base or edge] = target
         if edge.letter is None:
             append(f"  {source} -> {target} [style={style}];")
         else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, FuncHandle, Manager, Node
+from .graph import Edge, FuncHandle, Manager
 from .letters import N
 from .oracle import TruthTable
 from .reduction import ModelSpec, compile_table, lattice_leq
@@ -39,33 +39,35 @@ class SizeReport:
                 f"{self.diamonds},{self.letters},{self.s_size}")
 
 
-def _reach(root: Edge) -> tuple[set[Node], set[Edge]]:
-    """The nodes reachable from ``root``, terminals included, and the
-    reachable edges that carry a word (the root and the children of the
-    diamonds), in one loop over the diamonds."""
+def _reach(root: Edge) -> tuple[set[Edge], set[Edge]]:
+    """The nodes reachable from ``root``, terminals included, each named
+    by its bare edge, and the reachable edges that carry a word (the root
+    and the children of the diamonds), in one loop over the diamonds."""
     edges = {root} if root.letter is not None else set()
     add = edges.add
-    node = root.node
+    node = root.base or root
     nodes = {node}
+    mark = nodes.add
     stack = [node] if node.lo is not None else []
     push = stack.append
     pop = stack.pop
     while stack:
         node = pop()
-        lo = node.lo
         hi = node.hi
-        if lo.letter is not None:
-            add(lo)
-        if hi.letter is not None:
-            add(hi)
-        node = lo.node
+        node = node.lo
+        if node.letter is not None:
+            add(node)
+            node = node.base
         if node not in nodes:
-            nodes.add(node)
+            mark(node)
             if node.lo is not None:
                 push(node)
-        node = hi.node
+        node = hi
+        if node.letter is not None:
+            add(node)
+            node = node.base
         if node not in nodes:
-            nodes.add(node)
+            mark(node)
             if node.lo is not None:
                 push(node)
     return nodes, edges
@@ -79,8 +81,7 @@ def measure(handle: FuncHandle) -> SizeReport:
     long the words are."""
     nodes, edges = _reach(handle.edge)
     manager = handle.manager
-    diamonds = (len(nodes) - (manager.zero.node in nodes)
-                - (manager.one.node in nodes))
+    diamonds = len(nodes) - (manager.zero in nodes) - (manager.one in nodes)
     # link -> (elementary letters, marks) of its word
     tallies = {}
     get = tallies.get

@@ -50,10 +50,24 @@ def equiv(a: FuncHandle, b: FuncHandle) -> bool:
 def count_sat(handle: FuncHandle) -> int:
     """Number of satisfying valuations (exact, arbitrary precision).
 
-    Memoized per manager in the ``count`` cache, keyed on the edge."""
-    require_model(handle)
+    Memoized per manager in the ``count`` cache, keyed on the edge, but
+    for a diamond below the root that is in a constant row of the model:
+    it is read off the row, as ``s`` and ``o-c10`` build constants as
+    towers of diamonds, and a k-bit count per level would hold Θ(n²)."""
+    space = handle.manager.space(require_model(handle))
+    zeros, ones = space.zeros, space.ones
     memo = handle.manager.cache("count")
     get = memo.get
+
+    def fixed(edge):
+        # the count of a diamond in a constant row, else None
+        k = edge.arity
+        if edge.letter is None and k:
+            if k < len(ones) and ones[k] is edge:
+                return 1 << k
+            if k < len(zeros) and zeros[k] is edge:
+                return 0
+
     edge = handle.edge
     count = get(edge)
     # A post-order walk on an explicit stack, as ``graph.edge_mask`` is:
@@ -67,14 +81,17 @@ def count_sat(handle: FuncHandle) -> int:
         edge = stack[-1]
         letter = edge.letter
         if letter is None:
-            node = edge.node
-            lo = node.lo
+            lo = edge.lo
             if lo is None:
-                count = node.value
+                count = edge.value
             else:
-                hi = node.hi
+                hi = edge.hi
                 a = get(lo)
+                if a is None:
+                    a = fixed(lo)
                 b = get(hi)
+                if b is None:
+                    b = fixed(hi)
                 if a is None or b is None:
                     if b is None:
                         push(hi)
@@ -88,8 +105,10 @@ def count_sat(handle: FuncHandle) -> int:
             below = edge.child
             count = get(below)
             if count is None:
-                push(below)
-                continue
+                count = fixed(below)
+                if count is None:
+                    push(below)
+                    continue
             if letter is U:
                 count <<= edge.arity - below.arity  # c << k for U^k
             elif letter is N:
@@ -131,12 +150,12 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
         space = manager.space(model)
         rows = (space.zeros, space.ones)
         path: list[int] = []
-        # (depth, hi, parity): the pending x = 1 branch at path[depth].
-        # The function at hand is the edge's, complemented when
-        # ``parity`` is 1, as in ``eval_handle``: a mark is a step.  It
-        # has ``size - len(path)`` variables, fewer than the edge's
-        # arity only inside a run of U, which is a constant iff its
-        # child is.
+        # (depth, hi, parity), flat, with no tuple per level: the
+        # pending x = 1 branch at path[depth].  The function at hand is
+        # the edge's, complemented when ``parity`` is 1, as in
+        # ``eval_handle``: a mark is a step.  It has ``size - len(path)``
+        # variables, fewer than the edge's arity only inside a run of U,
+        # which is a constant iff its child is.
         size = arity
         pending = []
         edge = handle.edge
@@ -159,7 +178,7 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
                     parity ^= 1
                     continue
                 if letter is None:
-                    lo, hi = edge.node.lo, edge.node.hi
+                    lo, hi = edge.lo, edge.hi
                 else:
                     lo = hi = edge.child
                     if letter is U:
@@ -168,14 +187,15 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
                     elif letter is not X:
                         const = rows[letter.const][arity - 1]
                         lo, hi = (lo, const) if letter.branch else (const, hi)
-                pending.append((len(path), hi, parity ^ (letter is X)))
+                pending += (len(path), hi, parity ^ (letter is X))
                 path.append(0)
                 edge = lo
                 continue
             if not pending:
                 return
-            depth, edge, parity = pending.pop()
-            del path[depth:]
+            parity = pending.pop()
+            edge = pending.pop()
+            del path[pending.pop():]
             path.append(1)
 
     return walk()

@@ -266,7 +266,7 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     # check's own, or C00 for C01 in a complement-bearing model, whose
     # alphabet is closed under conjugation and whose constant 1 is the
     # mark over the constant 0).  Tested for all 48 models.
-    elif e0.node.lo is not None and e1.node.lo is not None:
+    elif e0.lo is not None and e1.lo is not None:
         found = manager.diamond(e0, e1)
     else:
         # Each check reads its constant from the model's row once the
@@ -276,26 +276,26 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
         space = manager.space(model)
         zeros = space.zeros
         ones = space.ones
-        if (e1.node.lo is None and C11 in letters
+        if (e1.lo is None and C11 in letters
                 and e1 is (ones[arity] if arity < len(ones)
                            else constant(model, manager, 1, arity))):
             found = manager.edge(C11, e0)
-        elif (e1.node.lo is None and C10 in letters
+        elif (e1.lo is None and C10 in letters
                 and e1 is (zeros[arity] if arity < len(zeros)
                            else constant(model, manager, 0, arity))):
             found = manager.edge(C10, e0)
-        elif (e0.node.lo is None and C01 in letters and model.negation
+        elif (e0.lo is None and C01 in letters and model.negation
                 and e1.letter is N
                 and e0 is (zeros[arity] if arity < len(zeros)
                            else constant(model, manager, 0, arity))):
             # e0 is 0 and e1 is ~y: the mark over C01.y, which is 1 at
             # x0 = 0
             found = manager.edge(N, manager.edge(C01, e1.child))
-        elif (e0.node.lo is None and C01 in letters and not model.negation
+        elif (e0.lo is None and C01 in letters and not model.negation
                 and e0 is (ones[arity] if arity < len(ones)
                            else constant(model, manager, 1, arity))):
             found = manager.edge(C01, e1)
-        elif (e0.node.lo is None and C00 in letters
+        elif (e0.lo is None and C00 in letters
                 and e0 is (zeros[arity] if arity < len(zeros)
                            else constant(model, manager, 0, arity))):
             found = manager.edge(C00, e1)
@@ -337,7 +337,7 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     """
     letter = edge.letter
     if letter is None:
-        return edge.node.lo, edge.node.hi
+        return edge.lo, edge.hi
     child = edge.child
     if letter is N:
         lo, hi = cofactors(model, child)
@@ -403,8 +403,7 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
                 edge = edge.child
                 continue
             if letter is None:
-                node = edge.node
-                lo, hi = node.lo, node.hi
+                lo, hi = edge.lo, edge.hi
             else:
                 lo, hi = cofactors(model, edge)
             if lo is not None:
@@ -412,7 +411,7 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
                 edge = lo
                 continue
             # a terminal: a leaf, never memoized
-            value = constant(model, manager, node.value ^ parity, 0)
+            value = constant(model, manager, edge.value ^ parity, 0)
         # hand the value up until a split needs its hi half next
         while stack:
             frame = stack.pop()

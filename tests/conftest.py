@@ -75,10 +75,9 @@ def iter_edges(root):
             continue
         seen.add(edge)
         yield edge
-        node = edge.node
-        if node.lo is not None:
-            stack.append(node.hi)
-            stack.append(node.lo)
+        if edge.lo is not None:
+            stack.append(edge.hi)
+            stack.append(edge.lo)
 
 
 def chain(manager: Manager, letters, child=None):

@@ -102,7 +102,7 @@ def _sweep_model(name, model):
                 if e in seen:
                     continue
                 seen.add(e)
-                node = e.node
+                node = e.base or e
                 if node.lo is not None:
                     diamonds += 1
                     stack.append(node.lo)
@@ -113,7 +113,7 @@ def _sweep_model(name, model):
                         result.local_violations += _check_diamond(
                             node, letters, child_ones)
             # deduplicate diamonds shared through several edges
-            diamonds = len({e.node for e in seen if e.node.lo is not None})
+            diamonds = len({(e.base or e) for e in seen if e.lo is not None})
             counts.append(diamonds)
             if edges is not None:
                 edges[mask] = edge
@@ -193,8 +193,8 @@ def _s_size_cache(cache, edge):
         nodes = set()
         for e in iter_edges(edge):
             letters += sum(1 for l in e.word if l is not N)
-            if e.node.lo is not None:
-                nodes.add(e.node)
+            if e.lo is not None:
+                nodes.add(e.base or e)
         found = cache[edge] = max(len(nodes) + letters, 1)
     return found
 

@@ -366,6 +366,16 @@ class TestCompare:
         assert len(lines) == 4
         assert lines[3].startswith("o-nucx,4,-,1,")
 
+    @pytest.mark.parametrize("source", [
+        ["--expr", "x0 &", "--arity", "2"],
+        ["--tt", "zz", "--arity", "2"],
+        ["--expr", "x0", "--arity", "100001"],
+    ], ids=["expr", "tt", "arity"])
+    def test_input_error_prints_no_row(self, source, capsys):
+        # every input is loaded before the CSV header is printed
+        assert invoke("compare", "--models", "o-u,s", *source) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBench:
     def test_no_violations_and_determinism(self):

@@ -86,8 +86,8 @@ def s_size(handle):
     letters = 0
     for edge in iter_edges(handle.edge):
         letters += sum(1 for l in edge.word if l is not N)
-        if edge.node.lo is not None:
-            diamonds.add(edge.node)
+        if edge.lo is not None:
+            diamonds.add(edge.base or edge)
     return len(diamonds) + letters
 
 
@@ -817,8 +817,8 @@ class TestBuildExpr:
     def test_running_example(self, mgr):
         ast = parse_expr(EXAMPLE1_EXPR, 4)
         h = build_expr(NUCX, ast, 4, mgr)
-        diamonds = {e.node for e in iter_edges(h.edge)
-                    if e.node.lo is not None}
+        diamonds = {(e.base or e) for e in iter_edges(h.edge)
+                    if e.lo is not None}
         assert len(diamonds) == 1
         assert h.edge is compile_table(NUCX, example1_table(), mgr).edge
 

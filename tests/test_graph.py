@@ -24,7 +24,6 @@ from nucx.graph import (
     FuncHandle,
     Manager,
     ManagerMismatchError,
-    Node,
     SignatureLimitError,
     dot_export,
     edge_mask,
@@ -44,7 +43,7 @@ from nucx.reduction import (PRESETS, certify_canonicity, cofactors,
 
 def recompute_arity(edge):
     """Bottom-up arity recomputation, independent of the stored one."""
-    node = edge.node
+    node = edge.base or edge
     base = 0 if node.lo is None else recompute_arity(node.lo) + 1
     if node.lo is not None and recompute_arity(node.hi) + 1 != base:
         raise ArityError("inconsistent child arities")
@@ -64,7 +63,7 @@ class TestInterning:
         d1 = mgr.diamond(e, e)
         d2 = mgr.diamond(e, e)
         assert d1 is d2
-        assert d1.node is d2.node
+        assert (d1.base or d1) is (d2.base or d2)
         assert d1.letter is None and d1.child is None
 
     def test_terminal_diamond_arity(self, mgr):
@@ -89,10 +88,11 @@ class TestInterning:
         # bare edges come only from diamond(), zero and one
         own = mgr.diamond(mgr.zero, mgr.one)
         edges = len(interned_links(mgr))
-        stray = Node(mgr.zero, mgr.one, None)
+        # a bare edge the manager never interned
+        stray = Edge(None, None, 1, mgr._ref, mgr.zero, mgr.one)
         other = Manager()
-        foreign = other.diamond(other.zero, other.one).node
-        for target in (own.node, mgr.one.node, own, stray, foreign):
+        foreign = other.diamond(other.zero, other.one)
+        for target in (own, mgr.one, stray, foreign):
             with pytest.raises(ValueError):
                 mgr.edge(None, target)
         assert len(interned_links(mgr)) == edges
@@ -100,7 +100,7 @@ class TestInterning:
         assert len(mgr) == 1
 
     def test_only_letters_link(self, mgr):
-        for junk in ("U", 0, Node):
+        for junk in ("U", 0, Edge):
             with pytest.raises(ValueError, match="is not a letter"):
                 mgr.edge(junk, mgr.zero)
         assert interned_links(mgr) == []
@@ -125,7 +125,7 @@ class TestDiamondTable:
         parent = mgr.diamond(lo, hi)
         assert mgr._diamonds[lo] is parent
         assert mgr.diamond(lo, hi) is parent
-        assert (parent.node.lo, parent.node.hi) == (lo, hi)
+        assert (parent.lo, parent.hi) == (lo, hi)
 
     def test_second_parent_makes_a_dict(self, mgr):
         lo = mgr.diamond(mgr.zero, mgr.one)
@@ -136,7 +136,7 @@ class TestDiamondTable:
         assert mgr._diamonds[lo] == {hi: first, lo: second}
         assert mgr.diamond(lo, hi) is first
         assert mgr.diamond(lo, lo) is second
-        assert (second.node.lo, second.node.hi) == (lo, lo)
+        assert (second.lo, second.hi) == (lo, lo)
 
     def test_many_parents(self, mgr):
         lo = mgr.diamond(mgr.zero, mgr.one)
@@ -146,7 +146,7 @@ class TestDiamondTable:
         assert mgr._diamonds[lo] == dict(zip(his, parents))
         for hi, parent in zip(reversed(his), reversed(parents)):
             assert mgr.diamond(lo, hi) is parent
-            assert parent.node.hi is hi and parent.arity == 2
+            assert parent.hi is hi and parent.arity == 2
 
     @pytest.mark.parametrize("parents", [1, 2])
     def test_foreign_children_under_a_known_lo(self, mgr, parents):
@@ -183,7 +183,7 @@ class TestDiamondTable:
     def test_len_counts_distinct_pairs(self, mgr):
         rng = random.Random(3)
         pool = arity1_edges(mgr)
-        made = {(edge.node.lo, edge.node.hi) for edge in pool}
+        made = {(edge.lo, edge.hi) for edge in pool}
         pool += [mgr.edge(X, mgr.zero), mgr.edge(U, mgr.one),
                  mgr.edge(N, pool[5])]
         for _ in range(400):
@@ -195,7 +195,7 @@ class TestDiamondTable:
                              f"edges={len(interned_links(mgr))}>")
         for a, b in made:
             edge = mgr.diamond(a, b)
-            assert (edge.node.lo, edge.node.hi) == (a, b)
+            assert (edge.lo, edge.hi) == (a, b)
         assert len(mgr) == len(made)
 
 
@@ -224,8 +224,28 @@ class TestPrepend:
         assert e_ux.letter is U
         assert e_ux.child is mgr.edge(X, e)
         assert e_ux.child.child is e
-        assert e_ux.node is e.node
+        assert (e_ux.base or e_ux) is (e.base or e)
         assert e.letter is None and e.child is None
+
+    @pytest.mark.parametrize("name", ["s", "o-u", "o-nucx"])
+    def test_links_copy_their_node(self, name):
+        # a link holds the bare edge at the end of its word and that
+        # node's fields; a bare edge holds no base
+        manager = Manager()
+        for text in chain_texts(24).values():
+            build_expr(PRESETS[name], parse_expr(text, 24), 24, manager)
+        for parents in manager._diamonds.values():
+            for bare in (parents.values() if type(parents) is dict
+                         else [parents]):
+                assert bare.base is None and bare.value is None
+                assert bare.lo.arity == bare.hi.arity == bare.arity - 1
+        for link in interned_links(manager) + [manager.zero, manager.one]:
+            base = link.base or link
+            assert base.letter is None and base.base is None
+            assert link.base is (link.child.base or link.child
+                                 if link.child else None)
+            assert (link.lo, link.hi) == (base.lo, base.hi)
+            assert link.value == base.value
 
 
 class TestRunLinks:
@@ -280,7 +300,7 @@ class TestRunLinks:
                 edge = chain(grouped, word, a)
                 assert edge.word == self.by_edges(stepped, word, b).word
                 assert edge.arity == a.arity + sum(l is not N for l in word)
-                assert edge.node is a.node
+                assert (edge.base or edge) is (a.base or a)
                 assert self.by_edges(grouped, word, a) is edge
 
     def test_links_are_a_subset_of_the_edge_calls(self):
@@ -406,7 +426,7 @@ def reference_edge_mask(edge, cache):
     found = cache.get(edge)
     if found is not None:
         return found
-    node = edge.node
+    node = edge.base or edge
     if node.lo is None:
         mask = node.value
     else:
@@ -461,7 +481,7 @@ class TestSignature:
         # whole, open, and again from the span of an open one
         def expand(edge):
             tokens = [letter.token for letter in edge.word]
-            node = edge.node
+            node = edge.base or edge
             body = ("01"[node.value] if node.lo is None
                     else f"({expand(node.lo)},{expand(node.hi)})")
             return f"[{'.'.join(tokens) or 'e'}]{body}"
@@ -650,7 +670,7 @@ def reference_dot(handle):
     stack = [("root", handle.edge, "solid")]
     while stack:
         source, edge, style = stack.pop()
-        node = edge.node
+        node = edge.base or edge
         if node not in ids:
             if node.lo is None:
                 ids[node] = f"t{node.value}"
@@ -697,7 +717,7 @@ class TestWalksMatchReferences:
         ids = {}
         diamonds = []
         for edge in iter_edges(handle.edge):
-            node = edge.node
+            node = edge.base or edge
             if node not in ids:
                 ids[node] = (f"t{node.value}" if node.lo is None
                              else f"n{len(diamonds)}")
@@ -707,7 +727,8 @@ class TestWalksMatchReferences:
         def arrow(source, edge, style):
             label = ("" if edge.letter is None
                      else f', label="{reference_label(edge)}"')
-            return f"  {source} -> {ids[edge.node]} [style={style}{label}];"
+            target = ids[edge.base or edge]
+            return f"  {source} -> {target} [style={style}{label}];"
 
         expected = [arrow("root", handle.edge, "solid")]
         for node in diamonds:
@@ -871,14 +892,17 @@ class TestOwnership:
 CHAIN_MODELS = ("o-u", "o-nu", "o-nucx", "s")
 
 
-def tracked_tuples() -> int:
-    return sum(type(obj) is tuple for obj in gc.get_objects())
+def tracked_objects() -> collections.Counter:
+    """The objects the cycle collector tracks, counted by type."""
+    return collections.Counter(map(type, gc.get_objects()))
 
 
 def check_tables_track_nothing_per_entry(arity: int) -> int:
     """Build the chain families under ``CHAIN_MODELS`` at ``arity``,
-    count them and reduce them into ``o-nucx``; check that no entry of a unique table or memo allocated
-    an object for the cycle collector.  Returns the number of entries.
+    count them and reduce them into ``o-nucx``; check that no entry of a
+    unique table or memo allocated an object for the cycle collector,
+    and that each diamond and each link is one tracked object, its
+    :class:`Edge`.  Returns the number of entries.
 
     The ``apply`` and ``compile`` keys are ints; a letter link is keyed
     on its child, an edge the unique tables already hold (a run of ``U``
@@ -887,11 +911,12 @@ def check_tables_track_nothing_per_entry(arity: int) -> int:
     keyed on ``lo`` edges, and a ``lo`` with two parents or more maps
     to a dict keyed on ``hi`` edges: that dict is the one tracked object
     the table makes, and fewer than a tenth of the diamonds need one.
-    Tracked tuples may only grow by a constant."""
+    Tracked tuples may only grow by a constant, and the other tracked
+    objects by a constant per manager."""
     # warm up whatever the library makes once per process
     build_expr(PRESETS["o-u"], parse_expr("x0 & ~x1 ^ x2", 3), 3, Manager())
     gc.collect()
-    before = tracked_tuples()
+    before = tracked_objects()
     handles = []
     for text in chain_texts(arity).values():
         for name in CHAIN_MODELS:
@@ -901,17 +926,19 @@ def check_tables_track_nothing_per_entry(arity: int) -> int:
             reduce(PRESETS["o-nucx"], handle)
             handles.append(handle)
     gc.collect()
-    grown = tracked_tuples() - before
-    assert grown < 64, f"{grown} more tracked tuples"
+    grown = tracked_objects() - before
+    assert grown[tuple] < 64, f"{grown[tuple]} more tracked tuples"
     entries = 0
     inner_tables = 0
     diamonds = 0
+    links = 0
     for handle in handles:
         manager = handle.manager
         inner = [parents for parents in manager._diamonds.values()
                  if type(parents) is dict]
         inner_tables += len(inner)
         diamonds += len(manager)
+        links += len(interned_links(manager))
         interned = {id(manager.zero), id(manager.one)}
         for table in (*manager._links.values(), *inner):
             interned.update(id(edge) for edge in table.values())
@@ -936,6 +963,12 @@ def check_tables_track_nothing_per_entry(arity: int) -> int:
                 assert not gc.is_tracked(key) or (
                     type(key) is Edge and id(key) in interned), key
     assert inner_tables * 10 < diamonds, (inner_tables, diamonds)
+    # the bare edge is the node: a diamond is one tracked object, as a
+    # link is, and each manager adds its two terminals
+    made = grown.pop(Edge)
+    assert made == diamonds + links + 2 * len(handles), (made, diamonds)
+    others = sum(grown.values()) - inner_tables
+    assert others < 64 * len(handles), grown.most_common(4)
     return entries
 
 

@@ -47,7 +47,7 @@ NEGATION_MODELS = [(n, m) for n, m in ALL_MODELS if m.negation]
 
 
 def diamonds_of(edge):
-    return {e.node for e in iter_edges(edge) if e.node.lo is not None}
+    return {(e.base or e) for e in iter_edges(edge) if e.lo is not None}
 
 
 class TestConjugation:
@@ -252,7 +252,7 @@ class TestValidModels:
         for arity in range(41):
             for value in compared:
                 edge = constant(model, manager, value, arity)
-                assert edge.node.lo is None, (value, arity)
+                assert edge.lo is None, (value, arity)
 
     def test_constants_are_chains_at_every_arity_or_at_none(self):
         # the apply core reads this once per call, at the root's arity,
@@ -260,7 +260,7 @@ class TestValidModels:
         manager = Manager()
         chains = 0
         for model in VALID_MODELS:
-            shapes = {tuple(constant(model, manager, value, arity).node.lo
+            shapes = {tuple(constant(model, manager, value, arity).lo
                             is None for value in (0, 1))
                       for arity in range(1, 31)}
             assert len(shapes) == 1, model
@@ -348,7 +348,7 @@ class TestConsDiamond:
         zero1 = constant(model, mgr, 0, 1)
         result = cons_diamond(model, mgr, e, zero1)
         assert result.word == (C10,) + e.word
-        assert result.node is e.node
+        assert (result.base or result) is (e.base or e)
 
     def test_arity_mismatch(self, mgr):
         with pytest.raises(ArityError):
@@ -799,7 +799,7 @@ class TestNormalForm:
             for edge in iter_edges(handle.edge):
                 assert edge.word.count(N) <= 1
                 assert N not in edge.word[1:]
-                node = edge.node
+                node = edge.base or edge
                 if node.lo is not None:
                     assert not (node.lo.word and node.lo.word[0] is N)
 
