@@ -25,8 +25,6 @@ from .oracle import (
     ArityError,
     OracleLimitError,
     TruthTable,
-    apply_functor,
-    classify_top,
     combine,
     tt_apply,
     tt_eval,

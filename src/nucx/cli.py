@@ -4,7 +4,8 @@ Inputs are Boolean expressions (``--expr``, grammar below, arity at
 most ``EXPR_ARITY_LIMIT``) or hex truth tables (``--tt``), always with
 an explicit ``--arity`` (at most 24 for ``bench``, which draws random
 tables).  Exit codes: 0 success (also when the reader closes stdout
-early), 1 usage or parse error, 2 internal invariant violation.
+early), 1 usage or parse error, 2 internal invariant violation or a
+``bench`` size-bound violation.
 
 Expression grammar (loosest to tightest): ``|``, ``^``, ``&``, unary
 ``~``; parentheses, constants ``0``/``1`` and variables ``x0, x1, ...``.

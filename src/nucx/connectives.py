@@ -27,11 +27,12 @@ across calls are free.
 
 A key is normalized as in complement-edge BDD packages: a leading
 complement mark on an operand is folded into the table instead of kept
-on the edge, the operand with the lower ``id`` comes first (the table
-is transposed to match), and in complement-bearing models a table with
-``op(0, 0) = 1`` is the complement of ``op ^ 15``.  So ``xor(~f, g)``,
-``and(~f, ~g)`` and ``or(g, f)`` reuse the entries of ``xor(f, g)`` and
-``or(f, g)``, and no split complements a cofactor to build a key.
+on the edge (``_NOT_A`` or ``_NOT_B``), the operand with the lower
+``id`` comes first (``_SWAP`` transposes the table to match), and in
+complement-bearing models a table with ``op(0, 0) = 1`` is the
+complement of ``op ^ 15``.  So ``xor(~f, g)``, ``and(~f, ~g)`` and
+``or(g, f)`` reuse the entries of ``xor(f, g)`` and ``or(f, g)``, and
+no split complements a cofactor to build a key.
 
 In complement-bearing models negation is a constant-time mark toggle;
 in mark-free models it is ``reduction.rebuild`` with parity 1.
@@ -58,6 +59,24 @@ _OPERATORS = {"and": 0b1000, "or": 0b1110, "xor": 0b0110, "implies": 0b1011}
 _AND = _OPERATORS["and"]
 _XOR = _OPERATORS["xor"]
 _XNOR = _XOR ^ 15
+
+
+def _tables(inputs) -> tuple[int, ...]:
+    """Indexed by table ``op``: the table whose bit ``2a+b`` is
+    ``op(*inputs(a, b))``."""
+    def bit(op, a, b):
+        return op >> 2 * a + b & 1
+    return tuple(sum(bit(op, *inputs(a, b)) << 2 * a + b
+                     for a in (0, 1) for b in (0, 1))
+                 for op in range(16))
+
+
+#: Indexed by ``op``: ``op`` with its first operand complemented
+#: (``_NOT_A``), its second (``_NOT_B``), or its operands swapped
+#: (``_SWAP``).
+_NOT_A = _tables(lambda a, b: (1 - a, b))
+_NOT_B = _tables(lambda a, b: (a, 1 - b))
+_SWAP = _tables(lambda a, b: (b, a))
 
 #: Frame kinds on the apply core's stack.
 _SPLIT, _JOIN, _NEG, _RUN, _WORD = range(5)
@@ -129,6 +148,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     space = manager.space(model)
     memo = space.apply
     negation = model.negation
+    not_a, not_b, swap = _NOT_A, _NOT_B, _SWAP
     count = op == _AND
     pairs = 0
     # fill both constant rows up to the operands' arity: every constant
@@ -171,10 +191,10 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
         while True:
             if x.letter is N:
                 x = x.child
-                op = op >> 2 & 3 | (op & 3) << 2
+                op = not_a[op]
             if y.letter is N:
                 y = y.child
-                op = op >> 1 & 5 | op << 1 & 10
+                op = not_b[op]
             if not runs:
                 m = n
                 break
@@ -223,7 +243,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
         j = id(y)
         if j < i:
             x, y, i, j = y, x, j, i
-            op = op & 9 | op >> 1 & 2 | op << 1 & 4
+            op = swap[op]
         key = (i << 64 | j) << 4 | op
         value = memo.get(key)
         # x is y is a leaf below; its key's table depends on the order the
@@ -263,7 +283,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
                     x0, x1 = x.lo, x.hi
                 elif a is X:
                     x0 = x1 = x.child
-                    op1 = op1 >> 2 & 3 | (op1 & 3) << 2
+                    op1 = not_a[op1]
                 else:
                     x0, x1 = cofactors(model, x)
             else:
@@ -274,7 +294,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
                     y0, y1 = y.lo, y.hi
                 elif b is X:
                     y0 = y1 = y.child
-                    op1 = op1 >> 1 & 5 | op1 << 1 & 10
+                    op1 = not_b[op1]
                 else:
                     y0, y1 = cofactors(model, y)
             else:

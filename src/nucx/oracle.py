@@ -10,7 +10,7 @@ oracle, not a representation meant to compete with the diagrams.
 
 ``letter_mask`` is the one definition of what each edge letter does to a
 function (a canalizing one's through its ``branch`` and ``const``);
-``apply_functor`` and ``graph.edge_mask`` both call it.
+``graph.edge_mask`` reads every word through it.
 """
 
 from __future__ import annotations
@@ -217,57 +217,3 @@ def letter_mask(letter: Letter, mask: int, arity: int) -> int:
     if branch:
         return mask | forced << size
     return forced | mask << size
-
-
-def apply_functor(letter: Letter, f: TruthTable) -> TruthTable:
-    """Apply one edge letter to a table (see :func:`letter_mask`)."""
-    arity = f.arity if letter is N else check_arity(f.arity + 1)
-    return TruthTable(arity, letter_mask(letter, f.mask, f.arity))
-
-
-@dataclass(frozen=True)
-class TopClassification:
-    """How a function treats its leading variable ``x0``.
-
-    Categories are not exclusive: ``canalizing`` lists every
-    ``(branch, const)`` pair that applies, and a function may be, say,
-    canalizing two ways at once.  ``plain`` means nothing matched.
-    """
-
-    useless: bool
-    xor: bool
-    canalizing: frozenset[tuple[int, int]]
-    f0: TruthTable
-    f1: TruthTable
-
-    @property
-    def plain(self) -> bool:
-        return not (self.useless or self.xor or self.canalizing)
-
-
-def classify_top(f: TruthTable) -> TopClassification:
-    """Split ``f`` on ``x0`` and classify the variable just removed."""
-    if f.arity < 1:
-        raise ArityError("cannot classify the top variable of a constant")
-    half = 1 << (f.arity - 1)
-    ones = _ones(half)
-    m0 = f.mask & ones
-    m1 = f.mask >> half
-    f0 = TruthTable(f.arity - 1, m0)
-    f1 = TruthTable(f.arity - 1, m1)
-    canal = []
-    if m0 == 0:
-        canal.append((0, 0))
-    if m0 == ones:
-        canal.append((0, 1))
-    if m1 == 0:
-        canal.append((1, 0))
-    if m1 == ones:
-        canal.append((1, 1))
-    return TopClassification(
-        useless=m0 == m1,
-        xor=m1 == m0 ^ ones,
-        canalizing=frozenset(canal),
-        f0=f0,
-        f1=f1,
-    )

@@ -137,8 +137,8 @@ NUCX = PRESETS["o-nucx"]
 
 def lattice_leq(a: ModelSpec, b: ModelSpec) -> bool:
     """Is ``b`` at least as expressive as ``a``?  The one statement of
-    the model order: ``HASSE_EDGES`` and ``metrics.check_bounds`` read
-    it."""
+    the model order: ``HASSE_EDGES`` (through ``_below``),
+    ``metrics.bound_verdict`` and ``nucx bench`` read it."""
     return a.letters <= b.letters and (b.negation or not a.negation)
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -463,6 +464,24 @@ class TestExitCodes:
     def test_parse_error(self):
         assert invoke("compile", "--expr", "x9", "--arity", "2")[0] == 1
         assert invoke("compile", "--expr", "x0 &", "--arity", "1")[0] == 1
+
+    def test_bound_violation(self, monkeypatch):
+        # a failed verdict is a defect in the library: it is counted on
+        # the last line and exits 2; o-u <= o-nu is one comparable pair
+        failed = types.SimpleNamespace(ok=False)
+        monkeypatch.setattr("nucx.cli.bound_verdict", lambda *args: failed)
+        code, out = invoke("bench", "--arity", "3", "--samples", "2",
+                           "--models", "o-u,o-nu")
+        assert (code, out.splitlines()[-1]) == (2, "violations=2")
+
+    def test_invariant_violation(self, monkeypatch, capsys):
+        def broken(handle):
+            raise AssertionError("broken invariant")
+        monkeypatch.setattr("nucx.cli.signature", broken)
+        assert invoke("compile", "--expr", "x0", "--arity", "1") == (2, "")
+        # one line, no traceback
+        assert capsys.readouterr().err == (
+            "internal invariant violation: broken invariant\n")
 
     def test_unknown_model(self):
         assert invoke("compile", "--model", "o-zdd", "--expr", "x0",

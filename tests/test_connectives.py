@@ -9,6 +9,9 @@ from conftest import (EXAMPLE1_EXPR, chain_texts, custom_param,
                       example1_table, interned_links, iter_edges,
                       model_spellings, one_hot)
 from nucx.connectives import (
+    _NOT_A,
+    _NOT_B,
+    _SWAP,
     _apply,
     apply,
     build_expr,
@@ -28,8 +31,7 @@ from nucx.metrics import measure
 from nucx.oracle import (
     ArityError,
     TruthTable,
-    apply_functor,
-    classify_top,
+    letter_mask,
     tt_apply,
 )
 from nucx.queries import count_sat, is_sat, is_taut
@@ -100,7 +102,8 @@ class TestCofactor:
 
     def test_useless_letter(self, mgr):
         f = TruthTable(2, 0b0110)
-        lifted = compile_table(NUCX, apply_functor(U, f), mgr)
+        lifted = compile_table(NUCX, TruthTable(3, letter_mask(U, f.mask, 2)),
+                               mgr)
         inner = compile_table(NUCX, f, mgr)
         assert cofactor(0, lifted).edge is inner.edge
 
@@ -120,8 +123,10 @@ class TestCofactor:
             arity = rng.randint(1, 4)
             table = TruthTable(arity, rng.getrandbits(1 << arity))
             handle = compile_table(model, table, manager)
-            c = classify_top(table)
-            for v0, expected in ((0, c.f0), (1, c.f1)):
+            half = 1 << arity - 1
+            f0 = TruthTable(arity - 1, table.mask & (1 << half) - 1)
+            f1 = TruthTable(arity - 1, table.mask >> half)
+            for v0, expected in ((0, f0), (1, f1)):
                 got = cofactor(v0, handle)
                 assert to_truth_table(got) == expected
                 assert got.edge is compile_table(model, expected,
@@ -301,6 +306,17 @@ class TestApplyKeys:
     @pytest.mark.parametrize("model", model_spellings())
     def test_every_table_on_every_pair(self, model):
         check_every_table(model, range(3))
+
+    def test_normalizing_tables_mean_what_they_say(self):
+        def bit(op, a, b):
+            return op >> 2 * a + b & 1
+        for op in range(16):
+            for a, b in itertools.product((0, 1), repeat=2):
+                assert bit(_NOT_A[op], a, b) == bit(op, 1 - a, b)
+                assert bit(_NOT_B[op], a, b) == bit(op, a, 1 - b)
+                assert bit(_SWAP[op], a, b) == bit(op, b, a)
+            for table in (_NOT_A, _NOT_B, _SWAP):
+                assert table[table[op]] == op
 
     @pytest.mark.parametrize("name", ["o-nu", "o-nucx"])
     def test_complement_and_swap_share_entries(self, name):

@@ -15,8 +15,6 @@ from nucx.oracle import (
     ArityError,
     OracleLimitError,
     TruthTable,
-    apply_functor,
-    classify_top,
     combine,
     letter_mask,
     tt_apply,
@@ -30,6 +28,12 @@ def tt(bits):
 
 def all_tables(n):
     return (TruthTable(n, m) for m in range(1 << (1 << n)))
+
+
+def lift(letter, f):
+    """``letter`` applied to the table ``f``, through ``letter_mask``."""
+    arity = f.arity if letter is N else f.arity + 1
+    return TruthTable(arity, letter_mask(letter, f.mask, f.arity))
 
 
 def ref_eval(bits, valuation):
@@ -135,31 +139,41 @@ class TestCombine:
         with pytest.raises(ArityError):
             combine("s", tt([0, 1]), tt([0]))
 
+    def test_shannon_universality(self):
+        # splitting on x0 and recombining is the identity
+        for n in (1, 2, 3):
+            for f in all_tables(n) if n <= 2 else \
+                    (TruthTable(n, m) for m in range(0, 256, 7)):
+                half = 1 << n - 1
+                f0 = TruthTable(n - 1, f.mask & (1 << half) - 1)
+                f1 = TruthTable(n - 1, f.mask >> half)
+                assert combine("s", f0, f1) == f
+
 
 class TestFunctors:
     def test_paper_c00_example(self):
         # 0 *s (not x1)  ==  x0 and not x1
         f = tt([1, 0])
-        assert apply_functor(from_token("c00"), f) == tt([0, 0, 1, 0])
+        assert lift(from_token("c00"), f) == tt([0, 0, 1, 0])
 
     def test_useless_ignores_new_variable(self):
         f = TruthTable(2, 0x6)
-        g = apply_functor(U, f)
+        g = lift(U, f)
         for v in itertools.product((0, 1), repeat=2):
             assert tt_eval(g, (0,) + v) == tt_eval(g, (1,) + v)
 
     def test_xor_of_zero_is_identity(self):
-        assert apply_functor(X, TruthTable.constant(0, 0)) == tt([0, 1])
+        assert lift(X, TruthTable.constant(0, 0)) == tt([0, 1])
 
     def test_negation_involution(self):
         for f in all_tables(2):
-            assert apply_functor(N, apply_functor(N, f)) == f
+            assert lift(N, lift(N, f)) == f
 
     def test_arity_shift(self):
         f = TruthTable(2, 0x9)
         for letter in ALPHABET:
             expected = f.arity if letter is N else f.arity + 1
-            assert apply_functor(letter, f).arity == expected
+            assert lift(letter, f).arity == expected
 
     @pytest.mark.parametrize("letter", [None, "C00", 0])
     def test_non_letter_is_rejected(self, letter):
@@ -180,48 +194,7 @@ class TestFunctors:
             "C11": combine("s", f, one),
         }
         for token, expected in patterns.items():
-            assert apply_functor(from_token(token), f) == expected
-
-
-class TestClassifyTop:
-    def test_paper_canalizing(self):
-        c = classify_top(tt([0, 0, 1, 0]))
-        assert c.canalizing == {(0, 0)}
-        assert not c.useless and not c.xor and not c.plain
-        assert c.f0 == TruthTable.constant(1, 0)
-        assert c.f1 == tt([1, 0])
-
-    def test_useless(self):
-        c = classify_top(tt([0, 1, 0, 1]))
-        assert c.useless
-        assert c.f0 == c.f1 == tt([0, 1])
-
-    def test_xor(self):
-        c = classify_top(tt([0, 1, 1, 0]))
-        assert c.xor
-        assert c.f1 == tt_apply("not", c.f0)
-
-    def test_constant_rejected(self):
-        with pytest.raises(ArityError):
-            classify_top(TruthTable.constant(0, 1))
-
-    def test_shannon_universality(self):
-        # splitting and recombining is the identity
-        for n in (1, 2, 3):
-            for f in all_tables(n) if n <= 2 else \
-                    (TruthTable(n, m) for m in range(0, 256, 7)):
-                c = classify_top(f)
-                assert combine("s", c.f0, c.f1) == f
-
-    def test_categories_match_semantic_definitions(self):
-        for f in all_tables(2):
-            c = classify_top(f)
-            assert c.useless == (c.f0 == c.f1)
-            assert c.xor == (c.f1 == tt_apply("not", c.f0))
-            for b, t in itertools.product((0, 1), (0, 1)):
-                side = c.f0 if b == 0 else c.f1
-                expected = side == TruthTable.constant(1, t)
-                assert ((b, t) in c.canalizing) == expected
+            assert lift(from_token(token), f) == expected
 
 
 DAVIO_ROWS = [
