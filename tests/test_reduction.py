@@ -605,6 +605,43 @@ class TestCompile:
         handle = compile_table(NUCX, TruthTable(2, 0b1000), mgr)
         assert signature(handle) == "[C00.X]0"
 
+    def test_paper_canalizing(self, mgr):
+        # x0 and not x1 is 0 *s (not x1); with the complement mark its
+        # normal form is not (1 *s x1): the mark over a C01 link over x1
+        handle = compile_table(NUCX, TruthTable.from_bits([0, 0, 1, 0]), mgr)
+        assert handle.edge.letter is N
+        assert handle.edge.child.letter is C01
+        assert handle.edge.child.child is compile_table(
+            NUCX, TruthTable.from_bits([0, 1]), mgr).edge
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_top_letter_matches_semantic_definitions(self, arity, mgr):
+        # the letter above a compiled table is read off its cofactors on
+        # x0, taken of the function below a leading mark: U if they are
+        # equal, X if complements, Cbt if branch b is the constant t (at
+        # most one side is constant when neither holds), else a diamond
+        for mask in range(1 << (1 << arity)):
+            table = TruthTable(arity, mask)
+            edge = compile_table(NUCX, table, mgr).edge
+            if edge.letter is N:
+                edge = edge.child
+                table = tt_apply("not", table)
+            half = 1 << arity - 1
+            sides = (TruthTable(arity - 1, table.mask & (1 << half) - 1),
+                     TruthTable(arity - 1, table.mask >> half))
+            canalizing = [
+                letter for letter in (C00, C01, C10, C11)
+                if sides[letter.branch]
+                == TruthTable.constant(arity - 1, letter.const)]
+            if sides[0] == sides[1]:
+                expected = U
+            elif sides[1] == tt_apply("not", sides[0]):
+                expected = X
+            else:
+                assert len(canalizing) <= 1
+                expected = canalizing[0] if canalizing else None
+            assert edge.letter is expected, (mask, edge.word)
+
     def test_letterless_model_is_a_shannon_tree(self, mgr):
         model = PRESETS["s"]
         for mask in range(256):
