@@ -24,6 +24,20 @@ In complement-bearing models the constructor first applies the
 complement normalization: a mark on the ``lo`` child is pulled above the
 node (toggling the ``hi`` child), so marks only ever appear at the front
 of a word and never twice.
+
+The plain rule.  A pair ``(lo, hi)`` of reduced children of one arity
+in one manager is *plain* when ``lo is not hi``, both end at a diamond
+(``.lo is not None``), ``lo`` carries no mark and, only where the model
+has ``X``, ``hi`` is not the mark over ``lo``.  No rule of
+``cons_diamond`` fires on a plain pair under any model: ``U`` needs
+``lo is hi``, ``X`` needs ``hi`` to be the mark over ``lo``, a
+canalizing letter needs a child that ends at a terminal, and the mark
+pull needs a marked ``lo``.  So ``cons_diamond`` returns
+``manager.diamond(lo, hi)`` for it, and the three node builders
+(``compile_table``'s levels above its chunks, ``rebuild``'s join and the
+apply core's join) test the rule inline, as one expression, and call
+``Manager.diamond`` directly; every other pair goes through
+``cons_diamond``, which stays the one statement of the normal form.
 """
 
 from __future__ import annotations
@@ -236,7 +250,9 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     ``e0`` is the ``x0 = 0`` branch.  Introduces the highest-priority
     applicable letter of the model, or interns a plain diamond.  The
     manager is passed rather than read from the children, so building a
-    graph reads no weak reference per node.
+    graph reads no weak reference per node.  The node builders bypass
+    it for a plain pair (see the module docstring), whose result is
+    ``manager.diamond(e0, e1)``.
     """
     if e0.arity != e1.arity:
         raise ArityError(
@@ -361,11 +377,13 @@ _SPLIT, _JOIN, _NEG, _RUN = range(4)
 
 def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     """The ``model``-canonical graph of ``edge``'s function, complemented
-    when ``parity`` is 1, rebuilt through :func:`cons_diamond`.  A
-    complement mark toggles the result's root mark in a complement-bearing
-    model and flips the parity in a mark-free one.  Memoized in the
-    model's space on the edge itself, or on its ``id`` (an int, never
-    equal to an edge) for the complement; terminals are not memoized.
+    when ``parity`` is 1, rebuilt through :func:`cons_diamond` (a plain
+    pair straight through ``Manager.diamond``; see the module
+    docstring).  A complement mark toggles the result's root mark in a
+    complement-bearing model and flips the parity in a mark-free one.
+    Memoized in the model's space on the edge itself, or on its ``id``
+    (an int, never equal to an edge) for the complement; terminals are
+    not memoized.
 
     One loop on an explicit stack, as the apply core is: a diamond's
     children and a leading mark are read inline, a run of ``U`` is one
@@ -375,6 +393,8 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     manager = edge.manager
     memo = manager.space(model).reduce
     negation = model.negation
+    diamond = manager.diamond
+    has_x = X in model.letters
     flips = 0
     # Pending work, innermost last: a split whose lo half is being
     # computed and whose hi edge comes next, a join of the hi half's
@@ -425,7 +445,16 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
             elif tag == _RUN:
                 value = cons_run(model, manager, frame[2], value)
             else:
-                value = cons_diamond(model, manager, frame[2], value)
+                e0 = frame[2]
+                e1 = value
+                # a plain pair (see the module docstring) is a diamond
+                if (e0 is not e1 and e0.letter is not N
+                        and e0.lo is not None and e1.lo is not None
+                        and (not has_x or e1.letter is not N
+                             or e1.child is not e0)):
+                    value = diamond(e0, e1)
+                else:
+                    value = cons_diamond(model, manager, e0, e1)
             memo[frame[1]] = value
         else:
             break
@@ -456,15 +485,17 @@ def compile_table(model: ModelSpec, table: TruthTable,
     level down from the chunks, and built level by level up, arity 1
     first, each through ``cons_diamond`` over its two halves (a
     memoized subtable is not split, and arity 0 is a terminal).  Each
-    level above the chunks pairs neighbouring edges through
-    ``cons_diamond`` in one loop, up to the root: a pair of the same two
-    edges as one of the last two distinct pairs reuses that pair's edge,
-    and any other repeated pair is built again, as a hit in the
-    manager's tables.  The model's ``compile`` memo holds the chunks and
-    their subtables of arity 1 and up, plus one root entry per table, so
-    a repeated compile costs one lookup.  A table of arity ``n`` and mask ``m`` is keyed on
-    ``m | 1 << 2**n``: the leading bit gives the arity, and a key's two
-    halves below it are the keys of its cofactors.
+    level above the chunks pairs neighbouring edges in one loop, up to
+    the root, a plain pair (see the module docstring) straight through
+    ``Manager.diamond`` and any other through ``cons_diamond``: a pair
+    of the same two edges as one of the last two distinct pairs reuses
+    that pair's edge, and any other repeated pair is built again, as a
+    hit in the manager's tables.  The model's ``compile`` memo holds the
+    chunks and their subtables of arity 1 and up, plus one root entry
+    per table, so a repeated compile costs one lookup.  A table of arity
+    ``n`` and mask ``m`` is keyed on ``m | 1 << 2**n``: the leading bit
+    gives the arity, and a key's two halves below it are the keys of its
+    cofactors.
     """
     memo = manager.space(model).compile
     arity = table.arity
@@ -507,6 +538,8 @@ def compile_table(model: ModelSpec, table: TruthTable,
                 memo[lo] if lo > 3 else constant(model, manager, lo & 1, 0),
                 memo[hi] if hi > 3 else constant(model, manager, hi & 1, 0))
     level = list(map(memo.__getitem__, chunks))
+    diamond = manager.diamond
+    has_x = X in model.letters
     while len(level) > 1:
         pairs = iter(level)
         level = []
@@ -524,7 +557,15 @@ def compile_table(model: ModelSpec, table: TruthTable,
                     lo2, hi2, edge2 = lo, hi, edge
                     lo = e0
                     hi = e1
-                    edge = cons_diamond(model, manager, e0, e1)
+                    # a plain pair (see the module docstring) is a
+                    # diamond
+                    if (e0 is not e1 and e0.letter is not N
+                            and e0.lo is not None and e1.lo is not None
+                            and (not has_x or e1.letter is not N
+                                 or e1.child is not e0)):
+                        edge = diamond(e0, e1)
+                    else:
+                        edge = cons_diamond(model, manager, e0, e1)
             level.append(edge)
     edge = memo[root] = level[0]
     return FuncHandle(edge, model=model)

@@ -370,6 +370,35 @@ class TestConsDiamond:
                     cons_diamond(model, manager, push_neg(e0),
                                  push_neg(e1))), (e0.word, e1.word)
 
+    def test_plain_pairs_are_diamonds(self):
+        # the plain rule of the ``reduction`` module docstring, which the
+        # node builders test inline instead of calling cons_diamond: on
+        # every ordered pair of reduced edges of one arity <= 3, under
+        # every model, a plain pair gives the bare diamond over it
+        plain = 0
+        complements = set()
+        for model in VALID_MODELS:
+            manager = Manager()
+            has_x = X in model.letters
+            for arity in range(4):
+                edges = [compile_table(model, TruthTable(arity, mask),
+                                       manager).edge
+                         for mask in range(1 << (1 << arity))]
+                for e0 in edges:
+                    for e1 in edges:
+                        if (e0 is not e1 and e0.letter is not N
+                                and e0.lo is not None and e1.lo is not None
+                                and (not has_x or e1.letter is not N
+                                     or e1.child is not e0)):
+                            assert cons_diamond(model, manager, e0, e1) is (
+                                manager.diamond(e0, e1)), (e0, e1)
+                            plain += 1
+                            if e1.letter is N and e1.child is e0:
+                                complements.add(model)
+        assert plain == 2_183_948
+        # hi the mark over lo is plain where the model has no X
+        assert PRESETS["o-nu"] in complements
+
 
 class TestConstant:
     def test_negative_arity_rejected(self, mgr):
