@@ -17,9 +17,7 @@ of ``U`` run lengths and ``X`` letters and interned one link per step.
 Every other pair splits on its leading variable the operands at its
 arity, reuses a padded operand for both halves as it is, so a diamond
 against a ``U`` run interns nothing, and recombines the results
-through the normalized constructor, so results stay reduced: a plain
-pair (the plain rule of ``reduction``) goes straight to
-``Manager.diamond``, any other through ``cons_diamond``.  The
+through the normalized constructor, so results stay reduced.  The
 split reads a diamond's children and the cofactors of ``X`` inline;
 only the canalizing letters go through ``reduction.cofactors``.  The
 walk is one loop over an explicit stack of pending splits, complements
@@ -166,9 +164,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # a model without U has no run, and so no padded operand; an xor
     # level of X/X gives U, so an xor skips levels only with both
     runs = U in model.letters
-    has_x = X in model.letters
-    xor_runs = runs and has_x
-    diamond = manager.diamond
+    xor_runs = runs and X in model.letters
 
     def unary(table: int, edge: Edge) -> Edge:
         """``v -> bit v of table`` applied to ``edge``."""
@@ -324,17 +320,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
             if tag == _NEG:
                 value = push_neg(value)
             else:
-                e0 = frame[2]
-                e1 = value
-                # a plain pair (see the ``reduction`` module docstring)
-                # is a diamond
-                if (e0 is not e1 and e0.letter is not N
-                        and e0.lo is not None and e1.lo is not None
-                        and (not has_x or e1.letter is not N
-                             or e1.child is not e0)):
-                    value = diamond(e0, e1)
-                else:
-                    value = cons_diamond(model, manager, e0, e1)
+                value = cons_diamond(model, manager, frame[2], value)
             memo[frame[1]] = value
         else:
             break

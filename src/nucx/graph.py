@@ -288,9 +288,10 @@ class Manager:
                 return found
         # every diamond passed these checks, so a hit needs neither: a
         # foreign edge is never a lo key nor a known diamond's hi, and
-        # every hi under a lo has the lo's arity.  The node builders call
-        # this directly on a plain pair (the plain rule of ``reduction``),
-        # so on those joins these are the only ownership and arity checks
+        # every hi under a lo has the lo's arity.  ``compile_table`` and
+        # ``rebuild`` call this directly on a plain pair (the plain rule
+        # of ``reduction``), so on those joins these are the only
+        # ownership and arity checks
         if lo.owner is not self._ref or hi.owner is not self._ref:
             raise ManagerMismatchError("children belong to another manager")
         if lo.arity != hi.arity:

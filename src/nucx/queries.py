@@ -53,8 +53,7 @@ def count_sat(handle: FuncHandle) -> int:
     Memoized per manager in the ``count`` cache, keyed on the edge, but
     for a diamond below the root that is in a constant row of the model:
     it is read off the row, as ``s`` and ``o-c10`` build constants as
-    towers of diamonds, and a k-bit count per level would hold Θ(n²).
-    Where no row holds diamonds, no edge is looked up in the rows."""
+    towers of diamonds, and a k-bit count per level would hold Θ(n²)."""
     space = handle.manager.space(require_model(handle))
     zeros, ones = space.zeros, space.ones
     memo = handle.manager.cache("count")
@@ -68,12 +67,6 @@ def count_sat(handle: FuncHandle) -> int:
                 return 1 << k
             if k < len(zeros) and zeros[k] is edge:
                 return 0
-
-    # a constant row holds a bare diamond at every arity >= 1 or at
-    # none, so its entry 1, where present, says whether ``fixed`` can
-    # match anything in it
-    towers = any(len(row) > 1 and row[1].letter is None
-                 for row in (zeros, ones))
 
     edge = handle.edge
     count = get(edge)
@@ -94,10 +87,10 @@ def count_sat(handle: FuncHandle) -> int:
             else:
                 hi = edge.hi
                 a = get(lo)
-                if a is None and towers:
+                if a is None:
                     a = fixed(lo)
                 b = get(hi)
-                if b is None and towers:
+                if b is None:
                     b = fixed(hi)
                 if a is None or b is None:
                     if b is None:
@@ -112,8 +105,7 @@ def count_sat(handle: FuncHandle) -> int:
             below = edge.child
             count = get(below)
             if count is None:
-                if towers:
-                    count = fixed(below)
+                count = fixed(below)
                 if count is None:
                     push(below)
                     continue

@@ -27,15 +27,14 @@ of a word and never twice.
 
 The plain rule.  A pair ``(lo, hi)`` of reduced children of one arity
 in one manager is *plain* when ``lo is not hi``, both end at a diamond
-(``.lo is not None``), ``lo`` carries no mark and, only where the model
-has ``X``, ``hi`` is not the mark over ``lo``.  No rule of
-``cons_diamond`` fires on a plain pair under any model: ``U`` needs
-``lo is hi``, ``X`` needs ``hi`` to be the mark over ``lo``, a
-canalizing letter needs a child that ends at a terminal, and the mark
-pull needs a marked ``lo``.  So ``cons_diamond`` returns
-``manager.diamond(lo, hi)`` for it, and the three node builders
-(``compile_table``'s levels above its chunks, ``rebuild``'s join and the
-apply core's join) test the rule inline, as one expression, and call
+(``.lo is not None``), ``lo`` carries no mark and ``hi`` is not the mark
+over ``lo``.  No rule of ``cons_diamond`` fires on a plain pair under
+any model: ``U`` needs ``lo is hi``, ``X`` needs ``hi`` to be the mark
+over ``lo``, a canalizing letter needs a child that ends at a terminal,
+and the mark pull needs a marked ``lo``.  So ``cons_diamond`` returns
+``manager.diamond(lo, hi)`` for it, and the two builders of this
+module, ``compile_table``'s levels above its chunks and ``rebuild``'s
+join, test the rule inline, as one expression, and call
 ``Manager.diamond`` directly; every other pair goes through
 ``cons_diamond``, which stays the one statement of the normal form.
 """
@@ -250,9 +249,9 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     ``e0`` is the ``x0 = 0`` branch.  Introduces the highest-priority
     applicable letter of the model, or interns a plain diamond.  The
     manager is passed rather than read from the children, so building a
-    graph reads no weak reference per node.  The node builders bypass
-    it for a plain pair (see the module docstring), whose result is
-    ``manager.diamond(e0, e1)``.
+    graph reads no weak reference per node.  ``compile_table`` and
+    ``rebuild`` bypass it for a plain pair (see the module docstring),
+    whose result is ``manager.diamond(e0, e1)``.
     """
     if e0.arity != e1.arity:
         raise ArityError(
@@ -394,7 +393,6 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     memo = manager.space(model).reduce
     negation = model.negation
     diamond = manager.diamond
-    has_x = X in model.letters
     flips = 0
     # Pending work, innermost last: a split whose lo half is being
     # computed and whose hi edge comes next, a join of the hi half's
@@ -450,8 +448,7 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
                 # a plain pair (see the module docstring) is a diamond
                 if (e0 is not e1 and e0.letter is not N
                         and e0.lo is not None and e1.lo is not None
-                        and (not has_x or e1.letter is not N
-                             or e1.child is not e0)):
+                        and (e1.letter is not N or e1.child is not e0)):
                     value = diamond(e0, e1)
                 else:
                     value = cons_diamond(model, manager, e0, e1)
@@ -539,7 +536,6 @@ def compile_table(model: ModelSpec, table: TruthTable,
                 memo[hi] if hi > 3 else constant(model, manager, hi & 1, 0))
     level = list(map(memo.__getitem__, chunks))
     diamond = manager.diamond
-    has_x = X in model.letters
     while len(level) > 1:
         pairs = iter(level)
         level = []
@@ -561,8 +557,7 @@ def compile_table(model: ModelSpec, table: TruthTable,
                     # diamond
                     if (e0 is not e1 and e0.letter is not N
                             and e0.lo is not None and e1.lo is not None
-                            and (not has_x or e1.letter is not N
-                                 or e1.child is not e0)):
+                            and (e1.letter is not N or e1.child is not e0)):
                         edge = diamond(e0, e1)
                     else:
                         edge = cons_diamond(model, manager, e0, e1)

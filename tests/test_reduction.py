@@ -36,6 +36,7 @@ from nucx.reduction import (
     lattice_leq,
     parse_model,
     push_neg,
+    rebuild,
     reduce,
     translate_letter,
     valid_models,
@@ -370,34 +371,49 @@ class TestConsDiamond:
                     cons_diamond(model, manager, push_neg(e0),
                                  push_neg(e1))), (e0.word, e1.word)
 
-    def test_plain_pairs_are_diamonds(self):
-        # the plain rule of the ``reduction`` module docstring, which the
-        # node builders test inline instead of calling cons_diamond: on
-        # every ordered pair of reduced edges of one arity <= 3, under
-        # every model, a plain pair gives the bare diamond over it
-        plain = 0
-        complements = set()
+    def test_builders_join_as_cons_diamond(self, monkeypatch):
+        # compile_table's levels above the chunks and rebuild's join send
+        # a plain pair (the plain rule of the ``reduction`` module
+        # docstring) straight to Manager.diamond; under every model both
+        # must give the edge that cons_diamond gives.  rebuild meets every
+        # pair of reduced edges of arity <= 2 in the raw trees of arity
+        # <= 3, all diamonds; an arity-4 table joins two arity-3 edges at
+        # the top of both builders, here each edge with itself, with its
+        # complement and every pair from a complement-closed 64 of them
+        masks = [mask for mask in range(256) if mask % 8 in (0, 7)]
+        pairs = {(a, b) for a in masks for b in masks}
+        pairs |= {(a, b) for a in range(256) for b in (a, a ^ 255)}
+        calls = []
+        inner = reduction.cons_diamond
+
+        def counted(*args):
+            calls.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(reduction, "cons_diamond", counted)
         for model in VALID_MODELS:
             manager = Manager()
-            has_x = X in model.letters
-            for arity in range(4):
-                edges = [compile_table(model, TruthTable(arity, mask),
-                                       manager).edge
-                         for mask in range(1 << (1 << arity))]
-                for e0 in edges:
-                    for e1 in edges:
-                        if (e0 is not e1 and e0.letter is not N
-                                and e0.lo is not None and e1.lo is not None
-                                and (not has_x or e1.letter is not N
-                                     or e1.child is not e0)):
-                            assert cons_diamond(model, manager, e0, e1) is (
-                                manager.diamond(e0, e1)), (e0, e1)
-                            plain += 1
-                            if e1.letter is N and e1.child is e0:
-                                complements.add(model)
-        assert plain == 2_183_948
-        # hi the mark over lo is plain where the model has no X
-        assert PRESETS["o-nu"] in complements
+            raw = [manager.zero, manager.one]
+            for arity in range(1, 4):
+                raw = [manager.diamond(lo, hi) for hi in raw for lo in raw]
+                for mask, edge in enumerate(raw):
+                    assert rebuild(model, edge) is compile_table(
+                        model, TruthTable(arity, mask), manager).edge
+            edges = [rebuild(model, edge) for edge in raw]
+            bypassed = [0, 0]
+            for a, b in sorted(pairs):
+                expected = cons_diamond(model, manager, edges[a], edges[b])
+                table = TruthTable(4, a | b << 8)
+                before = len(calls)
+                handle = compile_table(model, table, manager)
+                assert handle.edge is expected, (model, a, b)
+                compiled = len(calls)
+                source = manager.diamond(raw[a], raw[b])
+                assert rebuild(model, source) is expected, (model, a, b)
+                bypassed[0] += compiled == before
+                bypassed[1] += len(calls) == compiled
+            # both builders skip cons_diamond on some pairs
+            assert all(bypassed), model
 
 
 class TestConstant:
@@ -825,19 +841,33 @@ def parity_mask(arity):
 class TestStructuredCompileWork:
     """Constants and projections repeat one pair across each level above
     the chunks, and parity alternates two, so compiling one builds each
-    pair's edge once per level: ``cons_diamond`` calls stay linear in
-    the arity, not in the table."""
+    pair's edge once per level: joins stay linear in the arity, not in
+    the table.  A join is a ``cons_diamond`` call or a plain pair sent
+    straight to ``Manager.diamond`` (the plain rule of ``reduction``)."""
 
     @pytest.mark.parametrize("name", ["o-u", "o-nucx", "s", "s-n"])
     def test_calls_linear_in_arity(self, name, monkeypatch):
         calls = []
+        inside = []
         inner = reduction.cons_diamond
+        diamond = Manager.diamond
 
         def counted(*args):
             calls.append(None)
-            return inner(*args)
+            inside.append(None)
+            try:
+                return inner(*args)
+            finally:
+                inside.pop()
+
+        def direct(self, lo, hi):
+            # a diamond interned by cons_diamond is already counted
+            if not inside:
+                calls.append(None)
+            return diamond(self, lo, hi)
 
         monkeypatch.setattr(reduction, "cons_diamond", counted)
+        monkeypatch.setattr(Manager, "diamond", direct)
         n = 16
         parity = TruthTable(n, parity_mask(n))
         tables = (TruthTable.constant(n, 0), TruthTable.constant(n, 1),
