@@ -40,7 +40,7 @@ in mark-free models it is ``reduction.rebuild`` with parity 1.
 
 from __future__ import annotations
 
-from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
+from .graph import Edge, FuncHandle, Manager, ManagerMismatchError, Space
 from .letters import N, U, X
 from .oracle import ArityError
 from .reduction import (
@@ -82,28 +82,14 @@ _SWAP = _tables(lambda a, b: (b, a))
 _SPLIT, _JOIN, _NEG, _RUN, _WORD = range(5)
 
 
-def _require_pair(a: FuncHandle, b: FuncHandle) -> ModelSpec:
-    model = require_model(a)
-    if a.manager is not b.manager:
-        raise ManagerMismatchError("operands live in different managers")
-    if b.model != model:
-        other = b.model.name if b.model is not None else "raw"
-        raise ValueError(f"operands reduced under different models: "
-                         f"{model.name} vs {other}")
-    if a.edge.arity != b.edge.arity:
-        raise ArityError(
-            f"arity mismatch: {a.edge.arity} vs {b.edge.arity}")
-    return model
-
-
 def cofactor(v0: int, handle: FuncHandle) -> FuncHandle:
     """Restrict the first variable to ``v0``; one O(1) step on a
     reduced graph."""
-    if handle.edge.arity < 1:
-        raise ArityError("cannot cofactor a constant")
     model = require_model(handle)
-    return FuncHandle(cofactors(model, handle.edge)[1 if v0 else 0],
-                      model=model)
+    edge = handle.edge
+    if edge.arity < 1:
+        raise ArityError("cannot cofactor a constant")
+    return FuncHandle(cofactors(model, edge)[1 if v0 else 0], model=model)
 
 
 def negb(handle: FuncHandle) -> FuncHandle:
@@ -130,6 +116,16 @@ def _intern_run(manager: Manager, steps: list, edge: Edge) -> Edge:
     return manager.edge(N, edge) if mark else edge
 
 
+def _unary(model: ModelSpec, space: Space, table: int, edge: Edge) -> Edge:
+    """``v -> bit v of table`` applied to ``edge``, whose arity the
+    constant rows of ``space`` reach."""
+    if table == 0b10:
+        return edge
+    if table == 0b01:
+        return push_neg(edge) if model.negation else rebuild(model, edge, 1)
+    return (space.ones if table & 1 else space.zeros)[edge.arity]
+
+
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     """The reduced graph of ``op`` applied pointwise to ``x`` and ``y``.
 
@@ -144,7 +140,8 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     ``U`` is one lookup.  A split at ``m`` splits only the operands at
     ``m``.  ``andb_pairs`` counts the splits of a top-level ``and``,
     whatever table the normalized keys below it carry."""
-    manager = x.manager
+    # apply's operands are handles, which keep the manager alive
+    manager = x.owner()
     space = manager.space(model)
     memo = space.apply
     negation = model.negation
@@ -154,9 +151,11 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # fill both constant rows up to the operands' arity: every constant
     # below is then one index into them
     n = x.arity
-    constant(model, manager, 0, n)
-    constant(model, manager, 1, n)
     zeros, ones = space.zeros, space.ones
+    if len(zeros) <= n:
+        constant(model, manager, 0, n)
+    if len(ones) <= n:
+        constant(model, manager, 1, n)
     # each constant is a letter chain at every arity >= 1 or at none: if
     # both are chains, an operand ending at a diamond is no constant and
     # needs no terminal test (at arity 0 every operand is a terminal)
@@ -165,14 +164,6 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # level of X/X gives U, so an xor skips levels only with both
     runs = U in model.letters
     xor_runs = runs and X in model.letters
-
-    def unary(table: int, edge: Edge) -> Edge:
-        """``v -> bit v of table`` applied to ``edge``."""
-        if table == 0b10:
-            return edge
-        if table == 0b01:
-            return push_neg(edge) if negation else rebuild(model, edge, 1)
-        return (ones if table & 1 else zeros)[edge.arity]
 
     # Pending work, innermost last, each frame tagged by its kind: a
     # split whose lo half is being computed and whose hi pair comes next,
@@ -265,11 +256,12 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
                 if a is not None and b is not None:
                     value = (ones if op >> 2 * a + b & 1 else zeros)[m]
                 elif a is not None:
-                    value = unary(op >> 2 * a & 3, y)
+                    value = _unary(model, space, op >> 2 * a & 3, y)
                 elif b is not None:
-                    value = unary(op >> b & 1 | op >> 1 >> b & 2, x)
+                    value = _unary(model, space,
+                                   op >> b & 1 | op >> 1 >> b & 2, x)
             if value is None and i == j:
-                value = unary(op & 1 | op >> 2 & 2, x)
+                value = _unary(model, space, op & 1 | op >> 2 & 2, x)
         if value is None:
             if count:
                 pairs += 1
@@ -334,8 +326,18 @@ def apply(op: str, a: FuncHandle, b: FuncHandle) -> FuncHandle:
     table = _OPERATORS.get(op)
     if table is None:
         raise ValueError(f"unknown operation {op!r}")
-    model = _require_pair(a, b)
-    return FuncHandle(_apply(model, table, a.edge, b.edge), model=model)
+    model = require_model(a)
+    if a.manager is not b.manager:
+        raise ManagerMismatchError("operands live in different managers")
+    if b.model != model:
+        other = b.model.name if b.model is not None else "raw"
+        raise ValueError(f"operands reduced under different models: "
+                         f"{model.name} vs {other}")
+    x = a.edge
+    y = b.edge
+    if x.arity != y.arity:
+        raise ArityError(f"arity mismatch: {x.arity} vs {y.arity}")
+    return FuncHandle(_apply(model, table, x, y), model=model)
 
 
 def projection(model: ModelSpec, manager: Manager, index: int,
@@ -350,8 +352,13 @@ def projection(model: ModelSpec, manager: Manager, index: int,
         raise ValueError(f"variable index {index} out of range for "
                          f"arity {arity}")
     rest = arity - index - 1
-    edge = cons_diamond(model, manager, constant(model, manager, 0, rest),
-                        constant(model, manager, 1, rest))
+    space = manager.space(model)
+    zeros, ones = space.zeros, space.ones
+    if len(zeros) <= rest:
+        constant(model, manager, 0, rest)
+    if len(ones) <= rest:
+        constant(model, manager, 1, rest)
+    edge = cons_diamond(model, manager, zeros[rest], ones[rest])
     return FuncHandle(cons_run(model, manager, index, edge), model=model)
 
 

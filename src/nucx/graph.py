@@ -39,7 +39,9 @@ Ownership: a :class:`FuncHandle` or the :class:`Manager` itself keeps a
 graph alive; a bare :class:`Edge` does not.  Edges reach their manager
 only through a weak reference, so no reference cycle runs through the
 manager's tables, and reference counting frees a manager and its whole
-graph as soon as its last handle goes, without the cycle collector.
+graph as soon as its last handle goes, without the cycle collector.  A
+handle reads its manager once, through its edge's weak reference, when
+it is made, and holds it from then on.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ Word = tuple[Letter, ...]
 
 class ManagerMismatchError(ValueError):
     """Operands owned by different managers were mixed."""
+
+
+def _freed() -> ManagerMismatchError:
+    return ManagerMismatchError(
+        "the edge's manager has been freed: keep a FuncHandle or the "
+        "Manager alive while its edges are in use")
 
 
 class Edge:
@@ -98,9 +106,7 @@ class Edge:
         it has been freed."""
         manager = self.owner()
         if manager is None:
-            raise ManagerMismatchError(
-                "the edge's manager has been freed: keep a FuncHandle or "
-                "the Manager alive while its edges are in use")
+            raise _freed()
         return manager
 
     @property
@@ -121,7 +127,7 @@ class Edge:
         return f"<edge [{_label(self) or 'e'}] {kind} arity={self.arity}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FuncHandle:
     """A rooted function: ``FuncHandle(edge, model=...)``.
 
@@ -130,15 +136,26 @@ class FuncHandle:
     it from here.  The arity is the edge's.
 
     The handle holds the edge's manager strongly as ``manager`` (not a
-    field), so a graph lives as long as some handle to it does; the
-    edge's manager must still be alive when the handle is made.
+    field), so a graph lives as long as some handle to it does.  It
+    reads the manager once, through the edge's weak reference, when it
+    is made, and raises :class:`ManagerMismatchError` if the manager has
+    been freed by then.
     """
 
     edge: Edge
     model: object = field(default=None, kw_only=True)
 
-    def __post_init__(self):
-        object.__setattr__(self, "manager", self.edge.manager)
+    def __init__(self, edge: Edge, *, model=None):
+        manager = edge.owner()
+        if manager is None:
+            raise _freed()
+        # through object.__setattr__, as a frozen dataclass's own
+        # __init__ writes: writing self.__dict__ directly is faster here
+        # but makes every later read of the three attributes slower
+        write = object.__setattr__
+        write(self, "edge", edge)
+        write(self, "model", model)
+        write(self, "manager", manager)
 
     @property
     def arity(self) -> int:

@@ -364,7 +364,14 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
         return below, below
     if letter is X:
         return child, push_neg(child)
-    const = constant(model, edge.owner(), letter.const, child.arity)
+    # read off the model's row once it reaches the child's arity, as the
+    # apply core reads it; below that, ``constant`` extends it
+    manager = edge.owner()
+    space = manager.space(model)
+    row = space.ones if letter.const else space.zeros
+    arity = child.arity
+    const = (row[arity] if arity < len(row)
+             else constant(model, manager, letter.const, arity))
     if letter.branch == 0:
         return const, child
     return child, const
@@ -390,7 +397,9 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     goes through :func:`cofactors`, and both halves are joined lo
     first.  ``negb_recursions`` counts the memo misses under parity 1."""
     manager = edge.manager
-    memo = manager.space(model).reduce
+    space = manager.space(model)
+    memo = space.reduce
+    zeros, ones = space.zeros, space.ones
     negation = model.negation
     diamond = manager.diamond
     flips = 0
@@ -429,7 +438,9 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
                 edge = lo
                 continue
             # a terminal: a leaf, never memoized
-            value = constant(model, manager, edge.value ^ parity, 0)
+            row = ones if edge.value ^ parity else zeros
+            value = (row[0] if row
+                     else constant(model, manager, edge.value ^ parity, 0))
         # hand the value up until a split needs its hi half next
         while stack:
             frame = stack.pop()

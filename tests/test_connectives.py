@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (EXAMPLE1_EXPR, chain_texts, custom_param,
                       example1_table, interned_links, iter_edges,
                       model_spellings, one_hot)
+from nucx import connectives, reduction
 from nucx.connectives import (
     _NOT_A,
     _NOT_B,
@@ -20,6 +22,7 @@ from nucx.connectives import (
     projection,
 )
 from nucx.graph import (
+    Edge,
     Manager,
     dot_export,
     eval_handle,
@@ -483,6 +486,80 @@ class TestApplyWork:
     @pytest.mark.parametrize("family,name", list(WORK))
     def test_balanced_build(self, family, name):
         assert build_family(name, family, 40) == self.WORK[family, name]
+
+
+def count_entry_calls(monkeypatch) -> collections.Counter:
+    """Count the calls of ``reduction.constant`` and of the
+    ``Edge.manager`` property from here on."""
+    calls = collections.Counter()
+    real_constant = reduction.constant
+    real_manager = Edge.manager.fget
+
+    def constant(*args):
+        calls["constant"] += 1
+        return real_constant(*args)
+
+    def manager(edge):
+        calls["manager"] += 1
+        return real_manager(edge)
+
+    monkeypatch.setattr(reduction, "constant", constant)
+    monkeypatch.setattr(connectives, "constant", constant)
+    monkeypatch.setattr(Edge, "manager", property(manager))
+    return calls
+
+
+class TestEntryCode:
+    """Once a model's constant rows reach an operation's arity, its
+    entry code reads them directly, and the manager through the edge's
+    weak reference."""
+
+    @pytest.mark.parametrize("name,model", ALL_MODELS)
+    def test_warm_rows_are_read_directly(self, name, model, monkeypatch):
+        arity = 8
+        manager = Manager()
+        rng = random.Random(8)
+        handles = [compile_table(model, TruthTable(
+            arity, rng.getrandbits(1 << arity)), manager) for _ in range(3)]
+        handles += [projection(model, manager, i, arity)
+                    for i in (0, arity - 1)]
+        constant(model, manager, 0, arity)
+        constant(model, manager, 1, arity)
+        space = manager.space(model)
+        # a mark-free model complements by a rebuild, which reads the
+        # manager property once; and and or never complement a leaf
+        ops = (("and", "or", "xor", "implies") if model.negation
+               else ("and", "or"))
+        calls = count_entry_calls(monkeypatch)
+        for index in range(arity):
+            projection(model, manager, index, arity)
+        for f in handles:
+            cofactor(0, f)
+            cofactor(1, f)
+            for g in handles:
+                for op in ops:
+                    apply(op, f, g)
+            if model.negation:
+                negb(f)
+        assert not calls
+        # the complements of a mark-free model read the rows too
+        for f in handles:
+            negb(f)
+            apply("xor", f, handles[0])
+            apply("implies", f, handles[0])
+        assert not calls["constant"]
+        assert len(space.zeros) == len(space.ones) == arity + 1
+
+    @pytest.mark.parametrize("name,model", ALL_MODELS)
+    def test_first_apply_fills_both_rows(self, name, model):
+        arity = 8
+        manager = Manager()
+        space = manager.space(model)
+        x0 = projection(model, manager, 0, arity)
+        assert len(space.zeros) == len(space.ones) == arity
+        apply("and", x0, x0)
+        assert len(space.zeros) == len(space.ones) == arity + 1
+        assert manager.counters["const_steps"] == 2 * (arity + 1)
 
 
 class TestCountGuards:

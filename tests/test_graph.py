@@ -768,6 +768,47 @@ class TestArityBookkeeping:
             FuncHandle(mgr.zero, 3)
 
 
+class TestHandleContract:
+    """A handle is a frozen value of its edge and model; its manager is
+    read once, through the edge's weak reference, when it is made."""
+
+    @pytest.mark.parametrize("name", ["edge", "model", "manager"])
+    def test_attributes_are_frozen(self, name, mgr):
+        handle = projection(PRESETS["o-nucx"], mgr, 1, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(handle, name, None)
+
+    def test_equality_and_hash_follow_edge_and_model(self, mgr):
+        model = PRESETS["o-nucx"]
+        handle = projection(model, mgr, 1, 3)
+        twin = FuncHandle(handle.edge, model=model)
+        assert twin == handle and hash(twin) == hash(handle)
+        assert FuncHandle(handle.edge, model=PRESETS["o-u"]) != handle
+        assert FuncHandle(handle.edge) != handle
+
+    def test_replace_keeps_the_manager(self, mgr):
+        handle = projection(PRESETS["o-nucx"], mgr, 1, 3)
+        raw = dataclasses.replace(handle, model=None)
+        assert raw.manager is handle.manager is mgr
+        assert raw.edge is handle.edge and raw.model is None
+
+    def test_repr(self, mgr):
+        edge = chain(mgr, [U, N, X])
+        assert repr(FuncHandle(edge)) == f"FuncHandle({edge!r})"
+        assert (repr(FuncHandle(edge, model=PRESETS["o-nucx"]))
+                == f"FuncHandle({edge!r}, model=o-nucx)")
+
+    def test_freed_manager_message_is_the_edges(self):
+        with no_cycle_collector():
+            edge = Manager().one
+            with pytest.raises(ManagerMismatchError) as from_edge:
+                edge.manager
+            with pytest.raises(ManagerMismatchError) as from_handle:
+                FuncHandle(edge)
+            assert str(from_handle.value) == str(from_edge.value)
+            assert "manager has been freed" in str(from_edge.value)
+
+
 @contextlib.contextmanager
 def no_cycle_collector():
     """Run the body from a collected heap with the cycle collector off,

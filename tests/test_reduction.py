@@ -585,6 +585,16 @@ class TestRequireModel:
                            match="requires a reduced handle|vs raw"):
             NEEDS_A_MODEL[name](raw, reduced)
 
+    @pytest.mark.parametrize("name", list(NEEDS_A_MODEL))
+    def test_raw_constant_is_rejected(self, name, mgr):
+        # the model is checked before the arity: a raw constant is no
+        # "cannot cofactor a constant"
+        reduced = compile_table(NUCX, TruthTable.constant(0, 0), mgr)
+        raw = FuncHandle(reduced.edge)
+        with pytest.raises(ValueError,
+                           match="requires a reduced handle|vs raw"):
+            NEEDS_A_MODEL[name](raw, reduced)
+
 
 class TestRebuildWork:
     """The work of ``rebuild`` on seeded arity-10 tables, pinned exactly:
