@@ -88,8 +88,13 @@ class TestInterning:
         # bare edges come only from diamond(), zero and one
         own = mgr.diamond(mgr.zero, mgr.one)
         edges = len(interned_links(mgr))
-        # a bare edge the manager never interned
-        stray = Edge(None, None, 1, mgr._ref, mgr.zero, mgr.one)
+        # a bare edge the manager never interned, built as the manager
+        # builds its diamonds: Edge has no constructor
+        stray = object.__new__(Edge)
+        stray.letter = stray.child = stray.base = stray.value = None
+        stray.lo, stray.hi = mgr.zero, mgr.one
+        stray.arity = 1
+        stray.owner = mgr._ref
         other = Manager()
         foreign = other.diamond(other.zero, other.one)
         for target in (own, mgr.one, stray, foreign):
@@ -350,6 +355,85 @@ class TestRunLinks:
             bits for bits in itertools.product((0, 1), repeat=5) if bits[3]]
         report = measure(h)
         assert (report.diamonds, report.letters) == (1, 5)
+
+
+def check_construction(manager: Manager) -> int:
+    """Read all eight slots of every edge ``manager`` holds (each link
+    table, the diamond table with its per-``lo`` dicts, and the
+    terminals) and check what the constructors store; returns the number
+    of edges checked.  ``Edge`` has no constructor, so a slot that a
+    constructor fails to set is caught here, as an ``AttributeError``,
+    not in some later read."""
+    ref = manager._ref
+
+    def slots(edge):
+        fields = {name: getattr(edge, name) for name in Edge.__slots__}
+        assert fields.pop("owner") is ref
+        return fields
+
+    for value, terminal in enumerate((manager.zero, manager.one)):
+        assert slots(terminal) == dict(letter=None, child=None, base=None,
+                                       lo=None, hi=None, value=value,
+                                       arity=0)
+    checked = 2
+    for lo, parents in manager._diamonds.items():
+        if type(parents) is Edge:
+            parents = {parents.hi: parents}
+        for hi, diamond in parents.items():
+            fields = slots(diamond)
+            assert fields.pop("lo") is lo and fields.pop("hi") is hi
+            assert fields == dict(letter=None, child=None, base=None,
+                                  value=None, arity=lo.arity + 1)
+            assert diamond.arity == hi.arity + 1
+            checked += 1
+    for letter, links in manager._links.items():
+        for key, link in links.items():
+            fields = slots(link)
+            child = fields["child"]
+            node = child.base or child
+            assert fields["letter"] is letter
+            assert fields["base"] is node
+            assert fields["lo"] is node.lo and fields["hi"] is node.hi
+            assert fields["value"] == node.value
+            if type(key) is int:
+                # U's runs longer than one: k << 64 | id(child)
+                assert letter is U and key & (1 << 64) - 1 == id(child)
+                length = key >> 64
+                assert length > 1
+            else:
+                assert key is child
+                length = letter is not N
+            if letter is U:
+                assert child.letter is not U
+            assert fields["arity"] == child.arity + length
+            checked += 1
+    return checked
+
+
+class TestConstruction:
+    """``Edge`` has no constructor: the manager's constructors and
+    terminals set every slot of each edge they make."""
+
+    def test_edge_has_no_constructor(self, mgr):
+        with pytest.raises(TypeError):
+            Edge(None, None, 1, mgr._ref)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_every_slot_is_set(self, name):
+        model = PRESETS[name]
+        manager = Manager()
+        rng = random.Random(name)
+        for arity in range(9):
+            table = TruthTable(arity, rng.getrandbits(1 << arity))
+            compile_table(model, table, manager)
+        assert check_construction(manager) > 2
+        fine = compile_table(PRESETS["o-nucx"], table, Manager())
+        reduce(model, fine)
+        assert check_construction(fine.manager) > 2
+        manager = Manager()
+        for text in chain_texts(16).values():
+            build_expr(model, parse_expr(text, 16), 16, manager)
+        assert check_construction(manager) > 2
 
 
 class TestEval:
