@@ -30,10 +30,9 @@ Run links: a link is one letter, except that a maximal run ``U^k`` of
 the useless letter is one link, whose child never leads with ``U``.
 Its length is ``arity - child.arity``, so an edge stores no length.
 Every reader takes a run as its k letters: ``Edge.word`` lists them,
-``signature`` and ``dot_export`` print them (their labels read the
-links directly, k ``U`` tokens for a run), and ``metrics.measure``
-counts k elementary letters.  Runs of the other letters are one link
-per letter.
+``signature`` and ``dot_export`` print them (their labels read
+``Edge.word``), and ``metrics.measure`` counts k elementary letters.
+Runs of the other letters are one link per letter.
 
 Arity bookkeeping: each elementary letter and each diamond consumes one
 variable; the complement mark ``N`` consumes none.
@@ -461,20 +460,8 @@ def to_truth_table(handle: FuncHandle) -> TruthTable:
 
 
 def _label(edge: Edge) -> str:
-    """The tokens of an edge's word, joined by dots, each run of ``U``
-    expanded."""
-    tokens = []
-    letter = edge.letter
-    while letter is not None:
-        child = edge.child
-        if letter is U:
-            # a run stands for arity - child.arity letters
-            tokens += ("U",) * (edge.arity - child.arity)
-        else:
-            tokens.append(letter.token)
-        edge = child
-        letter = edge.letter
-    return ".".join(tokens)
+    """The tokens of an edge's word, joined by dots."""
+    return ".".join([letter.token for letter in edge.word])
 
 
 #: The longest tree signature, in characters, that ``signature`` writes.

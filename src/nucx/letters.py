@@ -6,6 +6,10 @@ Six elementary letters each prepend one typed variable to a function:
 * ``X``  -- xor variable (branches are complements),
 * ``Cbt``-- canalizing variable: branch ``b`` forces the constant ``t``.
 
+A letter ``l`` has the ``conjugate`` ``c`` with ``l.N`` equal to
+``N.c``: ``U`` and ``X`` are their own, ``Cbt``'s is ``Cb(1-t)``.
+``reduction.cons_diamond`` reads ``conjugate``.
+
 The seventh letter ``N`` encodes output negation (a complement mark); it
 is arity-preserving, not elementary.  Letters are process-wide singletons,
 so identity comparison (``letter is U``) is the intended equality test.
@@ -50,9 +54,6 @@ ELEMENTARY = (U, X, C11, C10, C01, C00)
 #: Every letter, including the complement mark.
 ALPHABET = ELEMENTARY + (N,)
 
-# Pushing a complement mark through a letter ("l.N" -> "N.l_conj"):
-# the useless and xor patterns are self-dual, canalizing letters flip
-# their forced constant.
 U.conjugate = U
 X.conjugate = X
 C00.conjugate = C01

@@ -25,6 +25,12 @@ complement normalization: a mark on the ``lo`` child is pulled above the
 node (toggling the ``hi`` child), so marks only ever appear at the front
 of a word and never twice.
 
+The conjugate rule.  A canalizing letter ``Cbt`` (branch ``b`` forces
+the constant ``t``) over a marked child ``N.y`` is ``N.Cb(1-t).y``, the
+mark over its ``conjugate``: ``cons_diamond`` builds that form, so under
+the mark ``C01`` comes only out of ``C00``'s check (see
+``ModelSpec.canalizing``).
+
 The plain rule.  A pair ``(lo, hi)`` of reduced children of one arity
 in one manager is *plain* when ``lo is not hi``, both end at a diamond
 (``.lo is not None``), ``lo`` carries no mark and ``hi`` is not the mark
@@ -68,6 +74,11 @@ class ModelSpec:
     are complements when one is the mark over the other, and a mark-free
     model never builds a mark, so ``custom:u,x`` is ``o-u``.
 
+    ``canalizing``, the letters ``cons_diamond`` checks after ``U`` and
+    ``X``, is the model's letters among ``(C11, C10, C01, C00)`` in that
+    order, without ``C01`` under the mark: a pulled ``lo`` is unmarked
+    and the constant 1 leads with the mark, so its check never matches.
+
     Models are interned like edges: constructing an existing model
     returns the existing instance, so ``==`` is ``is`` and a manager
     finds a model's table space (``Manager.space``) by identity.
@@ -75,6 +86,7 @@ class ModelSpec:
 
     letters: frozenset[Letter]
     negation: bool = False
+    canalizing: tuple[Letter, ...]
 
     def __new__(cls, letters, negation: bool = False):
         letters = frozenset(letters)
@@ -94,6 +106,9 @@ class ModelSpec:
         model = super().__new__(cls)
         object.__setattr__(model, "letters", letters)
         object.__setattr__(model, "negation", negation)
+        object.__setattr__(model, "canalizing", tuple(
+            letter for letter in (C11, C10, C01, C00)
+            if letter in letters and not (negation and letter is C01)))
         # setdefault is atomic: of two threads making one model, both
         # get the instance that was stored first
         return _MODELS.setdefault((letters, negation), model)
@@ -247,11 +262,13 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     ``manager``.
 
     ``e0`` is the ``x0 = 0`` branch.  Introduces the highest-priority
-    applicable letter of the model, or interns a plain diamond.  The
-    manager is passed rather than read from the children, so building a
-    graph reads no weak reference per node.  ``compile_table`` and
-    ``rebuild`` bypass it for a plain pair (see the module docstring),
-    whose result is ``manager.diamond(e0, e1)``.
+    applicable letter of the model, or interns a plain diamond.  A
+    canalizing letter fires when its ``branch`` child is the constant
+    ``const``, over the other child by the conjugate rule (see the module
+    docstring).  The manager is passed rather than read from the
+    children, so building a graph reads no weak reference per node.
+    ``compile_table`` and ``rebuild`` bypass it for a plain pair (see the
+    module docstring), whose result is ``manager.diamond(e0, e1)``.
     """
     if e0.arity != e1.arity:
         raise ArityError(
@@ -272,48 +289,37 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
     # X, and a mark on e0 was pulled above the node.
     elif X in letters and e1.letter is N and e1.child is e0:
         found = manager.edge(X, e0)
-    # A child that ends at a diamond cannot be a constant that a check
-    # below compares against, so its checks are skipped without building
-    # the constant: each such constant is a letter chain down to a
-    # terminal.  By induction on the arity: ``constant`` starts at a
-    # terminal and pairs two copies of the level below, and for each
-    # value compared here the model has a letter matching that pair (the
-    # check's own, or C00 for C01 in a complement-bearing model, whose
-    # alphabet is closed under conjugation and whose constant 1 is the
-    # mark over the constant 0).  Tested for all 48 models.
+    # A child that ends at a diamond cannot be a constant that the loop
+    # compares against, so the loop is skipped without building the
+    # constant: each such constant is a letter chain down to a terminal.
+    # By induction on the arity: ``constant`` pairs two copies of the
+    # level below, which the comparing letter matches (under the mark the
+    # constant 1 is the mark over the constant 0, and the alphabet has a
+    # letter forcing 0).  Tested for all 48 models.
     elif e0.lo is not None and e1.lo is not None:
         found = manager.diamond(e0, e1)
     else:
-        # Each check reads its constant from the model's row once the
-        # row holds the arity.  Below that it calls ``constant``, which
-        # extends the row, and only where the check is reached: the rows
-        # grow as far, and intern as much, as if every check called it.
+        # A letter reads its constant from the model's row, or below the
+        # row's length calls ``constant`` to extend it, only where it is
+        # reached: the rows grow as if every letter called ``constant``.
         space = manager.space(model)
-        zeros = space.zeros
-        ones = space.ones
-        if (e1.lo is None and C11 in letters
-                and e1 is (ones[arity] if arity < len(ones)
-                           else constant(model, manager, 1, arity))):
-            found = manager.edge(C11, e0)
-        elif (e1.lo is None and C10 in letters
-                and e1 is (zeros[arity] if arity < len(zeros)
-                           else constant(model, manager, 0, arity))):
-            found = manager.edge(C10, e0)
-        elif (e0.lo is None and C01 in letters and model.negation
-                and e1.letter is N
-                and e0 is (zeros[arity] if arity < len(zeros)
-                           else constant(model, manager, 0, arity))):
-            # e0 is 0 and e1 is ~y: the mark over C01.y, which is 1 at
-            # x0 = 0
-            found = manager.edge(N, manager.edge(C01, e1.child))
-        elif (e0.lo is None and C01 in letters and not model.negation
-                and e0 is (ones[arity] if arity < len(ones)
-                           else constant(model, manager, 1, arity))):
-            found = manager.edge(C01, e1)
-        elif (e0.lo is None and C00 in letters
-                and e0 is (zeros[arity] if arity < len(zeros)
-                           else constant(model, manager, 0, arity))):
-            found = manager.edge(C00, e1)
+        for letter in model.canalizing:
+            if letter.branch:
+                forced = e1
+                other = e0
+            else:
+                forced = e0
+                other = e1
+            if forced.lo is None:
+                row = space.ones if letter.const else space.zeros
+                if forced is (row[arity] if arity < len(row) else constant(
+                        model, manager, letter.const, arity)):
+                    if other.letter is N:
+                        found = manager.edge(
+                            N, manager.edge(letter.conjugate, other.child))
+                    else:
+                        found = manager.edge(letter, other)
+                    break
         else:
             found = manager.diamond(e0, e1)
     if pulled:

@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +114,19 @@ class TestModelSpec:
     def test_parse_unknown(self):
         with pytest.raises(ValueError):
             parse_model("o-zdd")
+
+    def test_canalizing_letters(self):
+        # the letters cons_diamond's loop checks: C01 is left out under
+        # the mark, where C00's check over a marked child makes it
+        for model in VALID_MODELS:
+            expected = tuple(
+                letter for letter in (C11, C10, C01, C00)
+                if letter in model.letters)
+            if model.negation:
+                expected = tuple(l for l in expected if l is not C01)
+            assert model.canalizing == expected, model
+        assert NUCX.canalizing == (C11, C10, C00)
+        assert PRESETS["o-uc"].canalizing == (C11, C10, C01, C00)
 
 
 class TestModelInterning:
@@ -245,10 +259,7 @@ class TestValidModels:
         # ``cons_diamond`` skips the canalizing checks for a child that
         # ends at a diamond; that is sound because every constant a check
         # compares against is a letter chain down to a terminal
-        compared = {letter.const for letter in (C11, C10, C00)
-                    if letter in model.letters}
-        if C01 in model.letters:
-            compared.add(0 if model.negation else 1)
+        compared = {letter.const for letter in model.canalizing}
         manager = Manager()
         for arity in range(41):
             for value in compared:
@@ -986,3 +997,35 @@ def test_compile_and_reduce_keep_their_tables():
             for name, model in PRESETS.items()},
            manager.counters)
     assert got == expected
+
+
+INTERNED_COUNTS = Path(__file__).parent / "data" / "interned_counts.txt"
+
+
+def interned_counts(model):
+    """What the builders intern under ``model`` in one fresh manager:
+    every table of arity 0-3 compiled, then six seeded arity-8 tables
+    compiled under ``o-nucx`` and reduced into ``model``.  One line of
+    the model's name, the lengths of its constant rows (zeros, ones),
+    the link-table sizes of U X C11 C10 C01 C00 N and the diamonds."""
+    manager = Manager()
+    for arity in range(4):
+        for mask in range(1 << (1 << arity)):
+            compile_table(model, TruthTable(arity, mask), manager)
+    for seed in range(6):
+        table = TruthTable(8, random.Random(seed).getrandbits(256))
+        reduce(model, compile_table(NUCX, table, manager))
+    space = manager.space(model)
+    counts = [len(space.zeros), len(space.ones)]
+    counts += [len(manager._links[letter])
+               for letter in (U, X, C11, C10, C01, C00, N)]
+    counts.append(len(manager))
+    return " ".join([model.name] + [str(count) for count in counts])
+
+
+def test_builders_intern_the_pinned_counts():
+    # a change to which letters cons_diamond checks, or in which order,
+    # can keep every function's canonical graph and still grow a
+    # constant row or intern more; the golden pins all 48 models
+    expected = INTERNED_COUNTS.read_text().splitlines()
+    assert [interned_counts(model) for model in VALID_MODELS] == expected
