@@ -143,15 +143,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A non-negative integer option: an arity or a count."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+    """A non-negative integer option: an arity or a count, in ASCII
+    digits only, as ``--tt`` and ``x<i>`` take them (``int`` would also
+    take "_", a sign, spaces or other digits, such as "٣")."""
+    # int() still refuses a text past the interpreter's digit limit
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 def _load_handle(args, model: ModelSpec, manager: Manager,

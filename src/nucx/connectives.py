@@ -40,7 +40,7 @@ in mark-free models it is ``reduction.rebuild`` with parity 1.
 
 from __future__ import annotations
 
-from .graph import Edge, FuncHandle, Manager, ManagerMismatchError, Space
+from .graph import Edge, FuncHandle, Manager, ManagerMismatchError
 from .letters import N, U, X
 from .oracle import ArityError
 from .reduction import (
@@ -116,14 +116,15 @@ def _intern_run(manager: Manager, steps: list, edge: Edge) -> Edge:
     return manager.edge(N, edge) if mark else edge
 
 
-def _unary(model: ModelSpec, space: Space, table: int, edge: Edge) -> Edge:
+def _unary(model: ModelSpec, rows: tuple[list[Edge], list[Edge]],
+           table: int, edge: Edge) -> Edge:
     """``v -> bit v of table`` applied to ``edge``, whose arity the
-    constant rows of ``space`` reach."""
+    constant ``rows`` reach."""
     if table == 0b10:
         return edge
     if table == 0b01:
         return push_neg(edge) if model.negation else rebuild(model, edge, 1)
-    return (space.ones if table & 1 else space.zeros)[edge.arity]
+    return rows[table & 1][edge.arity]
 
 
 def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
@@ -151,7 +152,7 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
     # fill both constant rows up to the operands' arity: every constant
     # below is then one index into them
     n = x.arity
-    zeros, ones = space.zeros, space.ones
+    zeros, ones = rows = space.rows
     if len(zeros) <= n:
         constant(model, manager, 0, n)
     if len(ones) <= n:
@@ -254,14 +255,14 @@ def _apply(model: ModelSpec, op: int, x: Edge, y: Edge) -> Edge:
                 a = 0 if x is zeros[a] else 1 if x is ones[a] else None
                 b = 0 if y is zeros[b] else 1 if y is ones[b] else None
                 if a is not None and b is not None:
-                    value = (ones if op >> 2 * a + b & 1 else zeros)[m]
+                    value = rows[op >> 2 * a + b & 1][m]
                 elif a is not None:
-                    value = _unary(model, space, op >> 2 * a & 3, y)
+                    value = _unary(model, rows, op >> 2 * a & 3, y)
                 elif b is not None:
-                    value = _unary(model, space,
+                    value = _unary(model, rows,
                                    op >> b & 1 | op >> 1 >> b & 2, x)
             if value is None and i == j:
-                value = _unary(model, space, op & 1 | op >> 2 & 2, x)
+                value = _unary(model, rows, op & 1 | op >> 2 & 2, x)
         if value is None:
             if count:
                 pairs += 1
@@ -352,8 +353,7 @@ def projection(model: ModelSpec, manager: Manager, index: int,
         raise ValueError(f"variable index {index} out of range for "
                          f"arity {arity}")
     rest = arity - index - 1
-    space = manager.space(model)
-    zeros, ones = space.zeros, space.ones
+    zeros, ones = manager.space(model).rows
     if len(zeros) <= rest:
         constant(model, manager, 0, rest)
     if len(ones) <= rest:

@@ -52,7 +52,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .letters import C00, C01, C10, C11, Letter, N, U, X
+from .letters import ALPHABET, Letter, N, U, X
 from .oracle import ArityError, TruthTable, check_arity, letter_mask
 
 Word = tuple[Letter, ...]
@@ -177,20 +177,20 @@ class Space:
     """The tables of one model in one manager, made by
     :meth:`Manager.space` on first use.
 
-    ``zeros`` and ``ones`` are the model-canonical constants, indexed by
-    arity and always filled from arity 0 up (``reduction.constant``
-    extends them).  ``apply``, ``reduce`` and ``compile`` are the memos
-    of the apply core, ``reduction.rebuild`` and
-    ``reduction.compile_table``; their keys are ints or interned edges,
-    never tuples, so an entry adds no object for the cycle collector to
-    walk.  A space holds no reference to its manager.
+    ``rows`` holds the model-canonical constants, indexed by value and
+    then by arity: ``rows[v][k]`` is the constant ``v`` of arity ``k``.
+    Each row is filled from arity 0 up (``reduction.constant`` extends
+    it).  ``apply``, ``reduce`` and ``compile`` are the memos of the
+    apply core, ``reduction.rebuild`` and ``reduction.compile_table``;
+    their keys are ints or interned edges, never tuples, so an entry adds
+    no object for the cycle collector to walk.  A space holds no
+    reference to its manager.
     """
 
-    __slots__ = ("zeros", "ones", "apply", "reduce", "compile")
+    __slots__ = ("rows", "apply", "reduce", "compile")
 
     def __init__(self):
-        self.zeros: list[Edge] = []
-        self.ones: list[Edge] = []
+        self.rows: tuple[list[Edge], list[Edge]] = ([], [])
         self.apply: dict[int, Edge] = {}
         self.reduce: dict[int | Edge, Edge] = {}
         self.compile: dict[int, Edge] = {}
@@ -201,35 +201,36 @@ class Manager:
 
     :meth:`edge`, :meth:`run` and :meth:`diamond` are the only graph
     constructors.  Each diamond and each link of a letter chain is
-    stored once, so words share their suffixes.  Each of the seven
-    letters has one link table, made with the manager and keyed on the
-    child edge.  A run of ``U`` is one link, ``U^k`` with ``k = arity -
-    child.arity`` over a child that does not lead with ``U``: ``U``'s
-    table keys it on that child when k is 1 and on ``k << 64 |
-    id(child)`` otherwise, so :meth:`edge` and :meth:`run` extend a run
-    with one lookup and make no link for its shorter runs.  The diamond
-    table is keyed on a diamond's ``lo`` edge: it maps a ``lo`` with one
-    parent straight to that parent's bare edge, and a ``lo`` with two or
-    more to a dict keyed on ``hi``.  So a diamond that exists costs one
-    lookup with an edge key plus an identity check or a second lookup,
-    and a ``lo`` with one parent costs no dict.  A manager is a
-    single-owner mutable object: all access to it and to its graphs,
-    reads included, must be serialized by the caller, since
+    stored once, so words share their suffixes.  Each letter of
+    ``letters.ALPHABET`` has one link table, made with the manager and
+    keyed on the child edge.  A run of ``U`` is one link, ``U^k`` with
+    ``k = arity - child.arity`` over a child that does not lead with
+    ``U``: ``U``'s table keys it on that child when k is 1 and on
+    ``k << 64 | id(child)`` otherwise, so :meth:`edge` and :meth:`run`
+    extend a run with one lookup and make no link for its shorter runs.
+    The diamond table is keyed on a diamond's ``lo`` edge: it maps a
+    ``lo`` with one parent straight to that parent's bare edge, and a
+    ``lo`` with two or more to a dict keyed on ``hi``.  So a diamond
+    that exists costs one lookup with an edge key plus an identity check
+    or a second lookup, and a ``lo`` with one parent costs no dict.  A
+    manager is a single-owner mutable object: all access to it and to
+    its graphs, reads included, must be serialized by the caller, since
     complementing an edge may intern a new one and every query fills
     memo tables.  Graphs from different managers must never be mixed;
     every constructor raises :class:`ManagerMismatchError` when asked to
     intern over a child of another manager.  The module docstring says
     what keeps a manager alive.
 
-    Memos are per model: :meth:`space` holds a model's constant rows and
-    its ``apply``, ``reduce`` and ``compile`` memos; :meth:`cache` holds
-    the model-free tables, keyed on edges.  Three tables key on ids: the
-    ``apply`` memo, the ``reduce`` memo under parity 1 and ``U``'s runs
-    longer than one.  An id key is sound only because no edge is ever
-    dropped from the unique tables while the manager lives, so no id is
-    reused by another edge: anything that reclaims edges must clear
-    every space's memos in the same step.  Every memo lives as long as
-    its manager: memory is given back by dropping the manager.
+    Memos are per model: :meth:`space` holds a model's constant rows
+    (``Space.rows``) and its ``apply``, ``reduce`` and ``compile``
+    memos; :meth:`cache` holds the model-free tables, keyed on edges.
+    Three tables key on ids: the ``apply`` memo, the ``reduce`` memo
+    under parity 1 and ``U``'s runs longer than one.  An id key is sound
+    only because no edge is ever dropped from the unique tables while
+    the manager lives, so no id is reused by another edge: anything that
+    reclaims edges must clear every space's memos in the same step.
+    Every memo lives as long as its manager: memory is given back by
+    dropping the manager.
 
     ``counters`` holds running totals (:meth:`bump`; absent until
     bumped, reset by ``counters.clear()``): ``const_steps``, constant-row
@@ -240,7 +241,7 @@ class Manager:
     def __init__(self):
         self._diamonds: dict[Edge, Edge | dict[Edge, Edge]] = {}
         self._links: dict[Letter, dict[Edge | int, Edge]] = {
-            U: {}, X: {}, C11: {}, C10: {}, C01: {}, C00: {}, N: {}}
+            letter: {} for letter in ALPHABET}
         self._spaces: dict[object, Space] = {}
         self._caches: dict[str, dict] = {}
         self.counters: dict[str, int] = {}

@@ -13,6 +13,11 @@ A letter ``l`` has the ``conjugate`` ``c`` with ``l.N`` equal to
 The seventh letter ``N`` encodes output negation (a complement mark); it
 is arity-preserving, not elementary.  Letters are process-wide singletons,
 so identity comparison (``letter is U``) is the intended equality test.
+
+This module is the one list of the letters and of their introduction
+priority, ``ELEMENTARY``'s order: ``U`` first keeps constants canonical,
+which the canalizing patterns depend on, and the exhaustive injectivity
+suite validates the place of ``X``.
 """
 
 from __future__ import annotations
@@ -47,8 +52,7 @@ C10 = Letter("C10", branch=1, const=0)
 C11 = Letter("C11", branch=1, const=1)
 N = Letter("N")
 
-#: All elementary letters, in introduction-priority order (most specific
-#: pattern wins; U first makes constants canonical chains).
+#: All elementary letters, in introduction-priority order.
 ELEMENTARY = (U, X, C11, C10, C01, C00)
 
 #: Every letter, including the complement mark.

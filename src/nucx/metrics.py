@@ -75,39 +75,38 @@ def _reach(root: Edge) -> tuple[set[Edge], set[Edge]]:
 
 def measure(handle: FuncHandle) -> SizeReport:
     """Count distinct reachable diamonds and the letters of the words of
-    the reachable edges: elementary letters (a run of ``U`` counts its k
-    letters) apart from marks.  Each link's tallies are taken once, so
-    the count is linear in the links and diamonds it reaches, however
-    long the words are."""
+    the reachable edges: elementary letters apart from marks.  A word's
+    elementary letters are ``edge.arity - edge.base.arity`` by the arity
+    rule (``graph``), a run of ``U`` counting its k.  Each link's marks
+    are counted once, so the count is linear in the links and diamonds
+    it reaches, however long the words are."""
     nodes, edges = _reach(handle.edge)
     manager = handle.manager
     diamonds = len(nodes) - (manager.zero in nodes) - (manager.one in nodes)
-    # link -> (elementary letters, marks) of its word
-    tallies = {}
-    get = tallies.get
+    # link -> the marks of its word
+    marks = {}
+    get = marks.get
     letters = 0
     neg_letters = 0
     for edge in edges:
-        # down to the bare edge or the first link already tallied, then
+        letters += edge.arity - edge.base.arity
+        # down to the bare edge or the first link already counted, then
         # back up
         path = []
         link = edge
-        a = b = 0
+        count = 0
         while link.letter is not None:
             found = get(link)
             if found is not None:
-                a, b = found
+                count = found
                 break
             path.append(link)
             link = link.child
         for link in reversed(path):
             if link.letter is N:
-                b += 1
-            else:
-                a += link.arity - link.child.arity
-            tallies[link] = (a, b)
-        letters += a
-        neg_letters += b
+                count += 1
+            marks[link] = count
+        neg_letters += count
     name = handle.model.name if handle.model is not None else "raw"
     return SizeReport(name, handle.arity, diamonds, letters, neg_letters)
 

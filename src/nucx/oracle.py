@@ -132,10 +132,6 @@ def _reverse_bits(value: int, width: int) -> int:
     return int(format(value, f"0{width}b")[::-1], 2)
 
 
-def _ones(n_vals: int) -> int:
-    return (1 << n_vals) - 1
-
-
 def tt_eval(f: TruthTable, valuation: Sequence[int]) -> int:
     """Evaluate ``f`` at a valuation ``(x0, ..., x_{n-1})``."""
     if len(valuation) != f.arity:
@@ -155,7 +151,7 @@ def tt_apply(op: str, f: TruthTable, g: TruthTable | None = None) -> TruthTable:
     if op == "not":
         if g is not None:
             raise ValueError("'not' is unary")
-        return TruthTable(f.arity, f.mask ^ _ones(f.size))
+        return TruthTable(f.arity, f.mask ^ (1 << f.size) - 1)
     if g is None:
         raise ValueError(f"{op!r} needs two operands")
     if f.arity != g.arity:

@@ -54,8 +54,7 @@ def count_sat(handle: FuncHandle) -> int:
     for a diamond below the root that is in a constant row of the model:
     it is read off the row, as ``s`` and ``o-c10`` build constants as
     towers of diamonds, and a k-bit count per level would hold Θ(n²)."""
-    space = handle.manager.space(require_model(handle))
-    zeros, ones = space.zeros, space.ones
+    zeros, ones = handle.manager.space(require_model(handle)).rows
     memo = handle.manager.cache("count")
     get = memo.get
 
@@ -147,8 +146,7 @@ def all_sat(handle: FuncHandle) -> Iterator[tuple[int, ...]]:
         arity = handle.edge.arity
         constant(model, manager, 1, arity)
         constant(model, manager, 0, arity)
-        space = manager.space(model)
-        rows = (space.zeros, space.ones)
+        rows = manager.space(model).rows
         path: list[int] = []
         # (depth, hi, parity), flat, with no tuple per level: the
         # pending x = 1 branch at path[depth].  The function at hand is

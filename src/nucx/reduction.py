@@ -12,13 +12,8 @@ the apply core are each one loop of their own on an explicit stack, and
 ``compile_table`` builds its chunks and the levels above them level by
 level, so none can hit the interpreter's recursion limit.
 
-Letter introduction priority is fixed globally:
-
-    U > X > C11 > C10 > C01 > C00
-
-restricted to the model's alphabet.  U first keeps constants canonical,
-which the canalizing patterns depend on; the placement of X is validated
-by the exhaustive injectivity suite.
+Letter introduction priority is the order of ``letters.ELEMENTARY``,
+restricted to the model's alphabet.
 
 In complement-bearing models the constructor first applies the
 complement normalization: a mark on the ``lo`` child is pulled above the
@@ -75,9 +70,10 @@ class ModelSpec:
     model never builds a mark, so ``custom:u,x`` is ``o-u``.
 
     ``canalizing``, the letters ``cons_diamond`` checks after ``U`` and
-    ``X``, is the model's letters among ``(C11, C10, C01, C00)`` in that
-    order, without ``C01`` under the mark: a pulled ``lo`` is unmarked
-    and the constant 1 leads with the mark, so its check never matches.
+    ``X``, is the model's canalizing letters in the priority order of
+    ``letters.ELEMENTARY``, without ``C01`` under the mark: a pulled
+    ``lo`` is unmarked and the constant 1 leads with the mark, so its
+    check never matches.
 
     Models are interned like edges: constructing an existing model
     returns the existing instance, so ``==`` is ``is`` and a manager
@@ -107,8 +103,9 @@ class ModelSpec:
         object.__setattr__(model, "letters", letters)
         object.__setattr__(model, "negation", negation)
         object.__setattr__(model, "canalizing", tuple(
-            letter for letter in (C11, C10, C01, C00)
-            if letter in letters and not (negation and letter is C01)))
+            letter for letter in ELEMENTARY
+            if letter.branch is not None and letter in letters
+            and not (negation and letter is C01)))
         # setdefault is atomic: of two threads making one model, both
         # get the instance that was stored first
         return _MODELS.setdefault((letters, negation), model)
@@ -232,11 +229,10 @@ def constant(model: ModelSpec, manager: Manager, value: int,
     Built bottom-up through :func:`cons_diamond`, so it is whatever
     chain (or diamond tree, for letterless models) the model reduces
     constants to; recognizing a constant is then an identity check
-    against this edge.  Each is kept in a row of the model's space,
-    indexed by arity, for as long as the manager lives.
+    against this edge.  Each is kept in ``Space.rows[value]``, indexed
+    by arity, for as long as the manager lives.
     """
-    space = manager.space(model)
-    row = space.ones if value else space.zeros
+    row = manager.space(model).rows[value]
     if 0 <= arity < len(row):
         return row[arity]
     if arity < 0:
@@ -302,7 +298,7 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
         # A letter reads its constant from the model's row, or below the
         # row's length calls ``constant`` to extend it, only where it is
         # reached: the rows grow as if every letter called ``constant``.
-        space = manager.space(model)
+        rows = manager.space(model).rows
         for letter in model.canalizing:
             if letter.branch:
                 forced = e1
@@ -311,7 +307,7 @@ def cons_diamond(model: ModelSpec, manager: Manager, e0: Edge,
                 forced = e0
                 other = e1
             if forced.lo is None:
-                row = space.ones if letter.const else space.zeros
+                row = rows[letter.const]
                 if forced is (row[arity] if arity < len(row) else constant(
                         model, manager, letter.const, arity)):
                     if other.letter is N:
@@ -373,8 +369,7 @@ def cofactors(model: ModelSpec, edge: Edge) -> tuple[Edge, Edge]:
     # read off the model's row once it reaches the child's arity, as the
     # apply core reads it; below that, ``constant`` extends it
     manager = edge.owner()
-    space = manager.space(model)
-    row = space.ones if letter.const else space.zeros
+    row = manager.space(model).rows[letter.const]
     arity = child.arity
     const = (row[arity] if arity < len(row)
              else constant(model, manager, letter.const, arity))
@@ -405,7 +400,7 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
     manager = edge.manager
     space = manager.space(model)
     memo = space.reduce
-    zeros, ones = space.zeros, space.ones
+    rows = space.rows
     negation = model.negation
     diamond = manager.diamond
     flips = 0
@@ -444,7 +439,7 @@ def rebuild(model: ModelSpec, edge: Edge, parity: int = 0) -> Edge:
                 edge = lo
                 continue
             # a terminal: a leaf, never memoized
-            row = ones if edge.value ^ parity else zeros
+            row = rows[edge.value ^ parity]
             value = (row[0] if row
                      else constant(model, manager, edge.value ^ parity, 0))
         # hand the value up until a split needs its hi half next

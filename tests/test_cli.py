@@ -403,6 +403,21 @@ class TestBench:
             "usage error: argument --samples: expected a non-negative "
             "integer, got '-4'\n")
 
+    @pytest.mark.parametrize("text", [
+        "\u0663", "\uff13", "1_0", "+3", " 3", "3 ", ""],
+        ids=["arabic-indic", "fullwidth", "underscore", "sign",
+             "leading-space", "trailing-space", "empty"])
+    @pytest.mark.parametrize("command", [
+        ["query", "count", "--expr", "x0", "--arity"],
+        ["bench", "--arity", "3", "--samples"],
+    ], ids=["arity", "samples"])
+    def test_counts_take_ascii_digits_only(self, command, text, capsys):
+        # int() reads each of these as a number
+        assert invoke(*command, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err == (f"usage error: argument {command[-1]}: expected a "
+                       f"non-negative integer, got {text!r}\n")
+
     def test_no_memo_cap_option(self, capsys):
         assert invoke("bench", "--arity", "3", "--memo-cap", "4") == (1, "")
         assert capsys.readouterr().err.startswith(
@@ -546,7 +561,7 @@ class TestExitCodes:
         assert invoke(*command, "--models", ",") == (1, "")
         assert capsys.readouterr().err == "usage error: no models given\n"
 
-    @pytest.mark.parametrize("model", ["o-u", "o-nucx", "s"])
+    @pytest.mark.parametrize("model", ["o-u", "o-nu", "o-nucx", "s"])
     def test_flat_chain_deeper_than_recursion_limit(self, model):
         expr = "^".join(f"x{i}" for i in range(1200))
         code, out = invoke("compile", "--model", model, "--expr", expr,

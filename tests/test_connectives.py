@@ -548,7 +548,7 @@ class TestEntryCode:
             apply("xor", f, handles[0])
             apply("implies", f, handles[0])
         assert not calls["constant"]
-        assert len(space.zeros) == len(space.ones) == arity + 1
+        assert len(space.rows[0]) == len(space.rows[1]) == arity + 1
 
     @pytest.mark.parametrize("name,model", ALL_MODELS)
     def test_first_apply_fills_both_rows(self, name, model):
@@ -556,9 +556,9 @@ class TestEntryCode:
         manager = Manager()
         space = manager.space(model)
         x0 = projection(model, manager, 0, arity)
-        assert len(space.zeros) == len(space.ones) == arity
+        assert len(space.rows[0]) == len(space.rows[1]) == arity
         apply("and", x0, x0)
-        assert len(space.zeros) == len(space.ones) == arity + 1
+        assert len(space.rows[0]) == len(space.rows[1]) == arity + 1
         assert manager.counters["const_steps"] == 2 * (arity + 1)
 
 
@@ -750,11 +750,11 @@ class TestLevelSkipping:
         made = []
         for index in (n - 2, n - 1):
             links = len(interned_links(manager))
-            rows = len(space.zeros) + len(space.ones)
+            rows = len(space.rows[0]) + len(space.rows[1])
             made.append(projection(model, manager, index, n))
             # besides the new entries of the constant rows, one link each
             assert (len(interned_links(manager)) - links
-                    - (len(space.zeros) + len(space.ones) - rows)) <= 4
+                    - (len(space.rows[0]) + len(space.rows[1]) - rows)) <= 4
         a, b = made
         memo = space.apply
         entries = len(memo)
@@ -898,7 +898,7 @@ class TestClearedMemos:
         assert constant(model, cleared, 0, arity) is zero
         assert constant(model, cleared, 1, arity) is one
         assert cleared.counters["const_steps"] == steps
-        assert space.zeros[arity] is zero and space.ones[arity] is one
+        assert space.rows[0][arity] is zero and space.rows[1][arity] is one
         assert len(space.apply) < len(free.space(model).apply)
 
 

@@ -15,6 +15,7 @@ from nucx.oracle import (
     ArityError,
     OracleLimitError,
     TruthTable,
+    check_arity,
     combine,
     letter_mask,
     tt_apply,
@@ -111,6 +112,15 @@ class TestApply:
         with pytest.raises(ArityError):
             tt_apply("and", tt([0, 1]), tt([0, 1, 1, 0]))
 
+    @pytest.mark.parametrize("op, operands, message", [
+        ("not", 2, "'not' is unary"),
+        ("and", 1, "'and' needs two operands"),
+        ("nand", 2, "unknown operation 'nand'"),
+    ], ids=["not-binary", "and-unary", "unknown"])
+    def test_wrong_operation_or_operand_count(self, op, operands, message):
+        with pytest.raises(ValueError, match=message):
+            tt_apply(op, *[tt([0, 1])] * operands)
+
 
 class TestCombine:
     def test_shannon_identity_function(self):
@@ -138,6 +148,10 @@ class TestCombine:
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
             combine("s", tt([0, 1]), tt([0]))
+
+    def test_unknown_combinator(self):
+        with pytest.raises(ValueError, match="unknown combinator 'd'"):
+            combine("d", tt([0, 1]), tt([1, 0]))
 
     def test_shannon_universality(self):
         # splitting on x0 and recombining is the identity
@@ -278,6 +292,21 @@ class TestHexForm:
     def test_arity_limit(self):
         with pytest.raises(OracleLimitError):
             TruthTable.constant(ARITY_LIMIT + 1, 0)
+
+
+class TestTableChecks:
+    def test_negative_arity(self):
+        with pytest.raises(ArityError, match="nonnegative, got -1"):
+            check_arity(-1)
+
+    @pytest.mark.parametrize("mask", [-1, 16])
+    def test_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match="out of range for arity 2"):
+            TruthTable(2, mask)
+
+    def test_repr_shows_the_hex_form(self):
+        assert repr(TruthTable.from_hex(3, "6A")) == \
+            "TruthTable(arity=3, hex='6A')"
 
 
 class TestProjection:

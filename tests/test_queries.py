@@ -199,7 +199,7 @@ class TestQueryWork:
             for value in (0, 1):
                 constant(model, manager, value, h.arity)
         space = manager.space(model)
-        before = (repr(manager), len(space.zeros), len(space.ones))
+        before = (repr(manager), len(space.rows[0]), len(space.rows[1]))
         for h in handles:
             count_sat(h)
             any_sat(h)
@@ -207,7 +207,8 @@ class TestQueryWork:
             is_sat(h)
             is_taut(h)
             equiv(h, h)
-        assert (repr(manager), len(space.zeros), len(space.ones)) == before
+        assert (repr(manager), len(space.rows[0]),
+                len(space.rows[1])) == before
 
 
 class TestAnySat:

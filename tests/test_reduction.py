@@ -754,6 +754,34 @@ class TestCompile:
         with pytest.raises(ValueError, match="share one edge"):
             certify_canonicity(NUCX, max_arity=1)
 
+    def test_certify_rejects_a_wrong_round_trip(self, monkeypatch):
+        tabulate_real = reduction.to_truth_table
+
+        def flipped(handle):
+            table = tabulate_real(handle)
+            if table == TruthTable(1, 2):
+                table = TruthTable(1, 1)
+            return table
+
+        monkeypatch.setattr(reduction, "to_truth_table", flipped)
+        with pytest.raises(ValueError, match="o-nucx: compilation of "
+                           "arity-1 mask 0x2 does not round-trip"):
+            certify_canonicity(NUCX, max_arity=1)
+
+    def test_certify_rejects_a_reduce_off_its_fixpoint(self, monkeypatch):
+        reduce_real = reduction.reduce
+
+        def moved(model, handle):
+            found = reduce_real(model, handle)
+            if handle.arity == 1:
+                found = FuncHandle(push_neg(found.edge), model=model)
+            return found
+
+        monkeypatch.setattr(reduction, "reduce", moved)
+        with pytest.raises(ValueError, match="o-nucx: arity-1 mask 0x0 is "
+                           "not a fixpoint of reduce"):
+            certify_canonicity(NUCX, max_arity=1)
+
 
 def compile_top_down(model, table, manager):
     """Reference compile: split on the leading variable down to the
@@ -1016,7 +1044,7 @@ def interned_counts(model):
         table = TruthTable(8, random.Random(seed).getrandbits(256))
         reduce(model, compile_table(NUCX, table, manager))
     space = manager.space(model)
-    counts = [len(space.zeros), len(space.ones)]
+    counts = [len(space.rows[0]), len(space.rows[1])]
     counts += [len(manager._links[letter])
                for letter in (U, X, C11, C10, C01, C00, N)]
     counts.append(len(manager))
